@@ -76,6 +76,9 @@ void QueryEngine::InitMetrics() {
   em_.knn.results = m->counter("engine.query.knn.results");
   em_.knn.pages_read = m->counter("engine.query.knn.pages_read");
   em_.knn.latency_us = m->histogram("engine.query.knn.latency_us");
+  em_.join_count = m->counter("engine.query.join.count");
+  em_.join_pairs = m->counter("engine.query.join.pairs");
+  em_.join_latency_us = m->histogram("engine.query.join.latency_us");
   em_.batch_count = m->counter("engine.batch.count");
   em_.batch_queries = m->counter("engine.batch.queries");
   em_.batch_lanes = m->counter("engine.batch.lanes");
@@ -1672,7 +1675,14 @@ Result<scout::SessionResult> QueryEngine::Execute(
 Result<touch::JoinResult> QueryEngine::Execute(const JoinRequest& request) {
   NEURODB_RETURN_NOT_OK(RequireLoaded("Execute"));
   NEURODB_RETURN_NOT_OK(request.options.Validate());
-  return touch::RunJoin(request.method, axons_, dendrites_, request.options);
+  Timer wall;
+  NEURODB_ASSIGN_OR_RETURN(
+      touch::JoinResult result,
+      touch::RunJoin(request.method, axons_, dendrites_, request.options));
+  obs::Bump(em_.join_count);
+  obs::Add(em_.join_pairs, result.pairs.size());
+  obs::Record(em_.join_latency_us, wall.ElapsedNanos() / 1000);
+  return result;
 }
 
 Result<Session> QueryEngine::OpenSession(scout::PrefetchMethod method,

@@ -707,6 +707,9 @@ class QueryEngine {
   struct EngineMetrics {
     QueryMetrics range;
     QueryMetrics knn;
+    obs::Counter* join_count = nullptr;
+    obs::Counter* join_pairs = nullptr;
+    obs::Histogram* join_latency_us = nullptr;
     obs::Counter* batch_count = nullptr;
     obs::Counter* batch_queries = nullptr;
     obs::Counter* batch_lanes = nullptr;

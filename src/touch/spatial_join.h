@@ -102,7 +102,10 @@ struct JoinStats {
   uint64_t refine_tests = 0;  // exact capsule distance evaluations
   uint64_t results = 0;
 
-  /// Estimated peak bytes of auxiliary structures.
+  /// Estimated peak bytes of auxiliary structures. TOUCH reports the
+  /// high-water mark over its phases: A's element copy beside the tree in
+  /// the build, each lane's scratch beside the per-item pairs in the probe
+  /// (so it grows with the lanes), and those pairs beside the merged result.
   uint64_t peak_bytes = 0;
 
   /// TOUCH only: B objects discarded in empty space (the filtering step).

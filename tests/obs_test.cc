@@ -19,6 +19,7 @@
 
 #include "engine/query_engine.h"
 #include "geom/visitor.h"
+#include "neuro/circuit_generator.h"
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
@@ -286,6 +287,36 @@ TEST(EngineObsTest, QueriesPopulateEngineAndBackendMetrics) {
   ASSERT_NE(snap.FindGauge("engine.backends"), nullptr);
   EXPECT_GE(snap.FindGauge("engine.backends")->value, 3u);
   ASSERT_NE(snap.FindGauge("pool.pages_cached"), nullptr);
+}
+
+TEST(EngineObsTest, JoinsPopulateJoinMetricsAndRunWithMetricsOff) {
+  neuro::CircuitParams params;
+  params.num_neurons = 6;
+  params.seed = 7;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  QueryEngine on;
+  ASSERT_TRUE(on.LoadCircuit(*circuit).ok());
+  EngineOptions off_options;
+  off_options.metrics = MetricsMode::kOff;
+  QueryEngine off(off_options);
+  ASSERT_TRUE(off.LoadCircuit(*circuit).ok());
+
+  auto joined = on.Execute(engine::JoinRequest());
+  ASSERT_TRUE(joined.ok());
+  EXPECT_GT(joined->pairs.size(), 0u);
+  auto joined_off = off.Execute(engine::JoinRequest());
+  ASSERT_TRUE(joined_off.ok());
+  EXPECT_EQ(joined_off->pairs, joined->pairs);
+
+  const obs::MetricsSnapshot snap = on.MetricsSnapshot();
+  ASSERT_NE(snap.FindCounter("engine.query.join.count"), nullptr);
+  EXPECT_EQ(snap.FindCounter("engine.query.join.count")->value, 1u);
+  ASSERT_NE(snap.FindCounter("engine.query.join.pairs"), nullptr);
+  EXPECT_EQ(snap.FindCounter("engine.query.join.pairs")->value,
+            joined->pairs.size());
+  ASSERT_NE(snap.FindHistogram("engine.query.join.latency_us"), nullptr);
+  EXPECT_EQ(snap.FindHistogram("engine.query.join.latency_us")->count, 1u);
 }
 
 TEST(EngineObsTest, TracedQueryCoversEngineBackendAndPoolLayers) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "neuro/workload.h"
+#include "rtree/rtree.h"
 
 namespace neurodb {
 namespace touch {
@@ -206,6 +207,33 @@ TEST(TouchJoinTest, PhaseTimingsAreRecorded) {
   EXPECT_GT(result->stats.assign_ns, 0u);
   EXPECT_GT(result->stats.probe_ns, 0u);
   EXPECT_GE(result->stats.total_ns, result->stats.build_ns);
+}
+
+TEST(TouchJoinTest, PeakBytesCoverTheBuildInputAndTree) {
+  // The build holds an A-sized element copy beside the tree it packs; a
+  // small B keeps the later phases below that.
+  const Aabb domain(Vec3(0, 0, 0), Vec3(60, 60, 60));
+  neuro::SegmentDataset da =
+      neuro::UniformSegments(2000, domain, 4, 1, 0.3f, 7);
+  neuro::SegmentDataset db = neuro::UniformSegments(10, domain, 4, 1, 0.3f, 8);
+  JoinInput a = JoinInput::FromSegments(da.segments, da.ids);
+  JoinOptions options;
+  auto result =
+      TouchJoin(a, JoinInput::FromSegments(db.segments, db.ids), options);
+  ASSERT_TRUE(result.ok());
+
+  // The tree TouchJoin builds over A.
+  rtree::RTreeOptions tree_options;
+  tree_options.max_entries = options.touch_fanout;
+  tree_options.min_entries = std::max<size_t>(
+      1, std::min(options.touch_fanout, options.touch_leaf) * 2 / 5);
+  tree_options.leaf_capacity = options.touch_leaf;
+  geom::ElementVec elements;
+  for (uint32_t i = 0; i < a.size(); ++i) elements.emplace_back(i, a.boxes[i]);
+  auto tree = rtree::RTree::BulkLoadStr(elements, tree_options);
+  ASSERT_TRUE(tree.ok());
+  EXPECT_GE(result->stats.peak_bytes,
+            a.size() * sizeof(geom::SpatialElement) + tree->MemoryBytes());
 }
 
 TEST(PbsmJoinTest, NoDuplicatePairsAcrossCells) {
