@@ -21,17 +21,17 @@ namespace neurodb {
 ///
 /// ## Single-writer contract
 ///
-/// Stats is NOT thread-safe, by design: each experiment, session, buffer
-/// pool or batch lane owns its own instance, mutated by at most one thread
-/// at a time. Ownership may move between threads (a warm pool's tickers
-/// are bumped by whichever thread holds the engine's warm lock), but two
-/// threads must never mutate — or mutate-while-reading — the same instance
-/// concurrently. That keeps increments branch-free and lock-free on query
-/// hot paths.
+/// Stats is NOT thread-safe, by design: each experiment, session or batch
+/// lane owns its own instance, mutated by at most one thread at a time.
+/// Ownership may move between threads, but two threads must never mutate —
+/// or mutate-while-reading — the same instance concurrently. That keeps
+/// increments branch-free and lock-free on hot paths. (Buffer pools, which
+/// concurrent readers share, count into typed storage::BufferPoolCounters
+/// under their own latch instead.)
 ///
 /// Cross-thread aggregation therefore happens by merging *quiesced*
-/// instances after the fact (`Merge`, e.g. per-lane pool stats after batch
-/// lanes join), never by sharing one instance across live writers. For
+/// instances after the fact (`Merge`), never by sharing one instance
+/// across live writers. For
 /// metrics that genuinely need concurrent multi-thread recording, use
 /// `obs::MetricsRegistry` (src/obs/metrics.h) — that is the thread-safe,
 /// engine-wide registry; Stats is the single-owner experiment ledger.

@@ -57,18 +57,23 @@ struct BackendStats {
 struct RangeStats {
   /// Disk pages fetched on the demand path.
   uint64_t pages_read = 0;
-  /// Modeled query time in microseconds (filled in by the engine's clock).
+  /// Modeled query time in microseconds: `pool.ModeledMicros(cost)`,
+  /// filled in by the engine.
   uint64_t time_us = 0;
   uint64_t results = 0;
   /// Candidate elements tested against the query box.
   uint64_t elements_scanned = 0;
   /// Tree backends: node fetches per level (leaf = index 0); else empty.
   std::vector<uint64_t> nodes_per_level;
+  /// This query's buffer-pool hits, misses and evictions: the tally every
+  /// BufferPool::Fetch of the query charged, summed over shards. Exact
+  /// however many readers share the pools.
+  storage::PoolCounters pool;
 };
 
 /// Abstract index backend. Build once, then answer queries through a
-/// caller-supplied PoolSet (the pools determine cache behaviour and time
-/// accounting; the engine owns pool sets and clocks).
+/// caller-supplied PoolSet (the pools determine cache behaviour; each
+/// query's RangeStats::pool tally determines its modeled time).
 /// Produces one PageStore per request — the hook QueryEngine uses to put a
 /// backend's pages on disk. `name` is a stable per-store identifier (e.g.
 /// "Grid" or "Sharded.shard3") that disk factories turn into a file name.

@@ -28,6 +28,7 @@ Status FlatBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
     stats->pages_read = flat_stats.data_pages_read;
     stats->results = flat_stats.results;
     stats->elements_scanned = flat_stats.elements_scanned;
+    stats->pool = flat_stats.pool;
   }
   return Status::OK();
 }
@@ -44,6 +45,7 @@ Status FlatBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
     stats->pages_read = flat_stats.data_pages_read;
     stats->results = flat_stats.results;
     stats->elements_scanned = flat_stats.elements_scanned;
+    stats->pool = flat_stats.pool;
   }
   return Status::OK();
 }

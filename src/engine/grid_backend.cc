@@ -145,7 +145,8 @@ Status GridBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
 
   for (size_t page_index = 0; page_index < page_ids_.size(); ++page_index) {
     if (!wanted[page_index]) continue;
-    auto page = pool->Fetch(page_ids_[page_index]);
+    auto page = pool->Fetch(page_ids_[page_index],
+                            stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
     if (stats != nullptr) ++stats->pages_read;
     for (const auto& e : (*page)->elements) {
@@ -180,7 +181,8 @@ Status GridBackend::ValidateKnn(storage::PoolSet* pools,
 Status GridBackend::ScanPage(size_t page_index, storage::BufferPool* pool,
                              const Vec3& point, geom::KnnAccumulator* acc,
                              RangeStats* stats) const {
-  auto page = pool->Fetch(page_ids_[page_index]);
+  auto page = pool->Fetch(page_ids_[page_index],
+                          stats != nullptr ? &stats->pool : nullptr);
   if (!page.ok()) return page.status();
   if (stats != nullptr) ++stats->pages_read;
   for (const auto& e : (*page)->elements) {

@@ -4,6 +4,7 @@
 #include <chrono>
 
 #include "cache/delta_planner.h"
+#include "common/stats.h"
 #include "exec/parallel_executor.h"
 
 namespace neurodb {
@@ -227,8 +228,7 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
   // poison delta answers for every backend (the cache is
   // backend-agnostic) — so the approximate configuration disables it,
   // exactly as Session::Open does for session caches.
-  pool_manager_ = std::make_unique<storage::PoolManager>(options_.pool_pages,
-                                                         options_.cost);
+  pool_manager_ = std::make_unique<storage::PoolManager>(options_.pool_pages);
   warm_pools_ = BackendPools(pool_manager_.get());
   result_cache_ = std::make_unique<cache::ResultCache>(
       EffectiveResultCacheBoxes());
@@ -927,8 +927,8 @@ obs::MetricsSnapshot QueryEngine::MetricsSnapshot() {
     // Sampled gauges: lower layers are not instrumented on their hot paths
     // (a query's pool fetch costs zero extra when nobody looks) — their
     // cumulative state is read here instead, under the same locks their
-    // writers hold. Lock order matches ApplyUpdates/Execute:
-    // commit -> warm -> cache.
+    // writers hold (the pools latch themselves). Lock order matches
+    // ApplyUpdates/Compact: commit -> compact -> cache.
     m->gauge("engine.epoch")->Set(epoch());
     m->gauge("engine.backends")->Set(backends_.size());
     {
@@ -936,15 +936,13 @@ obs::MetricsSnapshot QueryEngine::MetricsSnapshot() {
       m->gauge("engine.live_elements")->Set(num_segments_);
       m->gauge("engine.delta_records")->Set(DeltaSize());
     }
-    {
-      std::lock_guard<std::mutex> warm_lock(warm_mu_);
-      const storage::PoolManagerStats pool_stats = pool_manager_->Stats();
-      m->gauge("pool.pools")->Set(pool_stats.pools);
-      m->gauge("pool.pages_cached")->Set(pool_stats.pages_cached);
-      m->gauge("pool.hits")->Set(pool_stats.hits);
-      m->gauge("pool.misses")->Set(pool_stats.misses);
-      m->gauge("pool.evictions")->Set(pool_stats.evictions);
-    }
+    const storage::PoolManagerStats pool_stats = pool_manager_->Stats();
+    m->gauge("pool.pools")->Set(pool_stats.pools);
+    m->gauge("pool.pages_cached")->Set(pool_stats.pages_cached);
+    m->gauge("pool.hits")->Set(pool_stats.hits);
+    m->gauge("pool.misses")->Set(pool_stats.misses);
+    m->gauge("pool.evictions")->Set(pool_stats.evictions);
+    m->gauge("pool.latch_waits")->Set(pool_stats.latch_waits);
     {
       std::lock_guard<std::mutex> cache_lock(cache_mu_);
       const cache::CacheStats& cache_stats = result_cache_->stats();
@@ -1076,7 +1074,7 @@ size_t QueryEngine::BackendIndex(const SpatialBackend* backend) const {
 }
 
 void QueryEngine::AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
-                                      const storage::PoolCounters& pool_delta,
+                                      const storage::PoolCounters& pool,
                                       const storage::IoStats& io_delta) {
   // The pool/disk layers are not separately timed (they interleave with
   // index work), so their spans share the backend span's window and carry
@@ -1088,9 +1086,9 @@ void QueryEngine::AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
       trace->spans()[static_cast<size_t>(backend_span)].duration_ns;
   const int pool_span = trace->AddCompleted("pool", backend_span,
                                             window_start, window_duration);
-  trace->Tag(pool_span, "hits", pool_delta.hits);
-  trace->Tag(pool_span, "misses", pool_delta.misses);
-  trace->Tag(pool_span, "evictions", pool_delta.evictions);
+  trace->Tag(pool_span, "hits", pool.hits);
+  trace->Tag(pool_span, "misses", pool.misses);
+  trace->Tag(pool_span, "evictions", pool.evictions);
   if (io_delta.bytes_read != 0 || io_delta.bytes_written != 0 ||
       io_delta.fsyncs != 0) {
     const int disk_span = trace->AddCompleted("disk", pool_span,
@@ -1104,8 +1102,7 @@ void QueryEngine::AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
 Status QueryEngine::ExecuteOn(const RangeRequest& request,
                               ResultVisitor* visitor,
                               const std::vector<storage::PoolSet*>& pools,
-                              SimClock* clock, obs::Trace* trace,
-                              RangeReport* report) const {
+                              obs::Trace* trace, RangeReport* report) const {
   std::vector<const SpatialBackend*> selected = Select(request.backend);
   const bool parity_check = selected.size() > 1;
   std::vector<std::vector<ElementId>> id_sets;
@@ -1130,8 +1127,6 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
         trace != nullptr
             ? trace->Begin(std::string("backend:") + backend->name())
             : -1;
-    const storage::PoolCounters pool0 = pool->Counters();
-    uint64_t t0 = clock->NowMicros();
     storage::IoStats io0 = backend->IoTotals();
 
     Status status;
@@ -1152,11 +1147,10 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
     }
     NEURODB_RETURN_NOT_OK(status);
 
-    row.stats.time_us = clock->NowMicros() - t0;
+    row.stats.time_us = row.stats.pool.ModeledMicros(options_.cost);
     const storage::IoStats io_delta = backend->IoTotals() - io0;
-    const storage::PoolCounters pool_delta = pool->Counters() - pool0;
     report->io += io_delta;
-    report->pool += pool_delta;
+    report->pool += row.stats.pool;
     if (!backend_metrics_.empty()) {
       const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
       obs::Bump(bm.queries);
@@ -1169,7 +1163,7 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
       trace->Tag(backend_span, "elements_scanned", row.stats.elements_scanned);
       trace->Tag(backend_span, "results", row.stats.results);
       trace->End(backend_span);
-      AddPoolAndDiskSpans(trace, backend_span, pool_delta, io_delta);
+      AddPoolAndDiskSpans(trace, backend_span, row.stats.pool, io_delta);
     }
     report->rows.push_back(std::move(row));
   }
@@ -1187,8 +1181,7 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
 
 Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
                                  const std::vector<storage::PoolSet*>& pools,
-                                 SimClock* clock, obs::Trace* trace,
-                                 KnnReport* report) const {
+                                 obs::Trace* trace, KnnReport* report) const {
   std::vector<const SpatialBackend*> selected = Select(request.backend);
   const bool parity_check = selected.size() > 1;
   const storage::Epoch pinned =
@@ -1208,19 +1201,16 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
         trace != nullptr
             ? trace->Begin(std::string("backend:") + backend->name())
             : -1;
-    const storage::PoolCounters pool0 = pool->Counters();
-    uint64_t t0 = clock->NowMicros();
     storage::IoStats io0 = backend->IoTotals();
 
     std::vector<geom::KnnHit> hits;
     NEURODB_RETURN_NOT_OK(backend->KnnQueryAt(pinned, request.point, request.k,
                                               pool, &hits, &row.stats));
 
-    row.stats.time_us = clock->NowMicros() - t0;
+    row.stats.time_us = row.stats.pool.ModeledMicros(options_.cost);
     const storage::IoStats io_delta = backend->IoTotals() - io0;
-    const storage::PoolCounters pool_delta = pool->Counters() - pool0;
     report->io += io_delta;
-    report->pool += pool_delta;
+    report->pool += row.stats.pool;
     if (!backend_metrics_.empty()) {
       const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
       obs::Bump(bm.queries);
@@ -1233,7 +1223,7 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
       trace->Tag(backend_span, "elements_scanned", row.stats.elements_scanned);
       trace->Tag(backend_span, "results", hits.size());
       trace->End(backend_span);
-      AddPoolAndDiskSpans(trace, backend_span, pool_delta, io_delta);
+      AddPoolAndDiskSpans(trace, backend_span, row.stats.pool, io_delta);
     }
     report->rows.push_back(std::move(row));
 
@@ -1265,7 +1255,7 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
                                    const SpatialBackend* backend,
                                    ResultVisitor* visitor,
                                    const std::vector<storage::PoolSet*>& pools,
-                                   SimClock* clock, cache::ResultCache* cache,
+                                   cache::ResultCache* cache,
                                    obs::Trace* trace,
                                    RangeReport* report) const {
   storage::PoolSet* pool = PoolFor(backend, pools);
@@ -1276,8 +1266,6 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
       trace != nullptr
           ? trace->Begin(std::string("backend:") + backend->name())
           : -1;
-  const storage::PoolCounters pool0 = pool->Counters();
-  uint64_t t0 = clock->NowMicros();
   storage::IoStats io0 = backend->IoTotals();
 
   // Pin residual queries at the cache's epoch, not the engine's: every
@@ -1298,6 +1286,7 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
                 pinned, residual, pool, *out, &residual_stats));
             row.stats.pages_read += residual_stats.pages_read;
             row.stats.elements_scanned += residual_stats.elements_scanned;
+            row.stats.pool += residual_stats.pool;
             return Status::OK();
           },
           &plan));
@@ -1309,11 +1298,10 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
   }
 
   row.stats.results = merged.size();
-  row.stats.time_us = clock->NowMicros() - t0;
+  row.stats.time_us = row.stats.pool.ModeledMicros(options_.cost);
   const storage::IoStats io_delta = backend->IoTotals() - io0;
-  const storage::PoolCounters pool_delta = pool->Counters() - pool0;
   report->io += io_delta;
-  report->pool += pool_delta;
+  report->pool += row.stats.pool;
   if (!backend_metrics_.empty()) {
     const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
     obs::Bump(bm.queries);
@@ -1327,7 +1315,7 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
     trace->Tag(backend_span, "cache_hit_fraction",
                std::to_string(plan.covered_fraction));
     trace->End(backend_span);
-    AddPoolAndDiskSpans(trace, backend_span, pool_delta, io_delta);
+    AddPoolAndDiskSpans(trace, backend_span, row.stats.pool, io_delta);
   }
   report->rows.push_back(std::move(row));
   report->results = merged.size();
@@ -1404,27 +1392,24 @@ Result<RangeReport> QueryEngine::Execute(const RangeRequest& request,
   std::shared_lock<std::shared_mutex> read_lock(compact_mu_);
 
   RangeReport report;
-  if (request.cache != CachePolicy::kCold) {
-    // The warm pools and the engine result cache are shared mutable state;
-    // warm requests take turns (cold requests below run fully concurrent).
-    std::lock_guard<std::mutex> warm_lock(warm_mu_);
-    if (const SpatialBackend* backend =
-            DeltaBackend(request, result_cache_.get())) {
-      std::lock_guard<std::mutex> cache_lock(cache_mu_);
-      NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(
-          request, backend, &visitor, warm_pools_, pool_manager_->clock(),
-          result_cache_.get(), trace.get(), &report));
-    } else {
-      NEURODB_RETURN_NOT_OK(ExecuteOn(request, &visitor, warm_pools_,
-                                      pool_manager_->clock(), trace.get(),
-                                      &report));
-    }
-  } else {
+  if (request.cache == CachePolicy::kCold) {
     // Cold: a fresh pool per backend, as the paper's per-query cost model.
-    storage::PoolManager local(options_.pool_pages, options_.cost);
-    std::vector<storage::PoolSet*> pools = BackendPools(&local);
-    NEURODB_RETURN_NOT_OK(ExecuteOn(request, &visitor, pools, local.clock(),
+    storage::PoolManager local(options_.pool_pages);
+    NEURODB_RETURN_NOT_OK(ExecuteOn(request, &visitor, BackendPools(&local),
                                     trace.get(), &report));
+  } else if (const SpatialBackend* backend =
+                 DeltaBackend(request, result_cache_.get())) {
+    // The result cache is shared mutable state: the plan must see it
+    // unchanged until this request's answer is cached.
+    std::lock_guard<std::mutex> cache_lock(cache_mu_);
+    NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(request, backend, &visitor,
+                                         warm_pools_, result_cache_.get(),
+                                         trace.get(), &report));
+  } else {
+    // Warm: the persistent pools latch themselves, so warm readers overlap;
+    // the report's tallies count this request's fetches alone.
+    NEURODB_RETURN_NOT_OK(
+        ExecuteOn(request, &visitor, warm_pools_, trace.get(), &report));
   }
   if (metrics_ != nullptr) {
     FinishRangeQuery(request.trace, wall.ElapsedNanos() / 1000,
@@ -1446,16 +1431,13 @@ Result<KnnReport> QueryEngine::Execute(const KnnRequest& request) {
   std::shared_lock<std::shared_mutex> read_lock(compact_mu_);
 
   KnnReport report;
-  if (request.cache != CachePolicy::kCold) {
-    std::lock_guard<std::mutex> warm_lock(warm_mu_);
-    NEURODB_RETURN_NOT_OK(ExecuteKnnOn(request, warm_pools_,
-                                       pool_manager_->clock(), trace.get(),
-                                       &report));
-  } else {
-    storage::PoolManager local(options_.pool_pages, options_.cost);
-    std::vector<storage::PoolSet*> pools = BackendPools(&local);
+  if (request.cache == CachePolicy::kCold) {
+    storage::PoolManager local(options_.pool_pages);
     NEURODB_RETURN_NOT_OK(
-        ExecuteKnnOn(request, pools, local.clock(), trace.get(), &report));
+        ExecuteKnnOn(request, BackendPools(&local), trace.get(), &report));
+  } else {
+    NEURODB_RETURN_NOT_OK(
+        ExecuteKnnOn(request, warm_pools_, trace.get(), &report));
   }
   if (metrics_ != nullptr) {
     FinishKnnQuery(request.trace, wall.ElapsedNanos() / 1000, std::move(trace),
@@ -1467,8 +1449,22 @@ Result<KnnReport> QueryEngine::Execute(const KnnRequest& request) {
 Status QueryEngine::ExecuteBatchSlice(
     std::span<const QueryRequest> requests, size_t begin, size_t end,
     storage::PoolManager* manager, const std::vector<storage::PoolSet*>& pools,
-    SimClock* clock, cache::ResultCache* cache,
+    cache::ResultCache* cache, std::mutex* cache_mu,
     std::vector<QueryReport>* reports, BatchStats* stats) const {
+  auto lock_cache = [cache_mu] {
+    return cache_mu != nullptr ? std::unique_lock<std::mutex>(*cache_mu)
+                               : std::unique_lock<std::mutex>();
+  };
+  // Every report's tally is its own fetches, so the sums below describe
+  // exactly this slice however many other readers share the pools.
+  auto add_tally = [&](const storage::PoolCounters& pool,
+                       const std::vector<RangeRow>& rows) {
+    for (const RangeRow& row : rows) stats->pages_read += row.stats.pages_read;
+    stats->time_us += pool.ModeledMicros(options_.cost);
+    stats->pool_hits += pool.hits;
+    stats->pool_misses += pool.misses;
+    stats->pool_evictions += pool.evictions;
+  };
   for (size_t i = begin; i < end; ++i) {
     const QueryRequest& request = requests[i];
     CachePolicy policy =
@@ -1477,7 +1473,10 @@ Status QueryEngine::ExecuteBatchSlice(
       // Through the manager, not the raw pools: its eviction statistics
       // must account for the cold reset of the (persistent) warm state.
       manager->EvictAll();
-      if (cache != nullptr) cache->Clear();
+      if (cache != nullptr) {
+        std::unique_lock<std::mutex> cache_lock = lock_cache();
+        cache->Clear();
+      }
     }
 
     if (const auto* range = std::get_if<RangeRequest>(&request)) {
@@ -1485,24 +1484,21 @@ Status QueryEngine::ExecuteBatchSlice(
       Timer wall;
       RangeReport report;
       if (const SpatialBackend* backend = DeltaBackend(*range, cache)) {
+        std::unique_lock<std::mutex> cache_lock = lock_cache();
         NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(*range, backend, nullptr, pools,
-                                             clock, cache, trace.get(),
-                                             &report));
+                                             cache, trace.get(), &report));
         ++stats->delta_requests;
         stats->cache_hit_fraction += report.cache_hit_fraction;
         stats->delta_volume_fraction += report.delta_volume_fraction;
       } else {
         NEURODB_RETURN_NOT_OK(
-            ExecuteOn(*range, nullptr, pools, clock, trace.get(), &report));
+            ExecuteOn(*range, nullptr, pools, trace.get(), &report));
       }
-      for (const RangeRow& row : report.rows) {
-        stats->pages_read += row.stats.pages_read;
-      }
+      add_tally(report.pool, report.rows);
       stats->results += report.results;
       if (metrics_ != nullptr) {
         // Batch entries record into the same thread-safe registry the
-        // foreground path uses — concurrent lanes included (this is the
-        // sanctioned cross-thread merge; common/Stats stays lane-local).
+        // foreground path uses — concurrent lanes included.
         FinishRangeQuery(range->trace, wall.ElapsedNanos() / 1000,
                          std::move(trace), &report);
       }
@@ -1512,11 +1508,8 @@ Status QueryEngine::ExecuteBatchSlice(
       std::shared_ptr<obs::Trace> trace = MaybeTrace(knn.trace, "knn");
       Timer wall;
       KnnReport report;
-      NEURODB_RETURN_NOT_OK(
-          ExecuteKnnOn(knn, pools, clock, trace.get(), &report));
-      for (const RangeRow& row : report.rows) {
-        stats->pages_read += row.stats.pages_read;
-      }
+      NEURODB_RETURN_NOT_OK(ExecuteKnnOn(knn, pools, trace.get(), &report));
+      add_tally(report.pool, report.rows);
       stats->results += report.hits.size();
       if (metrics_ != nullptr) {
         FinishKnnQuery(knn.trace, wall.ElapsedNanos() / 1000, std::move(trace),
@@ -1557,29 +1550,14 @@ Result<MixedBatchResult> QueryEngine::ExecuteBatch(
   if (!parallel) {
     // Serial: the batch runs over the engine's *persistent* pools and
     // result cache — warm state survives across batches (kCold requests
-    // still evict before executing). Counters and time are reported as
-    // deltas over the batch, so the aggregate describes this batch alone.
-    // Both shared structures are held for the whole batch (lock order:
-    // compact_mu_ -> warm_mu_ -> cache_mu_).
-    std::lock_guard<std::mutex> warm_lock(warm_mu_);
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    const std::vector<storage::PoolSet*>& pools = warm_pools_;
-    SimClock* clock = pool_manager_->clock();
-    uint64_t t0 = clock->NowMicros();
-    storage::PoolCounters counters0;
-    for (storage::PoolSet* pool : pools) counters0 += pool->Counters();
+    // still evict before executing). The pools latch themselves and the
+    // cache is locked per request, so other readers overlap the batch; the
+    // aggregate is the sum of the batch's own per-request tallies.
     NEURODB_RETURN_NOT_OK(ExecuteBatchSlice(
-        requests, 0, requests.size(), pool_manager_.get(), pools, clock,
-        result_cache_.get(), &out.reports, &out.aggregate));
-    out.aggregate.time_us = clock->NowMicros() - t0;
+        requests, 0, requests.size(), pool_manager_.get(), warm_pools_,
+        result_cache_.get(), &cache_mu_, &out.reports, &out.aggregate));
     out.aggregate.critical_path_us = out.aggregate.time_us;
     out.aggregate.lanes = 1;
-    storage::PoolCounters counters;
-    for (storage::PoolSet* pool : pools) counters += pool->Counters();
-    counters = counters - counters0;
-    out.aggregate.pool_hits = counters.hits;
-    out.aggregate.pool_misses = counters.misses;
-    out.aggregate.pool_evictions = counters.evictions;
     normalize_delta(&out.aggregate);
     obs::Bump(em_.batch_count);
     obs::Add(em_.batch_queries, out.aggregate.queries);
@@ -1588,39 +1566,25 @@ Result<MixedBatchResult> QueryEngine::ExecuteBatch(
     return out;
   }
 
-  // Parallel: contiguous request lanes, one PoolManager (pool family +
-  // clock) and one private result cache per lane. Lane-local counters
-  // merge in lane order, so the output is independent of worker
-  // scheduling; reports land in their request slot directly.
+  // Parallel: contiguous request lanes, one PoolManager (pool family) and
+  // one private result cache per lane. Lane-local counters merge in lane
+  // order, so the output is independent of worker scheduling; reports land
+  // in their request slot directly.
   std::vector<exec::LaneRange> lanes =
       exec::PartitionLanes(requests.size(), options_.num_threads);
   std::vector<BatchStats> lane_stats(lanes.size());
   exec::ParallelExecutor executor(thread_pool_.get());
   Status status = executor.Run(lanes, [&](const exec::LaneRange& lane) {
     Timer lane_wall;
-    storage::PoolManager lane_manager(options_.pool_pages, options_.cost);
-    std::vector<storage::PoolSet*> pools = BackendPools(&lane_manager);
+    storage::PoolManager lane_manager(options_.pool_pages);
     cache::ResultCache lane_cache(EffectiveResultCacheBoxes());
     // Private lane caches start empty but stamp entries at the engine's
     // current epoch (nothing to invalidate — the empty dirty box).
     lane_cache.AdvanceEpoch(epoch(), Aabb());
-    BatchStats& local = lane_stats[lane.lane];
     NEURODB_RETURN_NOT_OK(ExecuteBatchSlice(
-        requests, lane.begin, lane.end, &lane_manager, pools,
-        lane_manager.clock(), &lane_cache, &out.reports, &local));
-    local.time_us = lane_manager.clock()->NowMicros();
-    // Lane pool counters stay lane-local Stats (single-writer: this
-    // thread); the cross-lane merge happens on lane-ordered copies below
-    // and in the shared (thread-safe) registry right here — never by
-    // pointing several lanes at one Stats instance.
-    const storage::PoolCounters counters = [&pools] {
-      storage::PoolCounters total;
-      for (storage::PoolSet* pool : pools) total += pool->Counters();
-      return total;
-    }();
-    local.pool_hits = counters.hits;
-    local.pool_misses = counters.misses;
-    local.pool_evictions = counters.evictions;
+        requests, lane.begin, lane.end, &lane_manager,
+        BackendPools(&lane_manager), &lane_cache, nullptr, &out.reports,
+        &lane_stats[lane.lane]));
     obs::Record(em_.batch_lane_time_us, lane_wall.ElapsedNanos() / 1000);
     return Status::OK();
   });

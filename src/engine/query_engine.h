@@ -20,9 +20,8 @@
 //     pools and reports per-query plus aggregate statistics; with
 //     EngineOptions::num_threads > 1 the batch is partitioned into
 //     contiguous lanes executed concurrently on an exec::ThreadPool, each
-//     lane over its own pools and clock, with reports merged back in
-//     request order — deterministic, and bit-identical to running the same
-//     lanes serially;
+//     lane over its own pools, with reports merged back in request order —
+//     deterministic, and bit-identical to running the same lanes serially;
 //   * OpenSession returns an incremental exploration Session handle
 //     (engine/session.h) for interactive callers.
 //
@@ -206,13 +205,16 @@ struct RangeReport {
   /// Non-delta requests report 0 / 1.
   double cache_hit_fraction = 0.0;
   double delta_volume_fraction = 1.0;
-  /// Real device I/O this request caused, summed over executed backends.
-  /// All zeros when the engine runs on in-memory stores; populated when
-  /// backends sit on storage::DiskPageStore.
+  /// Device I/O during this request, summed over executed backends. All
+  /// zeros when the engine runs on in-memory stores; populated when
+  /// backends sit on storage::DiskPageStore. The stores are shared, so
+  /// this counts every byte read while the request ran — other readers'
+  /// reads included.
   storage::IoStats io;
   /// Logical buffer-pool activity of this request (hits, misses,
-  /// evictions), summed over executed backends — populated uniformly on
-  /// memory and disk stores, unlike `io`.
+  /// evictions), summed over executed backends: the rows' exact tallies
+  /// (RangeStats::pool), populated uniformly on memory and disk stores,
+  /// unlike `io`.
   storage::PoolCounters pool;
   /// The request's span tree, when RangeRequest::trace asked for one (and
   /// the engine runs with metrics on). Null otherwise.
@@ -244,8 +246,7 @@ struct KnnReport {
   std::vector<geom::KnnHit> hits;
   /// Data epoch this request answered at (0 until the first ApplyUpdates).
   storage::Epoch epoch = 0;
-  /// Real device I/O this request caused, summed over executed backends
-  /// (all zeros on in-memory stores).
+  /// Device I/O during this request, exactly as RangeReport::io.
   storage::IoStats io;
   /// Logical buffer-pool activity (uniform across memory and disk), as
   /// RangeReport::pool.
@@ -288,8 +289,8 @@ struct BatchStats {
   uint64_t queries = 0;
   /// Demand page fetches summed over every executed backend row.
   uint64_t pages_read = 0;
-  /// Total modeled I/O work across the batch (sum over lanes; equals the
-  /// batch clock reading when num_threads == 1).
+  /// Total modeled I/O work: the sum of the reports' modeled time (each
+  /// the pricing of its own pool tally), over every lane.
   uint64_t time_us = 0;
   /// Modeled time of the slowest lane — the batch's simulated critical
   /// path. Equals time_us on the serial path.
@@ -298,6 +299,7 @@ struct BatchStats {
   uint64_t lanes = 1;
   /// Result elements summed over requests (first backend of each).
   uint64_t results = 0;
+  /// The reports' pool tallies, summed.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;
@@ -460,16 +462,16 @@ class QueryEngine {
   Result<KnnReport> Execute(const KnnRequest& request);
 
   /// Run `requests` in order against per-backend pools shared across the
-  /// whole batch (kCold requests evict first). One simulated clock spans
-  /// the batch. With num_threads > 1 the batch is split into contiguous
-  /// lanes (one pool family and clock per lane) executed concurrently;
-  /// reports keep request order, and a batch of kCold requests is
-  /// bit-identical to the serial run regardless of the thread count.
+  /// whole batch (kCold requests evict first). With num_threads > 1 the
+  /// batch is split into contiguous lanes (one pool family per lane)
+  /// executed concurrently; reports keep request order, and a batch of
+  /// kCold requests is bit-identical to the serial run regardless of the
+  /// thread count. The aggregate is the sum of the reports' tallies.
   Result<BatchResult> ExecuteBatch(std::span<const RangeRequest> requests);
 
   /// Mixed-batch form: range and kNN requests interleaved against the same
-  /// shared pools and batch clock. BatchStats aggregates across both kinds
-  /// (a kNN request contributes its hit count to `results`).
+  /// shared pools. BatchStats aggregates across both kinds (a kNN request
+  /// contributes its hit count to `results`).
   Result<MixedBatchResult> ExecuteBatch(std::span<const QueryRequest> requests);
 
   /// Replay a navigation path with the given prefetcher (paper Figure 6).
@@ -524,8 +526,9 @@ class QueryEngine {
 
   /// The persistent warm-path pool manager (null until LoadCircuit): one
   /// named PoolSet per backend — including the sharded backend's per-shard
-  /// pools — surviving across Execute and serial ExecuteBatch calls, with
-  /// aggregate hit/miss/eviction statistics.
+  /// pools — surviving across Execute and serial ExecuteBatch calls and
+  /// shared by concurrent readers, with aggregate hit/miss/eviction
+  /// statistics.
   storage::PoolManager* pool_manager() { return pool_manager_.get(); }
 
   /// The engine-level result cache serving CachePolicy::kDelta requests
@@ -554,7 +557,7 @@ class QueryEngine {
   /// (epoch, delta size, pool/cache/io totals) refreshed first. Empty when
   /// metrics are off. Serializes via obs::MetricsSnapshot::ToJson() /
   /// ToPrometheus(). Thread-safe (briefly excludes writers while sampling
-  /// the warm-pool and cache gauges).
+  /// the delta and result-cache gauges; the pools latch themselves).
   obs::MetricsSnapshot MetricsSnapshot();
 
  private:
@@ -626,27 +629,25 @@ class QueryEngine {
   size_t EffectiveResultCacheBoxes() const;
   /// Run one request against `pools` (parallel to backends_), filling one
   /// report. The caller chooses pool lifetime (persistent warm pools, batch
-  /// pools) — `clock` is the clock those pools charge.
-  /// `trace` (may be null) gains one span per executed backend with pool
-  /// and disk sub-spans.
+  /// pools); each row's time and the report's pool counters come from the
+  /// row's own fetch tally. `trace` (may be null) gains one span per
+  /// executed backend with pool and disk sub-spans.
   Status ExecuteOn(const RangeRequest& request, ResultVisitor* visitor,
                    const std::vector<storage::PoolSet*>& pools,
-                   SimClock* clock, obs::Trace* trace,
-                   RangeReport* report) const;
+                   obs::Trace* trace, RangeReport* report) const;
   /// kNN twin of ExecuteOn: one request against `pools`, one report.
   Status ExecuteKnnOn(const KnnRequest& request,
                       const std::vector<storage::PoolSet*>& pools,
-                      SimClock* clock, obs::Trace* trace,
-                      KnnReport* report) const;
+                      obs::Trace* trace, KnnReport* report) const;
   /// The delta-request body: plan `request.box` against `cache`, answer
   /// the covered fragment from cached results and the residual boxes via
   /// `backend`, merge under the id order, stream to `visitor` and remember
-  /// the full answer in `cache`.
+  /// the full answer in `cache`. The caller holds `cache` exclusively.
   Status ExecuteDeltaOn(const RangeRequest& request,
                         const SpatialBackend* backend, ResultVisitor* visitor,
                         const std::vector<storage::PoolSet*>& pools,
-                        SimClock* clock, cache::ResultCache* cache,
-                        obs::Trace* trace, RangeReport* report) const;
+                        cache::ResultCache* cache, obs::Trace* trace,
+                        RangeReport* report) const;
   /// The single backend `request` takes the delta path on, or nullptr when
   /// the request is not delta-eligible (not kDelta, cache disabled, or a
   /// multi-backend choice whose parity panel must really execute).
@@ -669,22 +670,23 @@ class QueryEngine {
   /// backend did physical I/O, a "disk" sub-span (bytes, fsyncs) — under
   /// the closed backend span, sharing its time window.
   static void AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
-                                  const storage::PoolCounters& pool_delta,
+                                  const storage::PoolCounters& pool,
                                   const storage::IoStats& io_delta);
   /// Execute requests[range) against `manager`'s pools (`pools` is the
-  /// manager's per-backend family, `clock` its clock), writing reports[i]
-  /// for each request index i and accumulating aggregate counters except
-  /// pool hits/misses into `stats` — the shared body of the serial batch
-  /// path and of each parallel lane. `cache` (may be null) serves kDelta
-  /// requests; stats->cache_hit_fraction / delta_volume_fraction
-  /// accumulate *sums* here, normalized to means by the caller. kCold
-  /// requests evict through `manager` (keeping its eviction statistics
-  /// truthful) and clear `cache`.
+  /// manager's per-backend family), writing reports[i] for each request
+  /// index i and adding the reports' tallies, pages, time and results into
+  /// `stats` — the shared body of the serial batch path and of each
+  /// parallel lane. `cache` (may be null) serves kDelta requests, under
+  /// `cache_mu` when that is non-null (the engine's shared cache);
+  /// stats->cache_hit_fraction / delta_volume_fraction accumulate *sums*
+  /// here, normalized to means by the caller. kCold requests evict through
+  /// `manager` (keeping its eviction statistics truthful) and clear
+  /// `cache`.
   Status ExecuteBatchSlice(std::span<const QueryRequest> requests,
                            size_t begin, size_t end,
                            storage::PoolManager* manager,
                            const std::vector<storage::PoolSet*>& pools,
-                           SimClock* clock, cache::ResultCache* cache,
+                           cache::ResultCache* cache, std::mutex* cache_mu,
                            std::vector<QueryReport>* reports,
                            BatchStats* stats) const;
 
@@ -791,15 +793,12 @@ class QueryEngine {
   /// Reader/compactor exclusion: queries and session steps hold it shared,
   /// Compact holds it exclusive across the base rebuild + republish (the
   /// one window where pinned snapshots genuinely cease to exist).
-  /// ApplyUpdates does NOT take it — reads and writes overlap.
+  /// ApplyUpdates does NOT take it — reads and writes overlap. The warm
+  /// pools need no engine lock: each BufferPool latches itself.
   mutable std::shared_mutex compact_mu_;
-  /// Serializes the warm path (persistent pools + engine result cache):
-  /// BufferPool/SimClock are not internally synchronized, so concurrent
-  /// kWarm/kDelta requests take turns. Cold requests run on private pools
-  /// and only share the backend snapshots — fully concurrent.
-  std::mutex warm_mu_;
-  /// Guards result_cache_ (innermost lock: taken by the delta path under
-  /// warm_mu_, and by ApplyUpdates under commit_mu_).
+  /// Guards result_cache_ (innermost lock: taken by kDelta requests and
+  /// kCold batch entries under compact_mu_, and by ApplyUpdates/Compact
+  /// under commit_mu_). Lock order: commit → compact → cache.
   std::mutex cache_mu_;
 
   /// Worker pool for ExecuteBatch lanes and shard fan-out (num_threads > 1).
@@ -811,15 +810,16 @@ class QueryEngine {
 
   /// Persistent warm-path state (kWarm / kDelta): one named pool set per
   /// backend inside the manager, surviving across Execute and serial
-  /// ExecuteBatch calls. Cold paths and parallel batch lanes build their
-  /// own short-lived PoolManager instead.
+  /// ExecuteBatch calls and shared by concurrent readers. Cold paths and
+  /// parallel batch lanes build their own short-lived PoolManager instead.
   std::unique_ptr<storage::PoolManager> pool_manager_;
   /// The manager's per-backend sets, resolved once at LoadCircuit —
   /// warm-path queries must not pay name lookups (or skew the manager's
   /// set-lifecycle counters) per request.
   std::vector<storage::PoolSet*> warm_pools_;
-  /// Engine-level semantic cache behind CachePolicy::kDelta (serial paths;
-  /// parallel lanes run private per-lane caches for determinism).
+  /// Engine-level semantic cache behind CachePolicy::kDelta (serial paths,
+  /// under cache_mu_; parallel lanes run private per-lane caches for
+  /// determinism).
   std::unique_ptr<cache::ResultCache> result_cache_;
 
   /// Durable storage (null when options_.durability.dir is empty): WAL

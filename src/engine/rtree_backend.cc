@@ -31,6 +31,7 @@ Status PagedRTreeBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
     stats->results = tree_stats.results;
     stats->elements_scanned = tree_stats.entries_tested;
     stats->nodes_per_level = std::move(tree_stats.nodes_per_level);
+    stats->pool = tree_stats.pool;
   }
   return Status::OK();
 }
@@ -48,6 +49,7 @@ Status PagedRTreeBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
     stats->results = tree_stats.results;
     stats->elements_scanned = tree_stats.entries_tested;
     stats->nodes_per_level = std::move(tree_stats.nodes_per_level);
+    stats->pool = tree_stats.pool;
   }
   return Status::OK();
 }

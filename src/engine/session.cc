@@ -146,8 +146,9 @@ Result<scout::StepRecord> Session::RunStep(
 
   scout::StepRecord step;
   uint64_t t0 = clock_->NowMicros();
-  uint64_t misses0 = pool_->stats().Get("pool.misses");
-  uint64_t hits0 = pool_->stats().Get("pool.hits");
+  // The pool is the session's own (one step at a time), so the counter
+  // delta across the step is exactly the step's pool activity.
+  const storage::PoolCounters pool0 = pool_->Counters();
   last_cover_fraction_ = 0.0;
   last_delta_fraction_ = 1.0;
 
@@ -158,8 +159,9 @@ Result<scout::StepRecord> Session::RunStep(
   if (trace != nullptr) trace->End(query_span);
 
   step.stall_us = clock_->NowMicros() - t0;
-  step.pages_missed = pool_->stats().Get("pool.misses") - misses0;
-  step.pages_hit = pool_->stats().Get("pool.hits") - hits0;
+  const storage::PoolCounters step_pool = pool_->Counters() - pool0;
+  step.pages_missed = step_pool.misses;
+  step.pages_hit = step_pool.hits;
   step.results = ids.size();
   step.epoch = CurrentEpoch();
   step.cache_hit_fraction = last_cover_fraction_;
@@ -407,10 +409,11 @@ scout::SessionResult Session::Summary() const {
   out.steps = steps_;
   out.total_stall_us = total_stall_us_;
   out.total_time_us = clock_->NowMicros();
-  out.pages_missed = pool_->stats().Get("pool.misses");
-  out.pages_hit = pool_->stats().Get("pool.hits");
-  out.prefetch_issued = pool_->stats().Get("pool.prefetch_issued");
-  out.prefetch_used = pool_->stats().Get("pool.prefetch_used");
+  const storage::BufferPoolCounters counters = pool_->Counters();
+  out.pages_missed = counters.misses;
+  out.pages_hit = counters.hits;
+  out.prefetch_issued = counters.prefetch_issued;
+  out.prefetch_used = counters.prefetch_used;
   if (cache_ != nullptr) {
     out.cache_invalidated_boxes = cache_->stats().invalidated_boxes;
   }

@@ -371,6 +371,7 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
         stats->pages_read += shard_stats.pages_read;
         stats->elements_scanned += shard_stats.elements_scanned;
         stats->results += shard_stats.results;
+        stats->pool += shard_stats.pool;
       }
     }
     return Status::OK();
@@ -407,6 +408,7 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
       stats->pages_read += run.stats.pages_read;
       stats->elements_scanned += run.stats.elements_scanned;
       stats->results += run.stats.results;
+      stats->pool += run.stats.pool;
     }
   }
   return Status::OK();
@@ -473,6 +475,7 @@ Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
     if (stats != nullptr) {
       stats->pages_read += shard_stats.pages_read;
       stats->elements_scanned += shard_stats.elements_scanned;
+      stats->pool += shard_stats.pool;
     }
   }
 

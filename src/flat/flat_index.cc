@@ -80,7 +80,8 @@ Status FlatIndex::CrawlFrom(uint32_t start, const Aabb& box,
     uint32_t page_index = queue.front();
     queue.pop_front();
 
-    auto page = pool->Fetch(page_ids_[page_index]);
+    auto page = pool->Fetch(page_ids_[page_index],
+                            stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
     if (stats != nullptr) {
       ++stats->data_pages_read;
@@ -237,7 +238,8 @@ Status FlatIndex::Knn(const geom::Vec3& p, size_t k, storage::BufferPool* pool,
       if (visited[page_index]) continue;
       visited[page_index] = 1;
       --pages_left;
-      auto page = pool->Fetch(page_ids_[page_index]);
+      auto page = pool->Fetch(page_ids_[page_index],
+                              stats != nullptr ? &stats->pool : nullptr);
       if (!page.ok()) return page.status();
       if (stats != nullptr) {
         ++stats->data_pages_read;

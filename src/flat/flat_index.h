@@ -76,6 +76,8 @@ struct FlatQueryStats {
   /// Elements scanned on fetched pages.
   uint64_t elements_scanned = 0;
   uint64_t results = 0;
+  /// This query's buffer-pool hits, misses and evictions (its Fetch tally).
+  storage::PoolCounters pool;
 };
 
 /// The FLAT index. Build once over a dataset; query through a BufferPool.

@@ -49,7 +49,8 @@ Status PagedRTree::RangeQuery(const Aabb& box, geom::ResultVisitor& visitor,
     stack.pop_back();
     const RTree::Node& n = tree_.node(id);
     // Fetching the node's page is what the disk-resident index would do.
-    auto page = pool->Fetch(node_pages_[id]);
+    auto page = pool->Fetch(node_pages_[id],
+                            stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
     if (stats != nullptr) stats->CountNode(n.level);
 
@@ -108,7 +109,8 @@ Status PagedRTree::Knn(const geom::Vec3& p, size_t k,
     if (acc.Full() && top.dist > acc.WorstDistance()) break;
 
     const RTree::Node& n = tree_.node(top.node);
-    auto page = pool->Fetch(node_pages_[top.node]);
+    auto page = pool->Fetch(node_pages_[top.node],
+                            stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
     if (stats != nullptr) stats->CountNode(n.level);
 

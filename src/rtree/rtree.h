@@ -29,6 +29,7 @@
 #include "geom/aabb.h"
 #include "geom/element.h"
 #include "geom/vec3.h"
+#include "storage/page.h"
 
 namespace neurodb {
 namespace rtree {
@@ -124,6 +125,9 @@ struct QueryStats {
   uint64_t results = 0;
   /// nodes_per_level[l] = nodes visited at level l (0 = leaf level).
   std::vector<uint64_t> nodes_per_level;
+  /// PagedRTree queries: this query's buffer-pool hits, misses and
+  /// evictions (its Fetch tally). Zero for in-memory traversals.
+  storage::PoolCounters pool;
 
   void CountNode(int level) {
     ++nodes_visited;

@@ -35,16 +35,16 @@ Result<SessionResult> WalkthroughSession::Run(
   for (const geom::Aabb& query : queries) {
     StepRecord step;
     uint64_t t0 = clock.NowMicros();
-    uint64_t misses0 = pool.stats().Get("pool.misses");
-    uint64_t hits0 = pool.stats().Get("pool.hits");
 
     std::vector<geom::ElementId> result;
     geom::VectorVisitor visitor(&result);
-    NEURODB_RETURN_NOT_OK(index_->RangeQuery(query, &pool, visitor));
+    flat::FlatQueryStats query_stats;
+    NEURODB_RETURN_NOT_OK(
+        index_->RangeQuery(query, &pool, visitor, &query_stats));
 
     step.stall_us = clock.NowMicros() - t0;
-    step.pages_missed = pool.stats().Get("pool.misses") - misses0;
-    step.pages_hit = pool.stats().Get("pool.hits") - hits0;
+    step.pages_missed = query_stats.pool.misses;
+    step.pages_hit = query_stats.pool.hits;
     step.results = result.size();
 
     // Think pause: the prefetcher works while the scientist looks at the
@@ -58,10 +58,11 @@ Result<SessionResult> WalkthroughSession::Run(
   }
 
   out.total_time_us = clock.NowMicros();
-  out.pages_missed = pool.stats().Get("pool.misses");
-  out.pages_hit = pool.stats().Get("pool.hits");
-  out.prefetch_issued = pool.stats().Get("pool.prefetch_issued");
-  out.prefetch_used = pool.stats().Get("pool.prefetch_used");
+  const storage::BufferPoolCounters counters = pool.Counters();
+  out.pages_missed = counters.misses;
+  out.pages_hit = counters.hits;
+  out.prefetch_issued = counters.prefetch_issued;
+  out.prefetch_used = counters.prefetch_used;
   return out;
 }
 

@@ -64,6 +64,44 @@ struct DiskCostModel {
   uint64_t page_hit_micros = 10;
 };
 
+/// Logical buffer-pool activity: demand hits and misses, and the capacity
+/// evictions they caused. Unlike `IoStats` (physical bytes and fsyncs,
+/// all-zero on in-memory stores), these count page-cache events that happen
+/// identically whether pages live in RAM or on disk. A query carries one as
+/// its tally (BufferPool::Fetch charges it), so the query's pool activity —
+/// and its modeled time — stays exact however many readers share the pools.
+struct PoolCounters {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+
+  PoolCounters& operator+=(const PoolCounters& other) {
+    hits += other.hits;
+    misses += other.misses;
+    evictions += other.evictions;
+    return *this;
+  }
+
+  /// Component-wise delta (for before/after windows on a private pool).
+  PoolCounters operator-(const PoolCounters& other) const {
+    PoolCounters d;
+    d.hits = hits - other.hits;
+    d.misses = misses - other.misses;
+    d.evictions = evictions - other.evictions;
+    return d;
+  }
+
+  bool operator==(const PoolCounters& other) const = default;
+
+  uint64_t accesses() const { return hits + misses; }
+
+  /// Demand time under `cost`: what a SimClock charged by exactly these
+  /// fetches reads.
+  uint64_t ModeledMicros(const DiskCostModel& cost) const {
+    return misses * cost.page_read_micros + hits * cost.page_hit_micros;
+  }
+};
+
 }  // namespace storage
 }  // namespace neurodb
 

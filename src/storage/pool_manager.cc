@@ -3,9 +3,21 @@
 namespace neurodb {
 namespace storage {
 
-PoolManager::PoolManager(size_t default_pool_pages, DiskCostModel cost)
-    : default_pool_pages_(default_pool_pages == 0 ? 1 : default_pool_pages),
-      cost_(cost) {}
+namespace {
+
+/// Hits, misses, evictions and latch waits summed over a set's pools.
+void AddSetCounters(const PoolSet& set, BufferPoolCounters* total) {
+  for (size_t i = 0; i < set.size(); ++i) {
+    const BufferPoolCounters c = set.pool(i)->Counters();
+    *total += c;
+    total->latch_waits += c.latch_waits;
+  }
+}
+
+}  // namespace
+
+PoolManager::PoolManager(size_t default_pool_pages)
+    : default_pool_pages_(default_pool_pages == 0 ? 1 : default_pool_pages) {}
 
 PoolSet* PoolManager::GetOrCreate(const std::string& name,
                                   const std::vector<PageStore*>& stores,
@@ -17,7 +29,7 @@ PoolSet* PoolManager::GetOrCreate(const std::string& name,
   }
   ++sets_created_;
   auto set = std::make_unique<PoolSet>(
-      stores, pages == 0 ? default_pool_pages_ : pages, &clock_, cost_);
+      stores, pages == 0 ? default_pool_pages_ : pages);
   PoolSet* out = set.get();
   sets_.emplace(name, std::move(set));
   return out;
@@ -31,16 +43,12 @@ PoolSet* PoolManager::Find(const std::string& name) {
 bool PoolManager::Evict(const std::string& name) {
   auto it = sets_.find(name);
   if (it == sets_.end()) return false;
-  explicit_evictions_ += it->second->PagesCached();
-  it->second->EvictAll();
+  explicit_evictions_ += it->second->EvictAll();
   return true;
 }
 
 void PoolManager::EvictAll() {
-  for (auto& [name, set] : sets_) {
-    explicit_evictions_ += set->PagesCached();
-    set->EvictAll();
-  }
+  for (auto& [name, set] : sets_) explicit_evictions_ += set->EvictAll();
 }
 
 bool PoolManager::Remove(const std::string& name) {
@@ -49,17 +57,9 @@ bool PoolManager::Remove(const std::string& name) {
   // Retire the set's history into the manager-level counters so Stats()
   // stays monotonic — removal must not make past hits/misses vanish.
   explicit_evictions_ += it->second->PagesCached();
-  retired_hits_ += it->second->TotalTicker("pool.hits");
-  retired_misses_ += it->second->TotalTicker("pool.misses");
-  retired_evictions_ += it->second->TotalTicker("pool.evictions");
+  AddSetCounters(*it->second, &retired_);
   sets_.erase(it);
   return true;
-}
-
-uint64_t PoolManager::TotalTicker(const std::string& ticker) const {
-  uint64_t total = 0;
-  for (const auto& [name, set] : sets_) total += set->TotalTicker(ticker);
-  return total;
 }
 
 PoolManagerStats PoolManager::Stats() const {
@@ -67,16 +67,16 @@ PoolManagerStats PoolManager::Stats() const {
   stats.pool_sets = sets_.size();
   stats.sets_created = sets_created_;
   stats.sets_reused = sets_reused_;
-  stats.evictions = explicit_evictions_ + retired_evictions_;
-  stats.hits = retired_hits_;
-  stats.misses = retired_misses_;
+  BufferPoolCounters total = retired_;
   for (const auto& [name, set] : sets_) {
     stats.pools += set->size();
     stats.pages_cached += set->PagesCached();
-    stats.hits += set->TotalTicker("pool.hits");
-    stats.misses += set->TotalTicker("pool.misses");
-    stats.evictions += set->TotalTicker("pool.evictions");
+    AddSetCounters(*set, &total);
   }
+  stats.hits = total.hits;
+  stats.misses = total.misses;
+  stats.evictions = total.evictions + explicit_evictions_;
+  stats.latch_waits = total.latch_waits;
   return stats;
 }
 

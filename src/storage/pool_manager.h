@@ -4,17 +4,21 @@
 // (MakePools for cold queries, warm_pools_ for the persistent warm path,
 // fresh pool vectors per ExecuteBatch lane). PoolManager centralizes that:
 // it owns named PoolSets — one per backend, each a family of BufferPools
-// over the backend's PageStores — on one SimClock and cost model, so
+// over the backend's PageStores — so
 //
 //   * the engine's warm path is a long-lived manager whose sets (including
 //     the sharded backend's per-shard pools) survive across Execute and
-//     ExecuteBatch calls;
+//     ExecuteBatch calls and serve concurrent readers (each pool latches
+//     itself);
 //   * a cold query or a parallel batch lane is a short-lived local manager
 //     with the same interface — per-lane PoolManager handles replace the
 //     hand-rolled per-lane pool vectors;
 //   * hit/miss/eviction statistics aggregate across every pool the manager
-//     owns (PoolManagerStats), which is what the batch reports and the
-//     cache benchmarks read.
+//     owns (PoolManagerStats), which is what the engine's pool gauges and
+//     the cache benchmarks read.
+//
+// Modeled time is not kept here: each query tallies its own fetches
+// (BufferPool::Fetch) and the engine prices the tally with its cost model.
 
 #ifndef NEURODB_STORAGE_POOL_MANAGER_H_
 #define NEURODB_STORAGE_POOL_MANAGER_H_
@@ -26,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "common/sim_clock.h"
 #include "storage/epoch.h"
 #include "storage/page_store.h"
 #include "storage/pool_set.h"
@@ -42,25 +45,27 @@ struct PoolManagerStats {
   size_t pools = 0;
   /// Pages resident across all pools right now.
   uint64_t pages_cached = 0;
-  /// Summed "pool.hits" / "pool.misses" tickers.
+  /// Demand hits and misses summed over every pool.
   uint64_t hits = 0;
   uint64_t misses = 0;
   /// Pages dropped by capacity eviction plus explicit Evict/EvictAll calls.
   uint64_t evictions = 0;
+  /// Pool latch acquisitions that found the latch held (contention).
+  uint64_t latch_waits = 0;
   /// GetOrCreate lifecycle counters: sets built vs. handed back.
   uint64_t sets_created = 0;
   uint64_t sets_reused = 0;
 };
 
-/// Owns named PoolSets sharing one clock and cost model. Movable via
-/// unique_ptr only (the sets hold the manager's clock pointer).
+/// Owns named PoolSets. GetOrCreate and Remove change the set map and are
+/// setup-time calls; Evict, EvictAll, Stats and queries through the sets
+/// may run concurrently.
 class PoolManager {
  public:
   /// `default_pool_pages` is the per-set page budget used when GetOrCreate
   /// is called without an explicit budget; it is split across a multi-store
   /// set's pools (PoolSet semantics).
-  explicit PoolManager(size_t default_pool_pages,
-                       DiskCostModel cost = DiskCostModel{});
+  explicit PoolManager(size_t default_pool_pages);
 
   PoolManager(const PoolManager&) = delete;
   PoolManager& operator=(const PoolManager&) = delete;
@@ -89,9 +94,6 @@ class PoolManager {
 
   size_t NumSets() const { return sets_.size(); }
 
-  /// The clock every owned pool charges. Owned by the manager.
-  SimClock* clock() { return &clock_; }
-  const DiskCostModel& cost() const { return cost_; }
   size_t default_pool_pages() const { return default_pool_pages_; }
 
   /// Data version the manager's pools serve. The engine advances it once
@@ -113,25 +115,20 @@ class PoolManager {
     return epoch_.load(std::memory_order_acquire);
   }
 
-  /// One named ticker summed over every pool of every set.
-  uint64_t TotalTicker(const std::string& ticker) const;
-
   PoolManagerStats Stats() const;
 
  private:
   size_t default_pool_pages_;
-  DiskCostModel cost_;
-  SimClock clock_;
   std::atomic<Epoch> epoch_{0};
   /// std::map keeps iteration deterministic (stats, EvictAll order).
   std::map<std::string, std::unique_ptr<PoolSet>> sets_;
   uint64_t sets_created_ = 0;
   uint64_t sets_reused_ = 0;
-  uint64_t explicit_evictions_ = 0;
+  /// Pages dropped by Evict/EvictAll (atomic: concurrent serial batches
+  /// evict for their kCold entries while Stats samples).
+  std::atomic<uint64_t> explicit_evictions_{0};
   /// History of Remove()d sets, folded into Stats().
-  uint64_t retired_hits_ = 0;
-  uint64_t retired_misses_ = 0;
-  uint64_t retired_evictions_ = 0;
+  BufferPoolCounters retired_;
 };
 
 }  // namespace storage

@@ -5,8 +5,7 @@ namespace storage {
 
 PoolSet::PoolSet(const std::vector<PageStore*>& stores,
                  size_t total_capacity_pages, SimClock* clock,
-                 DiskCostModel cost)
-    : clock_(clock), cost_(cost) {
+                 DiskCostModel cost) {
   size_t per_pool =
       stores.empty() ? 1 : total_capacity_pages / stores.size();
   if (per_pool == 0) per_pool = 1;
@@ -19,12 +18,12 @@ PoolSet::PoolSet(const std::vector<PageStore*>& stores,
   }
 }
 
-PoolSet::PoolSet(BufferPool* borrowed) : cost_(borrowed->cost()) {
-  pools_.push_back(borrowed);
-}
+PoolSet::PoolSet(BufferPool* borrowed) { pools_.push_back(borrowed); }
 
-void PoolSet::EvictAll() {
-  for (BufferPool* pool : pools_) pool->EvictAll();
+size_t PoolSet::EvictAll() {
+  size_t dropped = 0;
+  for (BufferPool* pool : pools_) dropped += pool->EvictAll();
+  return dropped;
 }
 
 size_t PoolSet::PagesCached() const {
@@ -33,26 +32,9 @@ size_t PoolSet::PagesCached() const {
   return total;
 }
 
-uint64_t PoolSet::TotalTicker(const std::string& name) const {
-  uint64_t total = 0;
-  for (const BufferPool* pool : pools_) total += pool->stats().Get(name);
-  return total;
-}
-
-Stats PoolSet::AggregateStats() const {
-  Stats merged;
-  for (const BufferPool* pool : pools_) merged.Merge(pool->stats());
-  return merged;
-}
-
 PoolCounters PoolSet::Counters() const {
   PoolCounters c;
-  for (const BufferPool* pool : pools_) {
-    const Stats& stats = pool->stats();
-    c.hits += stats.Get("pool.hits");
-    c.misses += stats.Get("pool.misses");
-    c.evictions += stats.Get("pool.evictions");
-  }
+  for (const BufferPool* pool : pools_) c += pool->Counters();
   return c;
 }
 

@@ -5,54 +5,23 @@
 // pool(0) is the familiar BufferPool. ShardedBackend partitions its data
 // across one PageStore per shard, so its queries need one pool per shard;
 // the engine builds a PoolSet over SpatialBackend::Stores() wherever it
-// used to build a single pool. The set shares one SimClock and cost model,
-// and splits the caller's total page budget evenly across pools so a
-// sharded backend does not get K times the cache of its peers.
+// used to build a single pool. The set's pools share one (optional)
+// SimClock and cost model, and split the caller's total page budget evenly
+// so a sharded backend does not get K times the cache of its peers.
 
 #ifndef NEURODB_STORAGE_POOL_SET_H_
 #define NEURODB_STORAGE_POOL_SET_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/sim_clock.h"
-#include "common/stats.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
 
 namespace neurodb {
 namespace storage {
-
-/// Logical buffer-pool activity counters. Unlike `IoStats` (physical bytes
-/// and fsyncs, all-zero on in-memory stores), these count page-cache events
-/// that happen identically whether pages live in RAM or on disk — the
-/// uniform per-query cost signal `RangeReport::pool` / `KnnReport::pool`
-/// report so memory and disk runs are comparable.
-struct PoolCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t evictions = 0;
-
-  PoolCounters& operator+=(const PoolCounters& other) {
-    hits += other.hits;
-    misses += other.misses;
-    evictions += other.evictions;
-    return *this;
-  }
-
-  /// Component-wise delta (for before/after windows around one query).
-  PoolCounters operator-(const PoolCounters& other) const {
-    PoolCounters d;
-    d.hits = hits - other.hits;
-    d.misses = misses - other.misses;
-    d.evictions = evictions - other.evictions;
-    return d;
-  }
-
-  uint64_t accesses() const { return hits + misses; }
-};
 
 /// A fixed family of buffer pools, one per store, built once and queried
 /// many times. Movable (the pools keep stable addresses), not copyable.
@@ -76,25 +45,14 @@ class PoolSet {
 
   BufferPool* pool(size_t i = 0) const { return pools_[i]; }
 
-  SimClock* clock() const { return clock_; }
-  const DiskCostModel& cost() const { return cost_; }
-
-  /// Drop every cached page in every pool (cold cache).
-  void EvictAll();
+  /// Drop every cached page in every pool (cold cache); returns the number
+  /// of pages dropped.
+  size_t EvictAll();
 
   /// Pages resident across every pool right now.
   size_t PagesCached() const;
 
-  /// Sum of one named ticker ("pool.hits", "pool.misses", ...) over every
-  /// pool — the per-shard aggregation the batch statistics report.
-  uint64_t TotalTicker(const std::string& name) const;
-
-  /// All pool tickers merged into one Stats (ticker-wise addition).
-  Stats AggregateStats() const;
-
-  /// Logical hit/miss/evict totals over every pool right now — sampled
-  /// before and after a query, the difference is that query's pool
-  /// activity on memory and disk stores alike.
+  /// Demand hit/miss/eviction totals over every pool since construction.
   PoolCounters Counters() const;
 
  private:
@@ -102,8 +60,6 @@ class PoolSet {
   /// borrowed-view pools are someone else's.
   std::vector<BufferPool*> pools_;
   std::vector<std::unique_ptr<BufferPool>> owned_;
-  SimClock* clock_ = nullptr;
-  DiskCostModel cost_;
 };
 
 }  // namespace storage

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/sim_clock.h"
 
 namespace neurodb {
@@ -24,8 +28,8 @@ TEST(BufferPoolTest, MissThenHit) {
   BufferPool pool(&store, 4);
   ASSERT_TRUE(pool.Fetch(0).ok());
   ASSERT_TRUE(pool.Fetch(0).ok());
-  EXPECT_EQ(pool.stats().Get("pool.misses"), 1u);
-  EXPECT_EQ(pool.stats().Get("pool.hits"), 1u);
+  EXPECT_EQ(pool.Counters().misses, 1u);
+  EXPECT_EQ(pool.Counters().hits, 1u);
   EXPECT_TRUE(pool.Contains(0));
   EXPECT_FALSE(pool.Contains(1));
 }
@@ -40,7 +44,7 @@ TEST(BufferPoolTest, LruEvictionOrder) {
   EXPECT_TRUE(pool.Contains(0));
   EXPECT_FALSE(pool.Contains(1));
   EXPECT_TRUE(pool.Contains(2));
-  EXPECT_EQ(pool.stats().Get("pool.evictions"), 1u);
+  EXPECT_EQ(pool.Counters().evictions, 1u);
 }
 
 TEST(BufferPoolTest, CapacityZeroBecomesOne) {
@@ -88,11 +92,11 @@ TEST(BufferPoolTest, PrefetchAccounting) {
   ASSERT_TRUE(pool.Prefetch(0).ok());
   ASSERT_TRUE(pool.Prefetch(1).ok());
   ASSERT_TRUE(pool.Fetch(0).ok());  // uses the prefetched page
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_issued"), 2u);
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_used"), 1u);
+  EXPECT_EQ(pool.Counters().prefetch_issued, 2u);
+  EXPECT_EQ(pool.Counters().prefetch_used, 1u);
   // Demanding the same page again is a plain hit, not another use.
   ASSERT_TRUE(pool.Fetch(0).ok());
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_used"), 1u);
+  EXPECT_EQ(pool.Counters().prefetch_used, 1u);
 }
 
 TEST(BufferPoolTest, RedundantPrefetchIsCounted) {
@@ -100,8 +104,8 @@ TEST(BufferPoolTest, RedundantPrefetchIsCounted) {
   BufferPool pool(&store, 2);
   ASSERT_TRUE(pool.Fetch(0).ok());
   ASSERT_TRUE(pool.Prefetch(0).ok());
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_redundant"), 1u);
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_issued"), 0u);
+  EXPECT_EQ(pool.Counters().prefetch_redundant, 1u);
+  EXPECT_EQ(pool.Counters().prefetch_issued, 0u);
 }
 
 TEST(BufferPoolTest, EvictedUnusedPrefetchIsCounted) {
@@ -109,7 +113,7 @@ TEST(BufferPoolTest, EvictedUnusedPrefetchIsCounted) {
   BufferPool pool(&store, 1);
   ASSERT_TRUE(pool.Prefetch(0).ok());
   ASSERT_TRUE(pool.Fetch(1).ok());  // evicts 0 before it was ever used
-  EXPECT_EQ(pool.stats().Get("pool.prefetch_evicted_unused"), 1u);
+  EXPECT_EQ(pool.Counters().prefetch_evicted_unused, 1u);
 }
 
 TEST(BufferPoolTest, EvictAllColdResets) {
@@ -117,12 +121,104 @@ TEST(BufferPoolTest, EvictAllColdResets) {
   BufferPool pool(&store, 3);
   ASSERT_TRUE(pool.Fetch(0).ok());
   ASSERT_TRUE(pool.Prefetch(1).ok());
-  pool.EvictAll();
+  EXPECT_EQ(pool.EvictAll(), 2u);
   EXPECT_EQ(pool.NumCached(), 0u);
   EXPECT_FALSE(pool.Contains(0));
   // After a cold reset the next fetch is a miss again.
   ASSERT_TRUE(pool.Fetch(0).ok());
-  EXPECT_EQ(pool.stats().Get("pool.misses"), 2u);
+  EXPECT_EQ(pool.Counters().misses, 2u);
+}
+
+TEST(BufferPoolTest, TallyChargesTheFetchThatCausedIt) {
+  PageStore store = MakeStore(3);
+  BufferPool pool(&store, 2);
+  PoolCounters first, second, third;
+  ASSERT_TRUE(pool.Fetch(0, &first).ok());   // miss
+  ASSERT_TRUE(pool.Fetch(1, &second).ok());  // miss
+  ASSERT_TRUE(pool.Fetch(0, &second).ok());  // hit: 1 becomes LRU
+  ASSERT_TRUE(pool.Fetch(2, &third).ok());   // miss that evicts 1
+  EXPECT_EQ(first, (PoolCounters{0, 1, 0}));
+  EXPECT_EQ(second, (PoolCounters{1, 1, 0}));
+  EXPECT_EQ(third, (PoolCounters{0, 1, 1}));
+
+  // The pool counts every fetch; a fetch without a tally charges no one.
+  PoolCounters sum = first;
+  sum += second;
+  sum += third;
+  EXPECT_EQ(sum, pool.Counters());
+  ASSERT_TRUE(pool.Fetch(2).ok());
+  EXPECT_EQ(pool.Counters().hits, sum.hits + 1);
+
+  // An eviction caused by a prefetch goes to the prefetcher's tally.
+  PoolCounters prefetcher;
+  ASSERT_TRUE(pool.Prefetch(1, &prefetcher).ok());
+  EXPECT_EQ(prefetcher, (PoolCounters{0, 0, 1}));
+  EXPECT_EQ(pool.Counters().latch_waits, 0u);
+}
+
+TEST(BufferPoolTest, ConcurrentFetchPrefetchPeekEvictAllKeepTalliesExact) {
+  constexpr size_t kPages = 32;
+  constexpr int kThreads = 4;
+  constexpr int kOps = 20000;
+  PageStore store = MakeStore(kPages);
+  BufferPool pool(&store, 8);
+
+  std::vector<PoolCounters> tallies(kThreads);
+  std::vector<uint64_t> fetches(kThreads, 0);
+  std::atomic<bool> wrong_page{false};
+  std::atomic<bool> failed{false};
+  std::atomic<bool> over_capacity{false};
+  auto check = [&](const Page* page, PageId id) {
+    if (page->id != id || page->elements.size() != 1 ||
+        page->elements[0].id != id) {
+      wrong_page = true;
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      uint64_t x = static_cast<uint64_t>(t) + 1;
+      for (int i = 0; i < kOps; ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const PageId id = static_cast<PageId>((x >> 33) % kPages);
+        const uint64_t op = (x >> 20) % 16;
+        if (op == 0) {
+          pool.EvictAll();
+        } else if (op < 4) {
+          if (!pool.Prefetch(id, &tallies[t]).ok()) failed = true;
+        } else if (op < 7) {
+          if (const Page* page = pool.Peek(id)) check(page, id);
+        } else {
+          auto page = pool.Fetch(id, &tallies[t]);
+          ++fetches[t];
+          if (!page.ok()) {
+            failed = true;
+          } else {
+            check(*page, id);
+          }
+        }
+        if (pool.NumCached() > pool.capacity()) over_capacity = true;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  PoolCounters sum;
+  uint64_t total_fetches = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    sum += tallies[t];
+    total_fetches += fetches[t];
+  }
+  const BufferPoolCounters totals = pool.Counters();
+  EXPECT_EQ(sum, totals);
+  EXPECT_EQ(sum.accesses(), total_fetches);
+  EXPECT_GT(sum.evictions, 0u);
+  EXPECT_GE(totals.prefetch_issued,
+            totals.prefetch_used + totals.prefetch_evicted_unused);
+  EXPECT_LE(pool.NumCached(), pool.capacity());
+  EXPECT_FALSE(wrong_page);
+  EXPECT_FALSE(failed);
+  EXPECT_FALSE(over_capacity);
 }
 
 }  // namespace

@@ -297,7 +297,7 @@ TEST(PoolManagerTest, StatsAggregateHitsMissesAndEvictions) {
   EXPECT_EQ(stats.misses, 4u);
   EXPECT_EQ(stats.hits, 4u);
   EXPECT_EQ(stats.pages_cached, 4u);
-  EXPECT_EQ(manager.TotalTicker("pool.hits"), 4u);
+  EXPECT_EQ(set->Counters(), (PoolCounters{4, 4, 0}));
 
   // Named eviction drops the pages and counts them.
   EXPECT_TRUE(manager.Evict("FLAT"));
@@ -306,9 +306,9 @@ TEST(PoolManagerTest, StatsAggregateHitsMissesAndEvictions) {
   EXPECT_EQ(stats.pages_cached, 0u);
   EXPECT_EQ(stats.evictions, 4u);
 
-  // The clock charged one read per miss and one hit cost per hit.
+  // Priced by the cost model: one read per miss and one hit cost per hit.
   DiskCostModel cost;
-  EXPECT_EQ(manager.clock()->NowMicros(),
+  EXPECT_EQ(set->Counters().ModeledMicros(cost),
             4 * cost.page_read_micros + 4 * cost.page_hit_micros);
 
   // Remove retires the set's history: counters never decrease.

@@ -287,6 +287,14 @@ TEST(EngineObsTest, QueriesPopulateEngineAndBackendMetrics) {
   ASSERT_NE(snap.FindGauge("engine.backends"), nullptr);
   EXPECT_GE(snap.FindGauge("engine.backends")->value, 3u);
   ASSERT_NE(snap.FindGauge("pool.pages_cached"), nullptr);
+  // The warm queries above ran on one thread: no pool latch was ever held
+  // by someone else.
+  ASSERT_NE(snap.FindGauge("pool.hits"), nullptr);
+  EXPECT_GT(snap.FindGauge("pool.hits")->value +
+                snap.FindGauge("pool.misses")->value,
+            0u);
+  ASSERT_NE(snap.FindGauge("pool.latch_waits"), nullptr);
+  EXPECT_EQ(snap.FindGauge("pool.latch_waits")->value, 0u);
 }
 
 TEST(EngineObsTest, JoinsPopulateJoinMetricsAndRunWithMetricsOff) {

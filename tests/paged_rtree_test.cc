@@ -95,8 +95,9 @@ TEST(PagedRTreeTest, ColdQueryChargesOnePageFetchPerVisitedNode) {
                   ->RangeQuery(Aabb::Cube(Vec3(50, 50, 50), 30), &out, &pool,
                                &stats)
                   .ok());
-  // Cold cache: every visited node was a miss.
-  EXPECT_EQ(pool.stats().Get("pool.misses"), stats.nodes_visited);
+  // Cold cache: every visited node was a miss, charged to the query.
+  EXPECT_EQ(pool.Counters().misses, stats.nodes_visited);
+  EXPECT_EQ(stats.pool, (storage::PoolCounters{0, stats.nodes_visited, 0}));
   EXPECT_EQ(clock.NowMicros(), stats.nodes_visited * 100);
 
   // Repeating the same query hits the pool for every node.
@@ -106,8 +107,9 @@ TEST(PagedRTreeTest, ColdQueryChargesOnePageFetchPerVisitedNode) {
                   ->RangeQuery(Aabb::Cube(Vec3(50, 50, 50), 30), &out2, &pool,
                                &stats2)
                   .ok());
-  EXPECT_EQ(pool.stats().Get("pool.misses"), stats.nodes_visited);
-  EXPECT_EQ(pool.stats().Get("pool.hits"), stats2.nodes_visited);
+  EXPECT_EQ(pool.Counters().misses, stats.nodes_visited);
+  EXPECT_EQ(pool.Counters().hits, stats2.nodes_visited);
+  EXPECT_EQ(stats2.pool, (storage::PoolCounters{stats2.nodes_visited, 0, 0}));
 }
 
 TEST(PagedRTreeTest, NullPoolFails) {
