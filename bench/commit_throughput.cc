@@ -6,10 +6,12 @@
 // concurrent writers coalesce at the commit lock and the leader amortizes
 // ONE fsync over the whole group; kNone skips the fsync (bulk load). The
 // fsync is the whole story, so the sweep runs on a wrapper filesystem whose
-// Sync() costs a fixed NEURODB_BENCH_FSYNC_DELAY_US (default 1000 — a
-// realistic honest-flush latency) — making the kGroup-vs-kPerBatch ratio a
-// property of the protocol, not of how fast the build machine's page cache
-// lies about fsync.
+// Sync() sleeps a fixed NEURODB_BENCH_FSYNC_DELAY_US (default 1000 — a
+// realistic honest-flush latency) instead of flushing — making the
+// kGroup-vs-kPerBatch ratio a property of the protocol, not of how fast the
+// build machine's page cache lies about fsync. The flushing thread sleeps,
+// as a thread blocked in fsync would, so it leaves its core to the other
+// writers.
 //
 // Second exhibit: reader p95 while a streaming checkpoint rewrites base.ndb
 // in the background, against a no-checkpoint baseline. The rewrite holds
@@ -19,7 +21,9 @@
 // Emits BENCH_commit_throughput.json. commit_throughput_smoke runs the
 // shrunken sweep and enforces both acceptance gates: kGroup >= 3x kPerBatch
 // batches/sec at 8 writers, and checkpoint-concurrent reader p95 within
-// 1.5x of baseline.
+// 1.5x of baseline. The throughput gate takes the median ratio of three
+// alternating 8-writer pairs, so one pair slowed by other processes on the
+// machine cannot decide it.
 
 #include <algorithm>
 #include <atomic>
@@ -44,8 +48,8 @@ using geom::Vec3;
 
 namespace {
 
-// Every Sync() costs a fixed busy-wait on top of the real fsync: the
-// deterministic stand-in for a storage device with honest flush latency.
+// Every Sync() sleeps a fixed delay instead of flushing: the deterministic
+// stand-in for a storage device with honest flush latency.
 class SlowFsyncFile : public storage::File {
  public:
   SlowFsyncFile(std::unique_ptr<storage::File> base, uint64_t delay_us)
@@ -58,11 +62,8 @@ class SlowFsyncFile : public storage::File {
     return base_->WriteAt(offset, buf, n);
   }
   Status Sync() override {
-    const auto until = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(delay_us_);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    return base_->Sync();
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us_));
+    return Status::OK();
   }
   Status Truncate(uint64_t size) override { return base_->Truncate(size); }
   Result<uint64_t> Size() const override { return base_->Size(); }
@@ -210,7 +211,9 @@ int main() {
   if (const char* env = std::getenv("NEURODB_BENCH_FSYNC_DELAY_US")) {
     fsync_delay_us = std::strtoull(env, nullptr, 10);
   }
-  const size_t batches_per_writer = smoke ? 25 : 200;
+  const size_t batches_per_writer = smoke ? 50 : 200;
+  // Alternating (kPerBatch, kGroup) pairs at 8 writers behind the gate.
+  const size_t gate_pairs = smoke ? 3 : 1;
   const size_t reader_queries = smoke ? 200 : 1000;
 
   std::printf(
@@ -269,6 +272,34 @@ int main() {
         .Num("batches_per_sec", row.batches_per_sec)
         .Int("wal_fsyncs", row.fsyncs);
     json.AddRow(json_row);
+  }
+
+  // The throughput gate's ratio: the sweep's 8-writer pair plus
+  // gate_pairs - 1 more, alternating which policy runs first.
+  std::vector<double> ratios;
+  if (ok && per_batch_8 > 0) ratios.push_back(group_8 / per_batch_8);
+  for (size_t pair = 1; ok && pair < gate_pairs; ++pair) {
+    SweepRow per_batch, group;
+    for (bool run_group : {pair % 2 == 1, pair % 2 == 0}) {
+      ok = ok && RunSweepCell(run_group ? engine::SyncPolicy::kGroup
+                                        : engine::SyncPolicy::kPerBatch,
+                              8, batches_per_writer, &slow_fs,
+                              root + "/sweep", run_group ? &group : &per_batch);
+    }
+    if (ok && per_batch.batches_per_sec > 0) {
+      ratios.push_back(group.batches_per_sec / per_batch.batches_per_sec);
+    }
+  }
+  const double gate_ratio = Percentile(ratios, 0.5);
+  if (ok) {
+    std::printf("kGroup / kPerBatch at 8 writers:");
+    for (double ratio : ratios) std::printf(" %.2f", ratio);
+    std::printf(" (median %.2f)\n", gate_ratio);
+    bench::JsonRow ratio_row;
+    ratio_row.Str("policy", "group_vs_per_batch_8")
+        .Int("pairs", ratios.size())
+        .Num("median_ratio", gate_ratio);
+    json.AddRow(ratio_row);
   }
 
   // Reader p95 with and without a background streaming checkpoint. The
@@ -349,11 +380,11 @@ int main() {
     // throughput ratio deterministic; the reader gate gets a small floor
     // so microsecond-scale baseline noise cannot fail it.
     int rc = 0;
-    if (per_batch_8 <= 0 || group_8 < 3.0 * per_batch_8) {
+    if (gate_ratio < 3.0) {
       std::fprintf(stderr,
-                   "GATE FAILED: kGroup %.0f batches/sec < 3x kPerBatch %.0f "
-                   "at 8 writers\n",
-                   group_8, per_batch_8);
+                   "GATE FAILED: kGroup / kPerBatch batches/sec at 8 writers "
+                   "%.2f < 3 (median of %zu pairs)\n",
+                   gate_ratio, ratios.size());
       rc = 1;
     }
     const double base_floor_us = std::max(p95_base, 200.0);

@@ -125,23 +125,28 @@ Status BaseDeltaBackend::KnnQueryView(storage::Epoch read_epoch,
     return Status::OK();
   }
 
-  // Widen the base request so that even if every tombstoned/shadowed base
-  // element landed among the base's best hits, at least k live ones
-  // remain; any live base element outside this widened top set is
-  // dominated by >= k live base elements and cannot enter the answer.
-  const size_t k_widen = view.TombstoneCount() + view.InsertCount();
-  geom::KnnAccumulator acc(k);
-  if (!base_empty_) {
-    std::vector<geom::KnnHit> base_hits;
-    NEURODB_RETURN_NOT_OK(
-        BaseKnnQuery(read_epoch, point, k + k_widen, pools, &base_hits, stats));
-    for (const geom::KnnHit& hit : base_hits) {
-      if (!view.IsDead(hit.id)) acc.Offer(hit.id, hit.distance);
+  // Each ask of the base is charged to `stats`: a re-ask adds its pages
+  // and pool tally to the earlier ones'.
+  auto base_knn = [&](size_t ask, std::vector<geom::KnnHit>* base_hits) {
+    base_hits->clear();
+    if (base_empty_) return Status::OK();
+    RangeStats attempt;
+    NEURODB_RETURN_NOT_OK(BaseKnnQuery(read_epoch, point, ask, pools,
+                                       base_hits,
+                                       stats != nullptr ? &attempt : nullptr));
+    if (stats != nullptr) {
+      stats->pages_read += attempt.pages_read;
+      stats->elements_scanned += attempt.elements_scanned;
+      stats->pool += attempt.pool;
+      stats->nodes_per_level.resize(std::max(stats->nodes_per_level.size(),
+                                             attempt.nodes_per_level.size()));
+      for (size_t level = 0; level < attempt.nodes_per_level.size(); ++level) {
+        stats->nodes_per_level[level] += attempt.nodes_per_level[level];
+      }
     }
-  }
-  view.SeedKnn(point, &acc);
-
-  *hits = acc.TakeSorted();
+    return Status::OK();
+  };
+  NEURODB_RETURN_NOT_OK(view.MergeKnn(point, k, base_knn, hits));
   if (stats != nullptr) {
     stats->results = hits->size();
     stats->elements_scanned += view.InsertCount();

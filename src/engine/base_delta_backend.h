@@ -14,22 +14,27 @@
 //     otherwise merges: base results with dead ids filtered, plus the live
 //     delta inserts intersecting the box, under the global ascending-id
 //     insert order;
-//   * KnnQuery() widens the base request to k + delta-size (an upper bound
-//     on how many of the base's best hits mutation can have invalidated),
-//     filters dead hits, and seeds the accumulator from the delta side too,
-//     so the merged frontier is exact under the (distance, id) order;
+//   * KnnQuery() asks the base for k neighbours, re-asks with a doubled k
+//     while fewer than k of the hits are live (DeltaIndex::MergeKnn), and
+//     seeds the accumulator from the delta side too, so the merged frontier
+//     is exact under the (distance, id) order; every ask is charged to the
+//     query's RangeStats;
 //   * Insert/Erase/Move write the delta; Compact() folds it into a rebuilt
 //     base via ResetBase() + BuildBase() over DeltaIndex::ApplyTo and
 //     leaves the delta empty.
 //
-// MVCC-lite (ISSUE 7): the pending delta is the writer's working copy; a
+// MVCC-lite: the pending delta is the writer's working copy; a
 // VersionRing of immutable DeltaIndex snapshots — one published per applied
 // batch epoch — is the readers' view. RangeQueryAt/KnnQueryAt resolve a
 // pinned read epoch through the ring, so a reader at epoch E keeps getting
 // the E answer while ApplyBatch publishes E+1. kLatestEpoch bypasses the
 // ring and reads the pending delta (the single-threaded fast path).
-// Compact clears the ring (older versions describe states the rebuilt base
-// can no longer reproduce); pinned readers then see OutOfRange and re-pin.
+// Publishing copies the delta's chunk directories, not its records: a
+// batch's publish costs O(chunks the batch touched + delta size / chunk
+// size), and a trimmed version frees only the chunks no newer version
+// shares (engine/delta_index.h). Compact clears the ring (older versions
+// describe states the rebuilt base can no longer reproduce); pinned
+// readers then see OutOfRange and re-pin.
 //
 // ShardedBackend specializes the write path (per-shard deltas routed by the
 // median-split bounds, spill delta for out-of-bounds inserts) but reuses
@@ -99,9 +104,10 @@ class BaseDeltaBackend : public SpatialBackend {
   Status ApplyBatch(const std::vector<UpdateRequest>& updates,
                     storage::Epoch epoch) override;
 
-  /// Publish the pending delta as the version at `epoch`. Skips the copy
-  /// when nothing changed since the last publish (an untouched backend
-  /// still resolves epoch E+1 to its older identical version).
+  /// Publish the pending delta as the version at `epoch`: a copy of its
+  /// chunk directories, sharing every chunk. Skips even that when nothing
+  /// changed since the last publish (an untouched backend still resolves
+  /// epoch E+1 to its older identical version).
   void PublishVersion(storage::Epoch epoch) override;
 
   /// Refresh the newest published version in place after an unbatched

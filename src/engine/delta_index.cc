@@ -1,26 +1,16 @@
 #include "engine/delta_index.h"
 
-#include <algorithm>
-
 namespace neurodb {
 namespace engine {
 
 geom::ElementVec DeltaIndex::ApplyTo(const geom::ElementVec& base) const {
   geom::ElementVec merged;
   merged.reserve(base.size() + inserts_.size());
-  for (const auto& e : base) {
-    if (!IsDead(e.id)) merged.push_back(e);
-  }
-  for (const auto& [id, bounds] : inserts_) {
-    merged.emplace_back(id, bounds);
-  }
-  // Base is id-sorted and so are the inserts, but interleaving the two
-  // sorted runs is cheaper to express as one sort than to hand-merge —
-  // Compact is not a hot path.
-  std::sort(merged.begin(), merged.end(),
-            [](const geom::SpatialElement& a, const geom::SpatialElement& b) {
-              return a.id < b.id;
-            });
+  // Collecting cannot fail.
+  (void)ForEachLive(base, [&](const geom::SpatialElement& e) {
+    merged.push_back(e);
+    return Status::OK();
+  });
   return merged;
 }
 

@@ -7,15 +7,26 @@
 // immutable base, and a DeltaIndex absorbs the changes since the last
 // (re)build as
 //
-//   * inserts — new elements, keyed by id in a sorted map so every
-//     enumeration is in the same deterministic ascending-id order the
-//     built indexes and the result cache use;
+//   * inserts — new elements, ascending by id, so every enumeration is in
+//     the same deterministic ascending-id order the built indexes and the
+//     result cache use;
 //   * tombstones — ids whose base copy is dead (erase = tombstone,
-//     move = tombstone + re-insert at the new bounds).
+//     move = tombstone + re-insert at the new bounds), ascending.
 //
 // A merged query answer is: base results with dead ids filtered out, plus
 // the live inserts intersecting the query (engine/base_delta_backend.h).
 // Compact() folds the delta back into a rebuilt base and empties it.
+//
+// Readers never see the writer's DeltaIndex: every committed batch
+// publishes a copy into a VersionRing (below). Both sequences are
+// therefore stored copy-on-write, after the shadowing of copy-on-write
+// B-trees (Rodeh, "B-trees, shadowing, and clones", ACM TOS 2008): each is
+// a directory of (last id, shared immutable chunk of <= kChunkRecords
+// records) slots. A copy shares every chunk and duplicates only the two
+// directories, so a publish costs O(records / kChunkRecords) pointer
+// copies instead of one allocation per record; a write clones just the
+// chunk it touches, and a trimmed version frees only the chunks no other
+// version still shares.
 //
 // An UpdateLog records one (epoch, dirty box) stamp per applied batch, so
 // late observers — exploration sessions holding their own result caches —
@@ -26,15 +37,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/result.h"
-
 #include "common/status.h"
 #include "geom/aabb.h"
 #include "geom/element.h"
@@ -110,40 +118,51 @@ class UpdateLog {
 /// job — the delta applies whatever it is told, with last-write-wins
 /// upsert semantics that make Move(id) correct for both base elements and
 /// delta-born ones.
+///
+/// Both sides are id-sorted sequences of immutable chunks (ChunkedIdSeq
+/// below). Copying a DeltaIndex copies only the two chunk directories, so
+/// publishing a version costs O(directory) and a write costs one chunk
+/// clone: a snapshot shares every chunk the writer has not touched since,
+/// and no write can change a chunk a snapshot holds.
 class DeltaIndex {
  public:
+  /// Most records one chunk holds; a write that overfills a chunk splits
+  /// it in half.
+  static constexpr size_t kChunkRecords = 128;
+
   /// Upsert `id` at `bounds` as a live delta element.
   void Insert(geom::ElementId id, const geom::Aabb& bounds) {
-    inserts_[id] = bounds;
+    inserts_.Put(geom::SpatialElement(id, bounds), /*replace=*/true);
     ++revision_;
   }
 
   /// Kill `id`: a delta-born element is simply dropped; a base element
   /// gets a tombstone (its page copy cannot be removed until Compact).
   void Erase(geom::ElementId id) {
-    if (inserts_.erase(id) == 0) tombstones_.insert(id);
+    if (!inserts_.Erase(id)) tombstones_.Put(id, /*replace=*/false);
     ++revision_;
   }
 
   /// Relocate `id` to `bounds`. The base copy (if any) is tombstoned; the
   /// delta copy is upserted at the new position.
   void Move(geom::ElementId id, const geom::Aabb& bounds) {
-    if (inserts_.find(id) == inserts_.end()) tombstones_.insert(id);
-    inserts_[id] = bounds;
+    if (inserts_.Put(geom::SpatialElement(id, bounds), /*replace=*/true)) {
+      tombstones_.Put(id, /*replace=*/false);
+    }
     ++revision_;
   }
 
   /// True when a *base* element with this id must not be reported: it is
   /// tombstoned, or shadowed by a delta copy (a Move's re-insert).
   bool IsDead(geom::ElementId id) const {
-    return tombstones_.count(id) != 0 || inserts_.count(id) != 0;
+    return tombstones_.Contains(id) || inserts_.Contains(id);
   }
 
   /// Append every live insert intersecting `box` to `out`, ascending by id.
   void AppendInserts(const geom::Aabb& box, geom::ElementVec* out) const {
-    for (const auto& [id, bounds] : inserts_) {
-      if (bounds.Intersects(box)) out->emplace_back(id, bounds);
-    }
+    ForEachInsert([&](const geom::SpatialElement& e) {
+      if (e.bounds.Intersects(box)) out->push_back(e);
+    });
   }
 
   /// THE range-merge rule, in one place: given the base answer for `box`
@@ -165,20 +184,81 @@ class DeltaIndex {
   /// Offer every live insert to a kNN accumulator — the delta side of the
   /// merged kNN frontier.
   void SeedKnn(const geom::Vec3& point, geom::KnnAccumulator* acc) const {
-    for (const auto& [id, bounds] : inserts_) {
-      acc->Offer(id, geom::KnnDistance(point, bounds));
-    }
+    ForEachInsert([&](const geom::SpatialElement& e) {
+      acc->Offer(e.id, geom::KnnDistance(point, e.bounds));
+    });
   }
 
-  /// The merged live element set: `base` (which must be sorted ascending
-  /// by id, as Build-time layouts are) minus dead ids, plus every insert,
-  /// sorted ascending by id — the input a Compact rebuild is run over.
+  /// THE kNN-merge rule, in one place (the backend wrapper and session kNN
+  /// steps both run it): the k best live hits around `point` into `out`.
+  /// `base_knn(n, &hits)` must fill `hits` with the base's n best hits
+  /// under the (distance, id) order. The base is asked for k; while fewer
+  /// than k of its hits are live and it returned all it was asked for, the
+  /// ask doubles. Once k live base hits are in hand, every live base
+  /// element beyond them is dominated by k of them, so the merge with the
+  /// inserts is exact. The ask never passes k + Size(): dead base ids are
+  /// tombstones or inserts, so that many hits always leave k live ones.
+  template <typename BaseKnn>
+  Status MergeKnn(const geom::Vec3& point, size_t k, BaseKnn&& base_knn,
+                  std::vector<geom::KnnHit>* out) const {
+    const size_t most = k + Size();
+    std::vector<geom::KnnHit> base_hits;
+    for (size_t ask = k;; ask = std::min(most, 2 * ask)) {
+      NEURODB_RETURN_NOT_OK(base_knn(ask, &base_hits));
+      size_t live = 0;
+      for (const geom::KnnHit& hit : base_hits) live += !IsDead(hit.id);
+      if (live >= k || base_hits.size() < ask || ask >= most) break;
+    }
+    geom::KnnAccumulator acc(k);
+    for (const geom::KnnHit& hit : base_hits) {
+      if (!IsDead(hit.id)) acc.Offer(hit.id, hit.distance);
+    }
+    SeedKnn(point, &acc);
+    *out = acc.TakeSorted();
+    return Status::OK();
+  }
+
+  /// Visit every live insert, ascending by id: `fn(const SpatialElement&)`.
+  template <typename Fn>
+  void ForEachInsert(Fn&& fn) const {
+    inserts_.ForEach(fn);
+  }
+
+  /// Visit the merged live element set — `base` (which must be sorted
+  /// ascending by id, as Build-time layouts are) minus dead ids, plus every
+  /// insert — ascending by id, in one pass over the three sorted runs.
+  /// `fn(const SpatialElement&)` returns Status; the first error stops the
+  /// walk and is returned.
+  template <typename Fn>
+  Status ForEachLive(const geom::ElementVec& base, Fn&& fn) const {
+    auto insert = inserts_.begin();
+    auto tombstone = tombstones_.begin();
+    for (const geom::SpatialElement& e : base) {
+      for (; insert != inserts_.end() && insert->id < e.id; ++insert) {
+        NEURODB_RETURN_NOT_OK(fn(*insert));
+      }
+      // A delta copy shadows the base copy; it is visited in id order by
+      // the loop above on a later element, or by the tail loop below.
+      if (insert != inserts_.end() && insert->id == e.id) continue;
+      while (tombstone != tombstones_.end() && *tombstone < e.id) ++tombstone;
+      if (tombstone != tombstones_.end() && *tombstone == e.id) continue;
+      NEURODB_RETURN_NOT_OK(fn(e));
+    }
+    for (; insert != inserts_.end(); ++insert) {
+      NEURODB_RETURN_NOT_OK(fn(*insert));
+    }
+    return Status::OK();
+  }
+
+  /// The merged live element set of ForEachLive, collected — the input a
+  /// Compact rebuild is run over.
   geom::ElementVec ApplyTo(const geom::ElementVec& base) const;
 
   /// Union of the live insert bounds (empty Aabb when there are none).
   geom::Aabb InsertBounds() const {
     geom::Aabb bounds;
-    for (const auto& [id, b] : inserts_) bounds.Extend(b);
+    ForEachInsert(
+        [&](const geom::SpatialElement& e) { bounds.Extend(e.bounds); });
     return bounds;
   }
 
@@ -189,13 +269,9 @@ class DeltaIndex {
   bool Empty() const { return inserts_.empty() && tombstones_.empty(); }
 
   void Clear() {
-    inserts_.clear();
-    tombstones_.clear();
+    inserts_.Clear();
+    tombstones_.Clear();
     ++revision_;
-  }
-
-  const std::map<geom::ElementId, geom::Aabb>& inserts() const {
-    return inserts_;
   }
 
   /// Mutation counter: bumped by every Insert/Erase/Move/Clear. Publishers
@@ -204,10 +280,162 @@ class DeltaIndex {
   uint64_t revision() const { return revision_; }
 
  private:
+  static geom::ElementId IdOf(geom::ElementId id) { return id; }
+  static geom::ElementId IdOf(const geom::SpatialElement& e) { return e.id; }
+
+  /// Records with distinct ids, ascending by id, in immutable chunks of
+  /// 1..kChunkRecords records behind a directory of (last id, chunk)
+  /// slots. Chunk i holds only ids above chunk i-1's last, so an id
+  /// belongs to the first slot whose last is >= it (the last slot when
+  /// none is). A write builds a new chunk and swaps it into its slot —
+  /// splitting it when it outgrows kChunkRecords, dropping the slot when
+  /// it empties — and never writes to a chunk already in a directory.
+  template <typename Record>
+  class ChunkedIdSeq {
+    using Chunk = std::vector<Record>;
+    struct Slot {
+      geom::ElementId last;
+      std::shared_ptr<const Chunk> chunk;
+    };
+
+   public:
+
+    /// Forward iterator over the records, ascending by id.
+    class Iterator {
+     public:
+      const Record& operator*() const { return (*(*dir_)[slot_].chunk)[pos_]; }
+      const Record* operator->() const { return &**this; }
+      Iterator& operator++() {
+        if (++pos_ == (*dir_)[slot_].chunk->size()) {
+          ++slot_;
+          pos_ = 0;
+        }
+        return *this;
+      }
+      bool operator==(const Iterator& o) const {
+        return slot_ == o.slot_ && pos_ == o.pos_;
+      }
+
+     private:
+      friend class ChunkedIdSeq;
+      Iterator(const std::vector<Slot>* dir, size_t slot)
+          : dir_(dir), slot_(slot) {}
+      const std::vector<Slot>* dir_;
+      size_t slot_;
+      size_t pos_ = 0;
+    };
+
+    Iterator begin() const { return Iterator(&dir_, 0); }
+    Iterator end() const { return Iterator(&dir_, dir_.size()); }
+
+    template <typename Fn>
+    void ForEach(Fn& fn) const {
+      for (const Slot& slot : dir_) {
+        for (const Record& record : *slot.chunk) fn(record);
+      }
+    }
+
+    bool Contains(geom::ElementId id) const {
+      const size_t s = SlotOf(id);
+      if (s == dir_.size()) return false;
+      const Chunk& chunk = *dir_[s].chunk;
+      auto it = LowerBound(chunk, id);
+      return it != chunk.end() && IdOf(*it) == id;
+    }
+
+    /// Add `record`. An existing record with its id is overwritten when
+    /// `replace`, else left alone. Returns true when the id was new.
+    bool Put(const Record& record, bool replace) {
+      const geom::ElementId id = IdOf(record);
+      if (dir_.empty()) {
+        dir_.push_back(Slot{id, std::make_shared<const Chunk>(1, record)});
+        ++size_;
+        return true;
+      }
+      const size_t s = std::min(SlotOf(id), dir_.size() - 1);
+      const Chunk& old = *dir_[s].chunk;
+      const size_t pos = LowerBound(old, id) - old.begin();
+      if (pos < old.size() && IdOf(old[pos]) == id) {
+        if (replace) {
+          auto copy = std::make_shared<Chunk>(old);
+          (*copy)[pos] = record;
+          dir_[s].chunk = std::move(copy);
+        }
+        return false;
+      }
+      Chunk grown;
+      grown.reserve(old.size() + 1);
+      grown.insert(grown.end(), old.begin(), old.begin() + pos);
+      grown.push_back(record);
+      grown.insert(grown.end(), old.begin() + pos, old.end());
+      ++size_;
+      if (grown.size() <= kChunkRecords) {
+        dir_[s] = Slot{IdOf(grown.back()), std::make_shared<const Chunk>(
+                                               std::move(grown))};
+        return true;
+      }
+      const auto mid = grown.begin() + grown.size() / 2;
+      auto low = std::make_shared<const Chunk>(grown.begin(), mid);
+      auto high = std::make_shared<const Chunk>(mid, grown.end());
+      dir_[s] = Slot{IdOf(high->back()), std::move(high)};
+      dir_.insert(dir_.begin() + s, Slot{IdOf(low->back()), std::move(low)});
+      return true;
+    }
+
+    /// Remove the record with `id`; false when there is none.
+    bool Erase(geom::ElementId id) {
+      const size_t s = SlotOf(id);
+      if (s == dir_.size()) return false;
+      const Chunk& old = *dir_[s].chunk;
+      auto it = LowerBound(old, id);
+      if (it == old.end() || IdOf(*it) != id) return false;
+      --size_;
+      if (old.size() == 1) {
+        dir_.erase(dir_.begin() + s);
+        return true;
+      }
+      Chunk shrunk;
+      shrunk.reserve(old.size() - 1);
+      shrunk.insert(shrunk.end(), old.begin(), it);
+      shrunk.insert(shrunk.end(), it + 1, old.end());
+      dir_[s] = Slot{IdOf(shrunk.back()),
+                     std::make_shared<const Chunk>(std::move(shrunk))};
+      return true;
+    }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    void Clear() {
+      dir_.clear();
+      size_ = 0;
+    }
+
+   private:
+    /// The first slot whose last id is >= `id`; dir_.size() when none is.
+    size_t SlotOf(geom::ElementId id) const {
+      return std::lower_bound(dir_.begin(), dir_.end(), id,
+                              [](const Slot& slot, geom::ElementId key) {
+                                return slot.last < key;
+                              }) -
+             dir_.begin();
+    }
+
+    static typename Chunk::const_iterator LowerBound(const Chunk& chunk,
+                                                     geom::ElementId id) {
+      return std::lower_bound(chunk.begin(), chunk.end(), id,
+                              [](const Record& record, geom::ElementId key) {
+                                return IdOf(record) < key;
+                              });
+    }
+
+    std::vector<Slot> dir_;
+    size_t size_ = 0;
+  };
+
   /// Live delta elements, ascending by id (deterministic enumeration).
-  std::map<geom::ElementId, geom::Aabb> inserts_;
-  /// Ids whose base copy is dead.
-  std::unordered_set<geom::ElementId> tombstones_;
+  ChunkedIdSeq<geom::SpatialElement> inserts_;
+  /// Ids whose base copy is dead, ascending.
+  ChunkedIdSeq<geom::ElementId> tombstones_;
   uint64_t revision_ = 0;
 };
 

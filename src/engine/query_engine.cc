@@ -99,6 +99,7 @@ void QueryEngine::InitMetrics() {
   em_.checkpoint_fsyncs = m->counter("engine.checkpoint.fsyncs");
   em_.wal_fsync = m->counter("wal.fsync");
   em_.commit_group_size = m->histogram("engine.commit.group_size");
+  em_.commit_apply_us = m->histogram("engine.commit.apply_us");
   em_.slow_queries = m->counter("engine.slow_queries");
 }
 
@@ -314,6 +315,9 @@ Status QueryEngine::ValidateBatchLocked(
 
 Result<UpdateReport> QueryEngine::ApplyValidatedLocked(
     std::span<const UpdateRequest> updates, storage::Epoch next) {
+  // The apply → publish layer of the write path, per batch, on every path
+  // that applies one (ungrouped, group leader, WAL replay).
+  Timer wall;
   // Dirty region + live-id map first (erase/move dirty needs the *old*
   // bounds): writer-private bookkeeping, invisible to readers.
   UpdateReport report;
@@ -378,6 +382,7 @@ Result<UpdateReport> QueryEngine::ApplyValidatedLocked(
   obs::Add(em_.update_ops, report.applied);
   obs::Add(em_.update_invalidated_boxes, report.invalidated_boxes);
   MaybeScheduleCheckpointLocked();
+  obs::Record(em_.commit_apply_us, wall.ElapsedNanos() / 1000);
   return report;
 }
 
@@ -732,30 +737,13 @@ Status QueryEngine::CheckpointStreaming() {
       no_compact.unlock();
       return stream.status();
     }
-    const engine::DeltaIndex* delta = snap.delta.get();
-    const geom::ElementVec& base = flat_->base_elements();
-    static const std::map<ElementId, Aabb> kNoInserts;
-    const std::map<ElementId, Aabb>& inserts =
-        delta != nullptr ? delta->inserts() : kNoInserts;
-    auto insert_it = inserts.begin();
-    const auto insert_end = inserts.end();
-    Status streamed = Status::OK();
-    auto append_inserts_below = [&](ElementId limit, bool all) -> Status {
-      while (insert_it != insert_end && (all || insert_it->first < limit)) {
-        NEURODB_RETURN_NOT_OK((*stream)->Append(
-            geom::SpatialElement{insert_it->first, insert_it->second}));
-        ++insert_it;
-      }
-      return Status::OK();
-    };
-    for (const geom::SpatialElement& element : base) {
-      streamed = append_inserts_below(element.id, false);
-      if (!streamed.ok()) break;
-      if (delta != nullptr && delta->IsDead(element.id)) continue;
-      streamed = (*stream)->Append(element);
-      if (!streamed.ok()) break;
-    }
-    if (streamed.ok()) streamed = append_inserts_below(0, true);
+    static const engine::DeltaIndex kNoDelta;
+    const engine::DeltaIndex& delta =
+        snap.delta != nullptr ? *snap.delta : kNoDelta;
+    Status streamed = delta.ForEachLive(
+        flat_->base_elements(), [&](const geom::SpatialElement& element) {
+          return (*stream)->Append(element);
+        });
     if (streamed.ok()) streamed = (*stream)->Finish();
     no_compact.unlock();
     if (!streamed.ok()) return streamed;

@@ -729,6 +729,7 @@ class QueryEngine {
     obs::Counter* checkpoint_fsyncs = nullptr;
     obs::Counter* wal_fsync = nullptr;
     obs::Histogram* commit_group_size = nullptr;
+    obs::Histogram* commit_apply_us = nullptr;
     obs::Counter* slow_queries = nullptr;
   };
   /// Resolve em_ against the registry (constructor, metrics on only).

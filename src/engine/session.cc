@@ -379,18 +379,14 @@ Result<scout::StepRecord> Session::StepKnn(const geom::Vec3& point, size_t k,
       NEURODB_RETURN_NOT_OK(
           index_->Knn(point, k, pool_.get(), out, nullptr, radius_hint));
     } else {
-      // Widened base request + dead-hit filter + delta seeding — the same
-      // merge BaseDeltaBackend runs (base_delta_backend.cc).
-      size_t k_base = k + delta_->TombstoneCount() + delta_->InsertCount();
-      std::vector<geom::KnnHit> base_hits;
-      NEURODB_RETURN_NOT_OK(index_->Knn(point, k_base, pool_.get(),
-                                        &base_hits, nullptr, radius_hint));
-      geom::KnnAccumulator acc(k);
-      for (const geom::KnnHit& hit : base_hits) {
-        if (!delta_->IsDead(hit.id)) acc.Offer(hit.id, hit.distance);
-      }
-      delta_->SeedKnn(point, &acc);
-      *out = acc.TakeSorted();
+      // The same merge BaseDeltaBackend runs (DeltaIndex::MergeKnn).
+      NEURODB_RETURN_NOT_OK(delta_->MergeKnn(
+          point, k,
+          [&](size_t ask, std::vector<geom::KnnHit>* base_hits) {
+            return index_->Knn(point, ask, pool_.get(), base_hits, nullptr,
+                               radius_hint);
+          },
+          out));
     }
     ids->reserve(out->size());
     for (const geom::KnnHit& hit : *out) ids->push_back(hit.id);

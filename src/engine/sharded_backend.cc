@@ -279,8 +279,8 @@ Status ShardedBackend::Compact() {
   for (size_t s = 0; s < shards_.size(); ++s) {
     live[s] = shards_[s]->LiveElements();
   }
-  for (const auto& [id, bounds] : delta_.inserts()) {
-    Vec3 center = bounds.Center();
+  delta_.ForEachInsert([&](const geom::SpatialElement& e) {
+    Vec3 center = e.bounds.Center();
     size_t target = RouteByBounds(center);
     if (target == static_cast<size_t>(-1)) {
       double best = std::numeric_limits<double>::infinity();
@@ -294,8 +294,8 @@ Status ShardedBackend::Compact() {
         }
       }
     }
-    live[target].emplace_back(id, bounds);
-  }
+    live[target].push_back(e);
+  });
 
   id_to_shard_.clear();
   for (size_t s = 0; s < shards_.size(); ++s) {

@@ -397,6 +397,65 @@ TEST(UpdateTest, SessionsSeeUpdatesAndInvalidateTheirCaches) {
   EXPECT_EQ(hits, geom::BruteForceKnn(live, Vec3(150, 150, 150), 8));
 }
 
+TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
+  ElementVec elements = MakeCloud(900, 29);
+  auto db = MakeEngine(elements);
+  const Vec3 point(150, 150, 150);
+  constexpr size_t kK = 8;
+
+  // Kill every one of the k nearest base elements (and as many again):
+  // even-ranked ones are erased, odd-ranked ones move to a far corner. A
+  // first ask for k base neighbours then returns only dead ids.
+  ElementVec live = elements;
+  std::vector<engine::UpdateRequest> batch;
+  for (const KnnHit& hit : geom::BruteForceKnn(elements, point, 2 * kK)) {
+    auto it = std::find_if(live.begin(), live.end(),
+                           [&](const geom::SpatialElement& e) {
+                             return e.id == hit.id;
+                           });
+    if (batch.size() % 2 == 0) {
+      batch.push_back(Erase(hit.id));
+      live.erase(it);
+    } else {
+      const float c = 280.0f + static_cast<float>(batch.size());
+      it->bounds = Aabb::Cube(Vec3(c, c, c), 2.0f);
+      batch.push_back(Move(hit.id, it->bounds));
+    }
+  }
+  ASSERT_TRUE(db->ApplyUpdates(std::span<const engine::UpdateRequest>(batch))
+                  .ok());
+  const std::vector<KnnHit> truth = geom::BruteForceKnn(live, point, kK);
+
+  for (engine::BackendChoice choice :
+       {engine::BackendChoice::kFlat, engine::BackendChoice::kRTree,
+        engine::BackendChoice::kGrid, engine::BackendChoice::kSharded,
+        engine::BackendChoice::kAll}) {
+    engine::KnnRequest knn;
+    knn.point = point;
+    knn.k = kK;
+    knn.backend = choice;
+    knn.cache = engine::CachePolicy::kCold;
+    auto report = db->Execute(knn);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->results_match);
+    EXPECT_EQ(report->hits, truth) << "backend " << static_cast<int>(choice);
+  }
+
+  // The session path, with and without the previous step's seed radius.
+  for (bool seed_knn : {false, true}) {
+    scout::SessionOptions options = db->options().session;
+    options.seed_knn = seed_knn;
+    auto session = engine::Session::Open(
+        &db->flat_index(), db->flat_backend()->store(), nullptr,
+        scout::PrefetchMethod::kNone, options, db->flat_backend());
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session->Step(Aabb::Cube(point, 30.0f)).ok());
+    std::vector<KnnHit> hits;
+    ASSERT_TRUE(session->StepKnn(point, kK, &hits).ok());
+    EXPECT_EQ(hits, truth) << "seed_knn " << seed_knn;
+  }
+}
+
 // --------------------------------------------------------------------------
 // Delta kNN seeding parity (ROADMAP PR-4 follow-up)
 // --------------------------------------------------------------------------
