@@ -72,6 +72,8 @@ Result<Session> Session::Open(const flat::FlatIndex* index,
     session.m_latency_us_ =
         hooks.metrics->histogram("session.step.latency_us");
     session.m_stall_us_ = hooks.metrics->histogram("session.step.stall_us");
+    session.m_prefetch_us_ =
+        hooks.metrics->histogram("session.step.prefetch_us");
   }
 
   scout::PrefetchContext ctx;
@@ -170,6 +172,7 @@ Result<scout::StepRecord> Session::RunStep(
   // Think pause: the prefetcher works while the scientist looks at the
   // data. Loads within the budget finish before the next query.
   const int prefetch_span = trace != nullptr ? trace->Begin("prefetch") : -1;
+  const uint64_t prefetch_start_ns = wall.ElapsedNanos();
   step.prefetched = prefetcher_->AfterQuery(prefetch_box, ids, budget_);
   step.candidates = prefetcher_->CandidateCount();
   if (cache_ != nullptr) {
@@ -177,6 +180,8 @@ Result<scout::StepRecord> Session::RunStep(
         budget_ > step.prefetched ? budget_ - step.prefetched : 0;
     step.prefetched += PrepopulateCache(remaining);
   }
+  const uint64_t prefetch_us =
+      (wall.ElapsedNanos() - prefetch_start_ns) / 1000;
   if (trace != nullptr) {
     trace->Tag(prefetch_span, "pages", step.prefetched);
     trace->End(prefetch_span);
@@ -202,6 +207,7 @@ Result<scout::StepRecord> Session::RunStep(
   obs::Add(m_pages_hit_, step.pages_hit);
   obs::Record(m_latency_us_, wall_us);
   obs::Record(m_stall_us_, step.stall_us);
+  obs::Record(m_prefetch_us_, prefetch_us);
 
   total_stall_us_ += step.stall_us;
   steps_.push_back(step);

@@ -233,6 +233,7 @@ class Session {
   obs::Counter* m_pages_hit_ = nullptr;
   obs::Histogram* m_latency_us_ = nullptr;
   obs::Histogram* m_stall_us_ = nullptr;
+  obs::Histogram* m_prefetch_us_ = nullptr;
 };
 
 }  // namespace engine

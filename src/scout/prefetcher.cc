@@ -171,6 +171,18 @@ class ScoutPrefetcher : public Prefetcher {
     predicted_.clear();
     auto structures_or = ExtractStructures(result, *ctx_.resolver, query,
                                            options_.structure);
+    if (structures_or.status().IsNotFound()) {
+      // Elements inserted after the circuit loaded carry bounds only, so
+      // the resolver does not know them: rebuild the skeleton from the
+      // loaded elements. Only such steps look their ids up twice.
+      std::vector<ElementId> known;
+      known.reserve(result.size());
+      for (ElementId id : result) {
+        if (ctx_.resolver->Find(id).ok()) known.push_back(id);
+      }
+      structures_or = ExtractStructures(known, *ctx_.resolver, query,
+                                        options_.structure);
+    }
     if (!structures_or.ok()) return 0;
     std::vector<Structure>& structures = structures_or.value();
 

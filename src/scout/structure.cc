@@ -1,9 +1,8 @@
 #include "scout/structure.h"
-#include <array>
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_map>
+
+#include "geom/knn.h"
 
 namespace neurodb {
 namespace scout {
@@ -12,22 +11,6 @@ using geom::Aabb;
 using geom::ElementId;
 using geom::Segment;
 using geom::Vec3;
-
-bool Structure::SharesElements(
-    const std::vector<ElementId>& other_sorted) const {
-  // Both lists sorted: linear merge scan.
-  size_t i = 0;
-  size_t j = 0;
-  while (i < elements.size() && j < other_sorted.size()) {
-    if (elements[i] == other_sorted[j]) return true;
-    if (elements[i] < other_sorted[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
 
 namespace {
 
@@ -56,30 +39,11 @@ class UnionFind {
   std::vector<uint32_t> parent_;
 };
 
-/// Quantized 3-D grid key for endpoint hashing.
-struct CellKey {
-  int64_t x;
-  int64_t y;
-  int64_t z;
-  bool operator==(const CellKey& o) const {
-    return x == o.x && y == o.y && z == o.z;
-  }
+/// One segment endpoint in the sweep order.
+struct Endpoint {
+  Vec3 p;
+  uint32_t segment;
 };
-
-struct CellKeyHash {
-  size_t operator()(const CellKey& k) const {
-    uint64_t h = static_cast<uint64_t>(k.x) * 0x9e3779b97f4a7c15ULL;
-    h ^= static_cast<uint64_t>(k.y) * 0xc2b2ae3d27d4eb4fULL;
-    h ^= static_cast<uint64_t>(k.z) * 0x165667b19e3779f9ULL;
-    return static_cast<size_t>(h ^ (h >> 29));
-  }
-};
-
-CellKey CellOf(const Vec3& p, float cell) {
-  return CellKey{static_cast<int64_t>(std::floor(p.x / cell)),
-                 static_cast<int64_t>(std::floor(p.y / cell)),
-                 static_cast<int64_t>(std::floor(p.z / cell))};
-}
 
 }  // namespace
 
@@ -92,58 +56,52 @@ Result<std::vector<Structure>> ExtractStructures(
 
   const size_t n = ids.size();
   std::vector<Segment> segs(n);
+  std::vector<Endpoint> ends;
+  ends.reserve(2 * n);
   for (size_t i = 0; i < n; ++i) {
     NEURODB_ASSIGN_OR_RETURN(segs[i], resolver.Find(ids[i]));
-  }
-
-  // Hash all endpoints into a grid of cell size connect_tol; segments with
-  // endpoints in the same or adjacent cells within tolerance are connected.
-  const float cell = options.connect_tol;
-  const double tol2 =
-      static_cast<double>(options.connect_tol) * options.connect_tol;
-  std::unordered_map<CellKey, std::vector<uint32_t>, CellKeyHash> grid;
-  grid.reserve(2 * n);
-  auto endpoints = [&](uint32_t i) {
-    return std::array<Vec3, 2>{{segs[i].a, segs[i].b}};
-  };
-  for (uint32_t i = 0; i < n; ++i) {
-    for (const Vec3& p : endpoints(i)) grid[CellOf(p, cell)].push_back(i);
-  }
-
-  UnionFind uf(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (const Vec3& p : endpoints(i)) {
-      CellKey base = CellOf(p, cell);
-      for (int dz = -1; dz <= 1; ++dz) {
-        for (int dy = -1; dy <= 1; ++dy) {
-          for (int dx = -1; dx <= 1; ++dx) {
-            auto it = grid.find(CellKey{base.x + dx, base.y + dy, base.z + dz});
-            if (it == grid.end()) continue;
-            for (uint32_t j : it->second) {
-              if (j == i) continue;
-              // Endpoint-to-endpoint proximity test.
-              for (const Vec3& q : endpoints(j)) {
-                if (geom::SquaredDistance(p, q) <= tol2) {
-                  uf.Union(i, j);
-                  break;
-                }
-              }
-            }
-          }
-        }
+    // An endpoint with a NaN or infinite coordinate is never within the
+    // tolerance of another; leaving it out also keeps NaN out of the sort.
+    for (const Vec3& p : {segs[i].a, segs[i].b}) {
+      if (geom::IsFinitePoint(p)) {
+        ends.push_back(Endpoint{p, static_cast<uint32_t>(i)});
       }
     }
   }
 
-  // Group by component root.
-  std::unordered_map<uint32_t, uint32_t> root_to_structure;
+  // Sweep the endpoints in x order: two segments are connected when an
+  // endpoint of one lies within connect_tol of an endpoint of the other.
+  // The x gap alone bounds the squared distance from below, so each scan
+  // stops at the first endpoint whose gap already fails the test.
+  std::sort(ends.begin(), ends.end(),
+            [](const Endpoint& l, const Endpoint& r) { return l.p.x < r.p.x; });
+  const double tol2 =
+      static_cast<double>(options.connect_tol) * options.connect_tol;
+  UnionFind uf(n);
+  for (size_t a = 0; a < ends.size(); ++a) {
+    const Endpoint& from = ends[a];
+    for (size_t b = a + 1; b < ends.size(); ++b) {
+      const Endpoint& to = ends[b];
+      const float gap = to.p.x - from.p.x;
+      if (static_cast<double>(gap) * gap > tol2) break;
+      if (to.segment != from.segment &&
+          geom::SquaredDistance(from.p, to.p) <= tol2) {
+        uf.Union(from.segment, to.segment);
+      }
+    }
+  }
+
+  // Group by component root, in order of each component's first result.
+  constexpr uint32_t kNoStructure = UINT32_MAX;
+  std::vector<uint32_t> structure_of_root(n, kNoStructure);
   std::vector<Structure> structures;
   for (uint32_t i = 0; i < n; ++i) {
-    uint32_t root = uf.Find(i);
-    auto [it, inserted] =
-        root_to_structure.emplace(root, static_cast<uint32_t>(structures.size()));
-    if (inserted) structures.emplace_back();
-    Structure& s = structures[it->second];
+    uint32_t& slot = structure_of_root[uf.Find(i)];
+    if (slot == kNoStructure) {
+      slot = static_cast<uint32_t>(structures.size());
+      structures.emplace_back();
+    }
+    Structure& s = structures[slot];
     s.elements.push_back(ids[i]);
 
     // Exit detection: an endpoint outside the box means the skeleton leaves

@@ -7,9 +7,17 @@
 // locations where its edges exit q."
 //
 // Here a *structure* is a connected component of branch segments (segments
-// are adjacent when their endpoints nearly touch); its *exits* are the
-// points and outward directions where the component's skeleton crosses the
-// query boundary.
+// are adjacent when an endpoint of one lies within connect_tol of an
+// endpoint of the other); its *exits* are the points and outward directions
+// where the component's skeleton crosses the query boundary.
+//
+// Extraction sorts the 2n endpoints of an n-segment result by x and sweeps
+// them once: each endpoint is tested only against the endpoints after it
+// whose x gap is at most connect_tol, and each match joins two segments in
+// a union-find; a dense n-entry table then groups the components. The cost
+// is the O(n log n) sort plus one distance test per endpoint pair inside a
+// connect_tol-wide x slab: near linear for branch-like results, quadratic
+// only in the number of sections that meet at one hub.
 
 #ifndef NEURODB_SCOUT_STRUCTURE_H_
 #define NEURODB_SCOUT_STRUCTURE_H_
@@ -41,20 +49,19 @@ struct Structure {
   std::vector<StructureExit> exits;
 
   bool HasExit() const { return !exits.empty(); }
-
-  /// True if the two structures share at least one element id (both sorted).
-  bool SharesElements(const std::vector<geom::ElementId>& other_sorted) const;
 };
 
 /// Extraction tuning.
 struct StructureOptions {
-  /// Segments whose endpoints are closer than this are connected (µm).
+  /// Segments with endpoints at most this far apart are connected (µm).
   float connect_tol = 1.0f;
 };
 
 /// Reconstruct the structures present in a query result. `ids` is the
 /// result of a range query over `box`; geometry is resolved via `resolver`.
-/// Ids missing from the resolver yield NotFound.
+/// Structures come out in order of their lowest result index, each one's
+/// exits in result order; an endpoint with a NaN or infinite coordinate
+/// connects to nothing. Ids missing from the resolver yield NotFound.
 Result<std::vector<Structure>> ExtractStructures(
     const std::vector<geom::ElementId>& ids,
     const neuro::SegmentResolver& resolver, const geom::Aabb& box,

@@ -747,6 +747,56 @@ TEST_F(EngineFixture, CachedWalkthroughRequestMatchesColdReplay) {
   EXPECT_EQ(cold_run->MeanCacheHitFraction(), 0.0);
 }
 
+// Elements inserted after LoadCircuit carry bounds only, so the engine's
+// segment resolver does not know them. SCOUT rebuilds each step's skeleton
+// from the loaded elements and predicts exactly as without the inserts.
+TEST(ScoutUpdateTest, InsertedElementsLeaveScoutPredictionsUnchanged) {
+  const neuro::Circuit circuit = MakeCircuit(60, 2024);
+  EngineOptions options;
+  options.flat.elems_per_page = 64;
+  QueryEngine plain(options);
+  QueryEngine updated(options);
+  ASSERT_TRUE(plain.LoadCircuit(circuit).ok());
+  ASSERT_TRUE(updated.LoadCircuit(circuit).ok());
+
+  auto path = neuro::FollowBranchPath(circuit, 1, 4.0f, 1);
+  ASSERT_TRUE(path.ok());
+  const std::vector<Aabb> queries = neuro::PathQueries(*path, 30.0f);
+  ASSERT_GT(queries.size(), 100u);
+
+  // One insert at the center of every path box, before the first step.
+  std::vector<UpdateRequest> inserts;
+  ElementId fresh = ElementId{1} << 48;
+  for (const Aabb& box : queries) {
+    ASSERT_TRUE(updated.resolver().Find(fresh).status().IsNotFound());
+    inserts.push_back(UpdateRequest{UpdateKind::kInsert, fresh++,
+                                    Aabb::Cube(box.Center(), 1)});
+  }
+  ASSERT_TRUE(updated.ApplyUpdates(inserts).ok());
+
+  auto without = plain.OpenSession(scout::PrefetchMethod::kScout,
+                                   CachePolicy::kDelta);
+  auto with = updated.OpenSession(scout::PrefetchMethod::kScout,
+                                  CachePolicy::kDelta);
+  ASSERT_TRUE(without.ok());
+  ASSERT_TRUE(with.ok());
+  size_t predicting_steps = 0;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto a = without->Step(queries[i]);
+    auto b = with->Step(queries[i]);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_GT(b->results, a->results) << "step " << i;
+    EXPECT_EQ(b->stall_us, a->stall_us) << "step " << i;
+    EXPECT_EQ(b->prefetched, a->prefetched) << "step " << i;
+    EXPECT_EQ(b->candidates, a->candidates) << "step " << i;
+    EXPECT_EQ(b->pages_missed, a->pages_missed) << "step " << i;
+    if (a->candidates > 0) ++predicting_steps;
+  }
+  EXPECT_GT(predicting_steps, queries.size() / 2);
+  EXPECT_GT(without->Summary().prefetch_issued, 0u);
+}
+
 // --------------------------------------------------------------------------
 // Boundary validation
 // --------------------------------------------------------------------------

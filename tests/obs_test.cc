@@ -20,6 +20,7 @@
 #include "engine/query_engine.h"
 #include "geom/visitor.h"
 #include "neuro/circuit_generator.h"
+#include "neuro/workload.h"
 #include "obs/metrics.h"
 #include "obs/slow_log.h"
 #include "obs/trace.h"
@@ -603,6 +604,46 @@ TEST(EngineObsTest, SessionStepsRecordMetricsAndTraces) {
   ASSERT_NE(db.slow_log(), nullptr);
   ASSERT_FALSE(db.slow_log()->Entries().empty());
   EXPECT_EQ(db.slow_log()->Entries().back().kind, "session.step");
+}
+
+TEST(EngineObsTest, ScoutStepsRecordTheirThinkTimeWork) {
+  neuro::CircuitParams params;
+  params.num_neurons = 20;
+  params.seed = 2024;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  auto path = neuro::FollowBranchPath(*circuit, 1, 12.0f, 1);
+  ASSERT_TRUE(path.ok());
+  const std::vector<Aabb> queries = neuro::PathQueries(*path, 30.0f);
+  ASSERT_GT(queries.size(), 2u);
+
+  EngineOptions off_options;
+  off_options.metrics = MetricsMode::kOff;
+  for (const EngineOptions& options : {EngineOptions(), off_options}) {
+    QueryEngine db(options);
+    ASSERT_TRUE(db.LoadCircuit(*circuit).ok());
+    auto session =
+        db.OpenSession(scout::PrefetchMethod::kScout, CachePolicy::kDelta);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (const Aabb& box : queries) ASSERT_TRUE(session->Step(box).ok());
+
+    const obs::MetricsSnapshot snap = db.MetricsSnapshot();
+    if (options.metrics == MetricsMode::kOff) {
+      EXPECT_EQ(snap.FindHistogram("session.step.prefetch_us"), nullptr);
+      continue;
+    }
+    const obs::HistogramSnapshot* prefetch =
+        snap.FindHistogram("session.step.prefetch_us");
+    const obs::HistogramSnapshot* latency =
+        snap.FindHistogram("session.step.latency_us");
+    ASSERT_NE(prefetch, nullptr);
+    ASSERT_NE(latency, nullptr);
+    ASSERT_NE(snap.FindCounter("session.step.count"), nullptr);
+    EXPECT_EQ(prefetch->count, snap.FindCounter("session.step.count")->value);
+    EXPECT_EQ(prefetch->count, queries.size());
+    // The think-time phase is one part of each step's wall time.
+    EXPECT_LE(prefetch->sum, latency->sum);
+  }
 }
 
 }  // namespace

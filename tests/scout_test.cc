@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "common/rng.h"
 #include "scout/prefetcher.h"
 
 namespace neurodb {
@@ -136,12 +142,278 @@ TEST_F(StructureFixture, InvalidToleranceFails) {
           .ok());
 }
 
-TEST(StructureTest, SharesElementsMergeScan) {
-  Structure s;
-  s.elements = {2, 5, 9};
-  EXPECT_TRUE(s.SharesElements({1, 5, 7}));
-  EXPECT_FALSE(s.SharesElements({1, 3, 7}));
-  EXPECT_FALSE(s.SharesElements({}));
+// --------------------------------------------------------------------------
+// Differential test: ExtractStructures against all-pairs connectivity
+// --------------------------------------------------------------------------
+
+constexpr float kTolerances[] = {0.1f, 0.3f, 1.0f, 2.5f, 15.0f};
+
+/// Reference extraction: tests every pair of segments and grows each
+/// component breadth-first from its lowest result index, so structures come
+/// out in that order, with exits in result order.
+std::vector<Structure> AllPairsStructures(
+    const std::vector<ElementId>& ids, const neuro::SegmentResolver& resolver,
+    const Aabb& box, float tol) {
+  const double tol2 = static_cast<double>(tol) * tol;
+  std::vector<Segment> segs;
+  for (ElementId id : ids) segs.push_back(resolver.Find(id).value());
+  auto touching = [&](const Segment& s, const Segment& t) {
+    for (const Vec3& p : {s.a, s.b}) {
+      for (const Vec3& q : {t.a, t.b}) {
+        if (geom::SquaredDistance(p, q) <= tol2) return true;
+      }
+    }
+    return false;
+  };
+
+  const size_t n = segs.size();
+  std::vector<size_t> component(n, SIZE_MAX);
+  size_t components = 0;
+  for (size_t first = 0; first < n; ++first) {
+    if (component[first] != SIZE_MAX) continue;
+    std::vector<size_t> members = {first};
+    component[first] = components;
+    for (size_t k = 0; k < members.size(); ++k) {
+      for (size_t j = 0; j < n; ++j) {
+        if (component[j] == SIZE_MAX && touching(segs[members[k]], segs[j])) {
+          component[j] = components;
+          members.push_back(j);
+        }
+      }
+    }
+    ++components;
+  }
+
+  std::vector<Structure> out(components);
+  for (size_t i = 0; i < n; ++i) {
+    Structure& s = out[component[i]];
+    s.elements.push_back(ids[i]);
+    const bool a_in = box.Contains(segs[i].a);
+    if (a_in == box.Contains(segs[i].b)) continue;
+    const Vec3& inside = a_in ? segs[i].a : segs[i].b;
+    const Vec3& outside = a_in ? segs[i].b : segs[i].a;
+    Vec3 dir = ((outside - inside).Normalized() +
+                (outside - box.Center()).Normalized())
+                   .Normalized();
+    if (dir.SquaredNorm() > 0.0) s.exits.push_back(StructureExit{outside, dir});
+  }
+  for (Structure& s : out) std::sort(s.elements.begin(), s.elements.end());
+  return out;
+}
+
+/// A segment set, its resolver, and ExtractStructures checked against the
+/// reference over the ids in dataset order and in a shuffled order.
+class SweepFixture : public ::testing::Test {
+ protected:
+  void Add(const Vec3& a, const Vec3& b) {
+    dataset_.Add(Segment(a, b, 0.2f), next_id_++);
+  }
+
+  /// Returns the number of structures the reference found in dataset order.
+  size_t Check(const Aabb& box, float tol, uint64_t shuffle_seed,
+               const std::string& label) {
+    neuro::SegmentResolver resolver;
+    resolver.AddDataset(dataset_);
+    std::vector<ElementId> shuffled = dataset_.ids;
+    Pcg32 rng(shuffle_seed);
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1],
+                shuffled[rng.NextBounded(static_cast<uint32_t>(i))]);
+    }
+    StructureOptions options;
+    options.connect_tol = tol;
+    size_t found = 0;
+    for (const std::vector<ElementId>* ids : {&dataset_.ids, &shuffled}) {
+      const std::string order = ids == &shuffled ? " shuffled" : "";
+      auto got = ExtractStructures(*ids, resolver, box, options);
+      EXPECT_TRUE(got.ok()) << label << order;
+      if (!got.ok()) return 0;
+      const std::vector<Structure> want =
+          AllPairsStructures(*ids, resolver, box, tol);
+      ExpectSame(*got, want, label + order);
+      if (ids == &dataset_.ids) found = want.size();
+    }
+    return found;
+  }
+
+  static void ExpectSame(const std::vector<Structure>& got,
+                         const std::vector<Structure>& want,
+                         const std::string& label) {
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (size_t s = 0; s < want.size(); ++s) {
+      EXPECT_EQ(got[s].elements, want[s].elements)
+          << label << ", structure " << s;
+      ASSERT_EQ(got[s].exits.size(), want[s].exits.size())
+          << label << ", structure " << s;
+      for (size_t e = 0; e < want[s].exits.size(); ++e) {
+        EXPECT_TRUE(got[s].exits[e].point == want[s].exits[e].point)
+            << label << ", structure " << s << ", exit " << e;
+        EXPECT_TRUE(got[s].exits[e].direction == want[s].exits[e].direction)
+            << label << ", structure " << s << ", exit " << e;
+      }
+    }
+  }
+
+  neuro::SegmentDataset dataset_;
+  ElementId next_id_ = 1000;
+};
+
+Vec3 RandomPoint(Pcg32& rng, float lo, float hi) {
+  return Vec3(static_cast<float>(rng.Uniform(lo, hi)),
+              static_cast<float>(rng.Uniform(lo, hi)),
+              static_cast<float>(rng.Uniform(lo, hi)));
+}
+
+Vec3 RandomDirection(Pcg32& rng) {
+  Vec3 d(static_cast<float>(rng.NextGaussian()),
+         static_cast<float>(rng.NextGaussian()),
+         static_cast<float>(rng.NextGaussian()));
+  return d.SquaredNorm() > 0.0 ? d.Normalized() : Vec3(1, 0, 0);
+}
+
+TEST_F(SweepFixture, RandomCloudsMatchAllPairs) {
+  const Aabb box(Vec3(-12, -10, -14), Vec3(15, 13, 11));
+  for (float tol : kTolerances) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      dataset_ = neuro::SegmentDataset();
+      Pcg32 rng(seed * 7919 + static_cast<uint64_t>(tol * 10));
+      // Jagged chains whose links start up to 1.5 tol from the previous
+      // link's end, so about two joints in three connect, plus loose
+      // segments; coordinates span negative and positive values.
+      for (int chain = 0; chain < 12; ++chain) {
+        Vec3 p = RandomPoint(rng, -30, 30);
+        for (int link = 0; link < 15; ++link) {
+          Vec3 q = p + RandomDirection(rng) *
+                           static_cast<float>(rng.Uniform(0.5, 3.0 * tol));
+          Add(p, q);
+          p = q + RandomDirection(rng) *
+                      static_cast<float>(rng.Uniform(0.0, 1.5 * tol));
+        }
+      }
+      for (int loose = 0; loose < 60; ++loose) {
+        Vec3 a = RandomPoint(rng, -30, 30);
+        Add(a, a + RandomDirection(rng) *
+                       static_cast<float>(rng.Uniform(0.1, 4.0)));
+      }
+      Check(box, tol, seed,
+            "cloud tol=" + std::to_string(tol) + " seed=" +
+                std::to_string(seed));
+    }
+  }
+}
+
+TEST_F(SweepFixture, LatticeEndpointsMatchAllPairs) {
+  // Endpoints on a lattice of pitch tol (computed in float, so neighbour
+  // gaps land a rounding step either side of tol): the sweep's x cut-off
+  // meets many gaps right at the tolerance.
+  for (float tol : kTolerances) {
+    const Aabb box(Vec3(-2.5f, -2.5f, -2.5f) * tol, Vec3(2, 2, 2) * tol);
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 1000));
+    auto lattice = [&] {
+      return Vec3(static_cast<float>(rng.NextBounded(13)) * tol - 6 * tol,
+                  static_cast<float>(rng.NextBounded(13)) * tol - 6 * tol,
+                  static_cast<float>(rng.NextBounded(13)) * tol - 6 * tol);
+    };
+    for (int i = 0; i < 250; ++i) {
+      Vec3 a = lattice();
+      Vec3 b = lattice();
+      if (a == b) b.x += 4.0f * tol;
+      Add(a, b);
+    }
+    Check(box, tol, 99, "lattice tol=" + std::to_string(tol));
+  }
+}
+
+TEST_F(SweepFixture, HubsMatchAllPairs) {
+  // Many sections starting at one point (a soma or branch point), some at
+  // a small offset, with children continuing from their tips.
+  const Aabb box(Vec3(-20, -20, -20), Vec3(5, 5, 5));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 100) + 5);
+    for (const Vec3& hub : {Vec3(-8, -8, -8), Vec3(4, -2.5f, 0.5f),
+                            Vec3(-40, 12, -3)}) {
+      for (int section = 0; section < 40; ++section) {
+        Vec3 start = hub;
+        if (section % 4 == 3) {
+          start = hub + RandomDirection(rng) *
+                            static_cast<float>(rng.Uniform(0.0, 2.0 * tol));
+        }
+        Vec3 tip = start + RandomDirection(rng) *
+                               static_cast<float>(rng.Uniform(2.0, 12.0));
+        Add(start, tip);
+        if (section % 3 == 0) {
+          Add(tip, tip + RandomDirection(rng) *
+                             static_cast<float>(rng.Uniform(1.0, 6.0)));
+        }
+      }
+    }
+    Check(box, tol, 7, "hubs tol=" + std::to_string(tol));
+  }
+}
+
+TEST_F(SweepFixture, EndpointsTolApartConnectAndOneFloatStepFurtherDoNot) {
+  const Aabb box(Vec3(-1000, -1000, -1000), Vec3(0, 0, 0));
+  for (float tol : kTolerances) {
+    for (bool beyond : {false, true}) {
+      dataset_ = neuro::SegmentDataset();
+      const float gap = beyond ? std::nextafter(tol, 2.0f * tol) : tol;
+      // Collinear pairs along each axis, end to start `gap` apart. The
+      // near ends sit at -2 gap and -gap, at 0 and gap, or at -gap and 0,
+      // so their difference is exactly `gap` in float.
+      size_t pairs = 0;
+      for (int axis = 0; axis < 3; ++axis) {
+        for (float near : {-2.0f * gap, 0.0f, -gap}) {
+          Vec3 base(-5.5f, -9.25f, -13.0f);
+          base[(axis + 1) % 3] -= 200.0f * static_cast<float>(++pairs);
+          Vec3 a_end = base;
+          a_end[axis] = near;
+          Vec3 a_start = a_end;
+          a_start[axis] -= 3.0f;
+          Vec3 b_start = a_end;
+          b_start[axis] = near + gap;
+          Vec3 b_end = b_start;
+          b_end[axis] += 3.0f;
+          Add(a_start, a_end);
+          Add(b_start, b_end);
+        }
+      }
+      const std::string label = std::string(beyond ? "beyond" : "exact") +
+                                 " tol=" + std::to_string(tol);
+      const size_t found = Check(box, tol, 3, label);
+      EXPECT_EQ(found, beyond ? 2 * pairs : pairs) << label;
+    }
+  }
+}
+
+TEST_F(SweepFixture, NonFiniteCoordinatesMatchAllPairs) {
+  // LoadCircuit checks radii but not points, and a segment's bounds skip a
+  // NaN end, so a result can hold non-finite endpoints; they never connect.
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kBad[] = {kNaN, -kNaN, kInf, -kInf};
+  const Aabb box(Vec3(-2, -2, -2), Vec3(2, 2, 2));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 10) + 11);
+    for (int i = 0; i < 200; ++i) {
+      Vec3 a = RandomPoint(rng, -3, 3);
+      Vec3 b = a + RandomDirection(rng) *
+                       static_cast<float>(rng.Uniform(0.1, 2.0));
+      if (i % 3 == 0) {
+        a[static_cast<int>(rng.NextBounded(3))] = kBad[rng.NextBounded(4)];
+      }
+      Add(a, b);
+    }
+    Check(box, tol, 5, "non-finite tol=" + std::to_string(tol));
+  }
+}
+
+TEST_F(SweepFixture, EmptyResultHasNoStructures) {
+  for (float tol : kTolerances) {
+    EXPECT_EQ(Check(Aabb::Cube(Vec3(0, 0, 0), 4), tol, 1, "empty"), 0u);
+  }
 }
 
 TEST(PrefetcherFactoryTest, ValidatesContext) {
