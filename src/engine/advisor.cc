@@ -136,18 +136,17 @@ struct GridGeometry {
 /// effective universe the widened cell block covers, applied to the
 /// cell-major page count. The grid scans whole cell blocks, so the per-axis
 /// span is the query side plus the widening margin plus one cell of
-/// quantization; a kNN query additionally scans one confirmation shell of
-/// cells to prove the k-th distance bound (`confirm_shell`). The occupied
-/// universe is modeled as a cube, so its edge is the cube root of the
-/// occupied volume.
+/// quantization. A kNN query costs the same as a range over its
+/// kNN-equivalent cube: the page-tree browse reads only the pages within
+/// the k-th distance. The occupied universe is modeled as a cube, so its
+/// edge is the cube root of the occupied volume.
 double GridExpectedPages(const GridGeometry& g, const AnchorModel& anchor,
-                         double q, bool confirm_shell) {
+                         double q) {
   if (g.total_pages <= 0.0) return 0.0;
-  const double shell = confirm_shell ? 2.0 : 0.0;
   const double span[3] = {
-      q + g.widen.x + (1.0 + shell) * g.cell_size.x,
-      q + g.widen.y + (1.0 + shell) * g.cell_size.y,
-      q + g.widen.z + (1.0 + shell) * g.cell_size.z,
+      q + g.widen.x + g.cell_size.x,
+      q + g.widen.y + g.cell_size.y,
+      q + g.widen.z + g.cell_size.z,
   };
   const double dom_edge = std::cbrt(anchor.domain_volume);
   const double occ_edge = std::cbrt(anchor.occupied_volume);
@@ -161,10 +160,6 @@ double GridExpectedPages(const GridGeometry& g, const AnchorModel& anchor,
   return std::max(1.0, g.total_pages * fraction);
 }
 
-/// FLAT's expanding-ring kNN overshoots the final radius while it doubles
-/// outward; widen the equivalent side accordingly.
-constexpr double kFlatRingOvershoot = 1.5;
-
 struct ShardModel {
   Aabb bounds;
   size_t population = 0;
@@ -176,7 +171,7 @@ struct ShardModel {
 
 double ShardedExpectedPages(const std::vector<ShardModel>& shards,
                             const AnchorModel& anchor, size_t population,
-                            double q, bool knn) {
+                            double q) {
   double pages = 0.0;
   for (const auto& s : shards) {
     if (s.population == 0 || !s.bounds.IsValid()) continue;
@@ -204,7 +199,7 @@ double ShardedExpectedPages(const std::vector<ShardModel>& shards,
     inner_anchor.data_centered = anchor.data_centered;
     const double inner =
         s.is_rtree ? RTreeExpectedPages(s.rtree_levels, inner_anchor, q)
-                   : GridExpectedPages(s.grid, inner_anchor, q, knn);
+                   : GridExpectedPages(s.grid, inner_anchor, q);
     pages += hit * inner;
   }
   return std::max(1.0, pages);
@@ -307,23 +302,21 @@ Result<AdvisorDecision> QueryEngine::Advise(const WorkloadProfile& profile) {
       est.choice = BackendChoice::kFlat;
       est.range_pages = std::max(
           1.0, ExpectedIntersections(flat_pages, anchor, q_range));
-      est.knn_pages = std::max(
-          1.0, ExpectedIntersections(flat_pages, anchor,
-                                     q_knn * kFlatRingOvershoot));
+      est.knn_pages =
+          std::max(1.0, ExpectedIntersections(flat_pages, anchor, q_knn));
     } else if (backend == rtree_) {
       est.choice = BackendChoice::kRTree;
       est.range_pages = RTreeExpectedPages(rtree_levels, anchor, q_range);
       est.knn_pages = RTreeExpectedPages(rtree_levels, anchor, q_knn);
     } else if (backend == grid_) {
       est.choice = BackendChoice::kGrid;
-      est.range_pages = GridExpectedPages(grid_geo, anchor, q_range, false);
-      est.knn_pages = GridExpectedPages(grid_geo, anchor, q_knn, true);
+      est.range_pages = GridExpectedPages(grid_geo, anchor, q_range);
+      est.knn_pages = GridExpectedPages(grid_geo, anchor, q_knn);
     } else if (backend == sharded_) {
       est.choice = BackendChoice::kSharded;
       est.range_pages =
-          ShardedExpectedPages(shards, anchor, population, q_range, false);
-      est.knn_pages =
-          ShardedExpectedPages(shards, anchor, population, q_knn, true);
+          ShardedExpectedPages(shards, anchor, population, q_range);
+      est.knn_pages = ShardedExpectedPages(shards, anchor, population, q_knn);
     } else {
       continue;  // externally registered backends are not modeled
     }

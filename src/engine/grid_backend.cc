@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "storage/pagination.h"
 
@@ -90,6 +89,8 @@ Status GridBackend::BuildBase(const geom::ElementVec& elements) {
       storage::PaginateElements(packed, store_, options_.elems_per_page,
                                 storage::PackOrder::kInput));
   page_ids_ = std::move(layout.page_ids);
+  NEURODB_ASSIGN_OR_RETURN(page_tree_,
+                           rtree::RTree::BulkLoadPages(layout.page_bounds));
   return Status::OK();
 }
 
@@ -100,6 +101,7 @@ Status GridBackend::ResetBase() {
   max_half_extent_ = Vec3(0, 0, 0);
   cell_start_.clear();
   page_ids_.clear();
+  page_tree_ = rtree::RTree();
   num_elements_ = 0;
   store_->Reset();
   return Status::OK();
@@ -198,99 +200,13 @@ Status GridBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
                                  std::vector<geom::KnnHit>* hits,
                                  RangeStats* stats) const {
   NEURODB_RETURN_NOT_OK(ValidateKnn(pools, hits, point));
-  hits->clear();
-  if (k == 0 || page_ids_.empty()) return Status::OK();
   storage::BufferPool* pool = pools->pool(0);
-
-  const int64_t cx = CellCoord(point.x, 0);
-  const int64_t cy = CellCoord(point.y, 1);
-  const int64_t cz = CellCoord(point.z, 2);
-  const int64_t dim_x = dims_[0], dim_y = dims_[1], dim_z = dims_[2];
-
-  geom::KnnAccumulator acc(k);
-  std::vector<char> page_seen(page_ids_.size(), 0);
-
-  // Scan every not-yet-seen page holding a slot of cell (x, y, z).
-  auto scan_cell = [&](int64_t x, int64_t y, int64_t z) -> Status {
-    size_t cell = (static_cast<size_t>(z) * dims_[1] + y) * dims_[0] + x;
-    uint32_t first = cell_start_[cell];
-    uint32_t end = cell_start_[cell + 1];
-    if (first == end) return Status::OK();
-    size_t first_page = first / options_.elems_per_page;
-    size_t last_page = (end - 1) / options_.elems_per_page;
-    for (size_t page = first_page; page <= last_page; ++page) {
-      if (page_seen[page]) continue;
-      page_seen[page] = 1;
-      NEURODB_RETURN_NOT_OK(ScanPage(page, pool, point, &acc, stats));
-    }
-    return Status::OK();
-  };
-
-  for (int64_t r = 0;; ++r) {
-    // The shell of cells at Chebyshev radius r around (cx, cy, cz),
-    // clamped to the grid. Interior cells were handled by earlier rings.
-    const int64_t zlo = cz - r, zhi = cz + r;
-    const int64_t ylo = cy - r, yhi = cy + r;
-    const int64_t xlo = cx - r, xhi = cx + r;
-    for (int64_t z = std::max<int64_t>(zlo, 0);
-         z <= std::min(zhi, dim_z - 1); ++z) {
-      const bool z_edge = (z == zlo || z == zhi);
-      for (int64_t y = std::max<int64_t>(ylo, 0);
-           y <= std::min(yhi, dim_y - 1); ++y) {
-        if (z_edge || y == ylo || y == yhi) {
-          for (int64_t x = std::max<int64_t>(xlo, 0);
-               x <= std::min(xhi, dim_x - 1); ++x) {
-            NEURODB_RETURN_NOT_OK(scan_cell(x, y, z));
-          }
-        } else {
-          if (xlo >= 0) NEURODB_RETURN_NOT_OK(scan_cell(xlo, y, z));
-          if (xhi < dim_x) NEURODB_RETURN_NOT_OK(scan_cell(xhi, y, z));
-        }
-      }
-    }
-
-    // Done when the block [c - r, c + r] covers the whole grid...
-    if (xlo <= 0 && ylo <= 0 && zlo <= 0 && xhi >= dim_x - 1 &&
-        yhi >= dim_y - 1 && zhi >= dim_z - 1) {
-      break;
-    }
-    // ... or when nothing outside the block can still improve the answer.
-    // An element beyond a face of the block has its center beyond that
-    // face's cell-boundary plane, so its box is at least (plane gap -
-    // widening margin) away; the bound over all remaining elements is the
-    // minimum over the six faces (domain-clamped faces have no cells
-    // beyond and contribute nothing). The per-axis slack absorbs float
-    // rounding between CellCoord's binning and the plane arithmetic here.
-    // Prune strictly greater only: at equal distance a smaller id could
-    // still enter the answer set (geom/knn.h).
-    if (acc.Full()) {
-      double bound = std::numeric_limits<double>::infinity();
-      const double point_coord[3] = {point.x, point.y, point.z};
-      const int64_t block_lo[3] = {xlo, ylo, zlo};
-      const int64_t block_hi[3] = {xhi, yhi, zhi};
-      const int64_t dim[3] = {dim_x, dim_y, dim_z};
-      for (int axis = 0; axis < 3; ++axis) {
-        const double cell = cell_size_[axis];
-        const double slack = 1e-3 * cell;
-        const double margin = max_half_extent_[axis] + slack;
-        if (block_lo[axis] > 0) {
-          double plane = domain_.min[axis] +
-                         static_cast<double>(block_lo[axis]) * cell;
-          bound = std::min(
-              bound, std::max(0.0, (point_coord[axis] - plane) - margin));
-        }
-        if (block_hi[axis] + 1 < dim[axis]) {
-          double plane = domain_.min[axis] +
-                         static_cast<double>(block_hi[axis] + 1) * cell;
-          bound = std::min(
-              bound, std::max(0.0, (plane - point_coord[axis]) - margin));
-        }
-      }
-      if (bound > acc.WorstDistance()) break;
-    }
-  }
-
-  *hits = acc.TakeSorted();
+  NEURODB_RETURN_NOT_OK(page_tree_.BrowseKnn(
+      point, k,
+      [&](const geom::SpatialElement& entry, geom::KnnAccumulator* acc) {
+        return ScanPage(entry.id, pool, point, acc, stats);
+      },
+      hits));
   if (stats != nullptr) stats->results = hits->size();
   return Status::OK();
 }
@@ -305,8 +221,8 @@ Status GridBackend::KnnScanQuery(const Vec3& point, size_t k,
   storage::BufferPool* pool = pools->pool(0);
 
   // Exhaustive scan: every page, every element. Deliberately index-free so
-  // the answer cannot share a traversal bug with the ring search (or with
-  // FLAT and the R-tree).
+  // the answer cannot share a traversal bug with the page-tree browse (or
+  // with FLAT and the R-tree).
   geom::KnnAccumulator acc(k);
   for (size_t page_index = 0; page_index < page_ids_.size(); ++page_index) {
     NEURODB_RETURN_NOT_OK(ScanPage(page_index, pool, point, &acc, stats));
@@ -322,7 +238,7 @@ BackendStats GridBackend::Stats() const {
     stats.index_pages = page_ids_.size();
     stats.metadata_bytes = cell_start_.capacity() * sizeof(uint32_t) +
                            page_ids_.capacity() * sizeof(storage::PageId) +
-                           MutationMetadataBytes();
+                           page_tree_.MemoryBytes() + MutationMetadataBytes();
   }
   stats.io = IoTotals();
   return stats;

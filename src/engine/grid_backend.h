@@ -4,15 +4,17 @@
 // the domain into equal cells, assign every element to the cell of its
 // bounding-box center, pack the cells onto disk pages cell-major. Range
 // queries scan the cell block around the query (widened by the largest
-// element half-extent, so center assignment stays exact); kNN expands cell
-// rings outward from the query point and stops once no unvisited cell can
-// still beat the k-th best distance (KnnScanQuery keeps the original
+// element half-extent, so center assignment stays exact); kNN browses an
+// in-memory R-tree over the data pages' MBRs best-first by MINDIST
+// (rtree::RTree::BrowseKnn, the same search as FLAT's) and reads only the
+// pages that can hold one of the k nearest (KnnScanQuery keeps the
 // exhaustive scan as the test oracle). The grid's job is to be a cheap,
-// independent voice in BackendChoice::kAll parity comparisons: an
-// implementation so different from FLAT's crawl and the R-tree's hierarchy
-// that a bug in either is very unlikely to be mirrored here (the
+// independent voice in BackendChoice::kAll parity comparisons: its range
+// path is so different from FLAT's crawl and the R-tree's hierarchy that a
+// bug in either is very unlikely to be mirrored here (the
 // differential-testing harness in tests/diff_harness.h leans on exactly
-// this).
+// this). Its kNN shares the browse with FLAT, so kNN parity also leans on
+// the brute-force oracles.
 
 #ifndef NEURODB_ENGINE_GRID_BACKEND_H_
 #define NEURODB_ENGINE_GRID_BACKEND_H_
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "engine/base_delta_backend.h"
+#include "rtree/rtree.h"
 
 namespace neurodb {
 namespace engine {
@@ -51,8 +54,8 @@ class GridBackend : public BaseDeltaBackend {
 
   const char* name() const override { return "Grid"; }
 
-  /// The original exhaustive page scan over the *base* layout, kept as the
-  /// brute-force oracle the ring search is tested against (and a
+  /// The exhaustive page scan over the *base* layout, kept as the
+  /// brute-force oracle the page-tree browse is tested against (and a
   /// deliberately index-free parity voice for targeted tests). Base-only:
   /// pending delta records are not merged in.
   Status KnnScanQuery(const geom::Vec3& point, size_t k,
@@ -79,10 +82,8 @@ class GridBackend : public BaseDeltaBackend {
   Status BaseRangeQuery(storage::Epoch read_epoch, const geom::Aabb& box,
                         storage::PoolSet* pools, ResultVisitor& visitor,
                         RangeStats* stats) const override;
-  /// Expanding cell-ring search: scan the query point's cell, then the
-  /// shell of cells one ring further out, and so on; terminate once the
-  /// k-th best distance provably covers everything outside the scanned
-  /// block (accounting for the center-assignment widening margin).
+  /// Distance browsing over page_tree_: pages in ascending MINDIST to the
+  /// point, stopping once the k-th best distance is below the next key.
   Status BaseKnnQuery(storage::Epoch read_epoch, const geom::Vec3& point,
                       size_t k, storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
@@ -93,7 +94,7 @@ class GridBackend : public BaseDeltaBackend {
   uint32_t CellCoord(float v, int axis) const;
   /// Flat cell index of a point.
   size_t CellOf(const geom::Vec3& p) const;
-  /// Validation shared by the ring and scan kNN entry points.
+  /// Validation shared by the browse and scan kNN entry points.
   Status ValidateKnn(storage::PoolSet* pools,
                      std::vector<geom::KnnHit>* hits,
                      const geom::Vec3& point) const;
@@ -115,6 +116,8 @@ class GridBackend : public BaseDeltaBackend {
   std::vector<uint32_t> cell_start_;
   /// Data pages in pack order; packed slot s lives on page s / elems_per_page.
   std::vector<storage::PageId> page_ids_;
+  /// STR tree over the data pages' MBRs; entry i is page i (kNN browse).
+  rtree::RTree page_tree_;
   size_t num_elements_ = 0;
 };
 

@@ -1,6 +1,5 @@
 #include "engine/session.h"
 
-#include <algorithm>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -250,8 +249,6 @@ Status Session::CachedRangeStep(const geom::Aabb& box,
   }
   last_cover_fraction_ = plan.covered_fraction;
   last_delta_fraction_ = plan.residual_fraction;
-  // The deep copy only pays off when a later StepKnn will read the seeds.
-  if (options_.seed_knn) last_results_ = merged;
   cache_->Insert(box, std::move(merged));
   return Status::OK();
 }
@@ -324,23 +321,22 @@ Result<scout::StepRecord> Session::Step(const geom::Aabb& box,
   return RunStep([&](std::vector<geom::ElementId>* ids,
                      geom::Aabb* prefetch_box) {
     *prefetch_box = box;
+    geom::ElementVec results;
     if (delta_ == nullptr || delta_->Empty()) {
       // Read-only fast path: stream in crawl order, collect the element
-      // list for the prefetcher and the next kNN step's seed candidates.
+      // list for the prefetcher.
       geom::CollectingVisitor collector;
       geom::TeeVisitor tee(&visitor, &collector);
       NEURODB_RETURN_NOT_OK(index_->RangeQuery(box, pool_.get(), tee));
-      last_results_ = collector.TakeElements();
+      results = collector.TakeElements();
     } else {
-      geom::ElementVec merged;
-      NEURODB_RETURN_NOT_OK(DeltaMergedRange(box, &merged));
-      for (const geom::SpatialElement& e : merged) {
+      NEURODB_RETURN_NOT_OK(DeltaMergedRange(box, &results));
+      for (const geom::SpatialElement& e : results) {
         visitor.Visit(e.id, e.bounds);
       }
-      last_results_ = std::move(merged);
     }
-    ids->reserve(last_results_.size());
-    for (const geom::SpatialElement& e : last_results_) ids->push_back(e.id);
+    ids->reserve(results.size());
+    for (const geom::SpatialElement& e : results) ids->push_back(e.id);
     return Status::OK();
   });
 }
@@ -363,34 +359,15 @@ Result<scout::StepRecord> Session::StepKnn(const geom::Vec3& point, size_t k,
   std::vector<geom::KnnHit>* out = hits != nullptr ? hits : &local;
   return RunStep([&](std::vector<geom::ElementId>* ids,
                      geom::Aabb* prefetch_box) {
-    // Delta kNN seeding: the previous step's results are genuine elements,
-    // so the k-th best of their distances to the *new* point bounds the
-    // true k-th distance from above — start the expanding ring there. A
-    // stale or short seed list only changes the starting radius, never the
-    // answer (flat::FlatIndex::Knn doc).
-    double radius_hint = 0.0;
-    if (options_.seed_knn && last_results_.size() >= k) {
-      std::vector<double> distances;
-      distances.reserve(last_results_.size());
-      for (const geom::SpatialElement& e : last_results_) {
-        distances.push_back(geom::KnnDistance(point, e.bounds));
-      }
-      std::nth_element(distances.begin(), distances.begin() + (k - 1),
-                       distances.end());
-      radius_hint = distances[k - 1];
-    }
-
     const bool merge_delta = delta_ != nullptr && !delta_->Empty();
     if (!merge_delta) {
-      NEURODB_RETURN_NOT_OK(
-          index_->Knn(point, k, pool_.get(), out, nullptr, radius_hint));
+      NEURODB_RETURN_NOT_OK(index_->Knn(point, k, pool_.get(), out));
     } else {
       // The same merge BaseDeltaBackend runs (DeltaIndex::MergeKnn).
       NEURODB_RETURN_NOT_OK(delta_->MergeKnn(
           point, k,
           [&](size_t ask, std::vector<geom::KnnHit>* base_hits) {
-            return index_->Knn(point, ask, pool_.get(), base_hits, nullptr,
-                               radius_hint);
+            return index_->Knn(point, ask, pool_.get(), base_hits);
           },
           out));
     }

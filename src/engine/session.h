@@ -113,19 +113,12 @@ class Session {
   /// Step without materializing results.
   Result<scout::StepRecord> Step(const geom::Aabb& box);
 
-  /// Execute one kNN query through the session pool (FLAT expanding-ring
-  /// crawl): fills `hits` (when non-null) ascending by (distance, id),
-  /// charges demand misses to the session clock and lets the prefetcher
-  /// spend the think pause on the neighbourhood of the answer, exactly as
-  /// a range Step does. k == 0 and non-finite points are InvalidArgument;
-  /// k beyond the dataset clamps.
-  ///
-  /// Delta kNN seeding (SessionOptions::seed_knn, on by default): the
-  /// previous step's result list seeds the crawl's starting ring radius
-  /// with its k-th best distance to the new point — a slowly moving query
-  /// starts tight instead of re-deriving the radius from global density.
-  /// Seeding is a starting point only; hits are bit-identical to the
-  /// unseeded path (parity-checked in tests).
+  /// Execute one kNN query through the session pool (FLAT's best-first
+  /// browse, flat::FlatIndex::Knn): fills `hits` (when non-null) ascending
+  /// by (distance, id), charges demand misses to the session clock and lets
+  /// the prefetcher spend the think pause on the neighbourhood of the
+  /// answer, exactly as a range Step does. k == 0 and non-finite points are
+  /// InvalidArgument; k beyond the dataset clamps.
   Result<scout::StepRecord> StepKnn(const geom::Vec3& point, size_t k,
                                     std::vector<geom::KnnHit>* hits = nullptr);
 
@@ -215,9 +208,6 @@ class Session {
   std::unique_ptr<scout::Prefetcher> prefetcher_;
   /// Non-null iff options_.cache_results (unique_ptr for move stability).
   std::unique_ptr<cache::ResultCache> cache_;
-  /// The previous step's full result list — the seed candidates for delta
-  /// kNN seeding (range steps refresh it; kNN steps reuse it).
-  geom::ElementVec last_results_;
   std::vector<scout::StepRecord> steps_;
   uint64_t total_stall_us_ = 0;
   /// Coverage of the step currently executing (set by CachedRangeStep,

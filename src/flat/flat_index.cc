@@ -1,7 +1,6 @@
 #include "flat/flat_index.h"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 
 namespace neurodb {
@@ -39,15 +38,9 @@ Result<FlatIndex> FlatIndex::Build(const ElementVec& elements,
   index.domain_ = layout.domain;
 
   // Seed tree over the page MBRs. Element ids are page indexes.
-  ElementVec page_elements;
-  page_elements.reserve(index.page_bounds_.size());
-  for (uint32_t i = 0; i < index.page_bounds_.size(); ++i) {
-    page_elements.emplace_back(static_cast<ElementId>(i),
-                               index.page_bounds_[i]);
-  }
   NEURODB_ASSIGN_OR_RETURN(
       index.seed_tree_,
-      rtree::RTree::BulkLoadStr(page_elements, options.seed_tree));
+      rtree::RTree::BulkLoadPages(index.page_bounds_, options.seed_tree));
 
   // Neighborhood graph: pages whose MBRs intersect. Found via the seed
   // tree (P * log P instead of P^2 pair tests).
@@ -177,8 +170,8 @@ Status FlatIndex::RangeQuery(const Aabb& box, storage::BufferPool* pool,
 }
 
 Status FlatIndex::Knn(const geom::Vec3& p, size_t k, storage::BufferPool* pool,
-                      std::vector<geom::KnnHit>* hits, FlatQueryStats* stats,
-                      double initial_radius_hint) const {
+                      std::vector<geom::KnnHit>* hits,
+                      FlatQueryStats* stats) const {
   if (pool == nullptr) {
     return Status::InvalidArgument("FlatIndex::Knn: null pool");
   }
@@ -188,79 +181,29 @@ Status FlatIndex::Knn(const geom::Vec3& p, size_t k, storage::BufferPool* pool,
   if (!geom::IsFinitePoint(p)) {
     return Status::InvalidArgument("FlatIndex::Knn: non-finite query point");
   }
-  hits->clear();
-  if (k == 0 || page_ids_.empty()) return Status::OK();
-
-  // Initial ring radius sized so the ring is *expected* to hold ~k
-  // elements under a uniform density estimate: the domain scaled by the
-  // cube root of k over the (approximate) element count. Too small merely
-  // costs extra (memory-only) seed-tree rounds; too large costs page
-  // reads. Degenerate (zero-extent) domains start at 1.
-  geom::Vec3 extent = domain_.Extent();
-  float max_extent = std::max({extent.x, extent.y, extent.z});
-  size_t approx_elements =
-      std::max<size_t>(1, page_ids_.size() * options_.elems_per_page);
-  float radius =
-      max_extent > 0.0f
-          ? max_extent * std::cbrt(static_cast<float>(k) /
-                                   static_cast<float>(approx_elements))
-          : 1.0f;
-  if (!(radius > 0.0f)) radius = 1.0f;
-  // A caller-supplied starting radius (sessions seed it from the previous
-  // step's k-th hit distance) overrides the density estimate. Purely a
-  // starting point — the termination condition below is unchanged, so the
-  // answer is bit-identical to an unseeded run.
-  if (initial_radius_hint > 0.0 &&
-      std::isfinite(initial_radius_hint)) {
-    radius = static_cast<float>(initial_radius_hint);
-    if (!(radius > 0.0f)) radius = 1.0f;
+  rtree::QueryStats seed_stats;
+  NEURODB_RETURN_NOT_OK(seed_tree_.BrowseKnn(
+      p, k,
+      [&](const SpatialElement& entry, geom::KnnAccumulator* acc) -> Status {
+        auto page = pool->Fetch(page_ids_[entry.id],
+                                stats != nullptr ? &stats->pool : nullptr);
+        if (!page.ok()) return page.status();
+        if (stats != nullptr) {
+          ++stats->data_pages_read;
+          ++stats->crawl_steps;
+        }
+        for (const auto& e : (*page)->elements) {
+          if (stats != nullptr) ++stats->elements_scanned;
+          acc->Offer(e.id, geom::KnnDistance(p, e.bounds));
+        }
+        return Status::OK();
+      },
+      hits, stats != nullptr ? &seed_stats : nullptr));
+  if (stats != nullptr) {
+    ++stats->knn_rings;
+    stats->seed_nodes_visited += seed_stats.nodes_visited;
+    stats->results = hits->size();
   }
-
-  geom::KnnAccumulator acc(k);
-  std::vector<char> visited(page_ids_.size(), 0);
-  size_t pages_left = page_ids_.size();
-
-  for (;;) {
-    if (stats != nullptr) ++stats->knn_rings;
-    // All pages whose MBR intersects the current ring cube. An element at
-    // box distance d <= radius has Chebyshev distance <= d, so its page
-    // intersects this cube — scanning the ring is exhaustive up to
-    // `radius`.
-    rtree::QueryStats ring_stats;
-    std::vector<ElementId> in_ring;
-    seed_tree_.RangeQuery(Aabb::Cube(p, 2.0f * radius), &in_ring,
-                          &ring_stats);
-    if (stats != nullptr) {
-      stats->seed_nodes_visited += ring_stats.nodes_visited;
-    }
-    for (ElementId hit : in_ring) {
-      uint32_t page_index = static_cast<uint32_t>(hit);
-      if (visited[page_index]) continue;
-      visited[page_index] = 1;
-      --pages_left;
-      auto page = pool->Fetch(page_ids_[page_index],
-                              stats != nullptr ? &stats->pool : nullptr);
-      if (!page.ok()) return page.status();
-      if (stats != nullptr) {
-        ++stats->data_pages_read;
-        ++stats->crawl_steps;
-      }
-      for (const auto& e : (*page)->elements) {
-        if (stats != nullptr) ++stats->elements_scanned;
-        acc.Offer(e.id, geom::KnnDistance(p, e.bounds));
-      }
-    }
-    // Done once the kth best lies inside the scanned ring (everything
-    // closer has been seen), or the ring has swallowed the whole dataset.
-    // Doubling guarantees the latter in finitely many rounds (the cube
-    // stays valid even if the radius saturates to +inf).
-    if (acc.Full() && acc.WorstDistance() <= radius) break;
-    if (pages_left == 0) break;
-    radius *= 2.0f;
-  }
-
-  *hits = acc.TakeSorted();
-  if (stats != nullptr) stats->results = hits->size();
   return Status::OK();
 }
 

@@ -8,7 +8,8 @@
 //    ("information ... describing what spatial elements neighbor each
 //    other");
 //  * a small memory-resident *seed index* — an STR-packed R-tree over the
-//    page MBRs, used only to find one page intersecting the query.
+//    page MBRs, used to find one page intersecting the query (and, for
+//    kNN, to browse the pages in distance order).
 //
 // Query execution: (1) seed phase — descend the seed tree to an arbitrary
 // page intersecting the range (cost ~ tree height, density independent);
@@ -24,6 +25,10 @@
 // results exact while leaving the disk-page I/O unchanged (every
 // intersecting page is read exactly once either way). DESIGN.md Section 3
 // discusses the trade-off; bench/ablation_flat_pages quantifies it.
+//
+// kNN is the same idea in distance form: browse the seed tree's page MBRs
+// best-first by MINDIST (Hjaltason & Samet, TODS 1999) and read only the
+// pages that can hold one of the k nearest elements.
 
 #ifndef NEURODB_FLAT_FLAT_INDEX_H_
 #define NEURODB_FLAT_FLAT_INDEX_H_
@@ -71,7 +76,8 @@ struct FlatQueryStats {
   uint64_t crawl_steps = 0;
   /// Crawls started beyond the first seed (0 on connected/dense ranges).
   uint64_t extra_seeds = 0;
-  /// kNN only: expanding rings examined before the answer stabilized.
+  /// kNN only: searches run — 1 per search (the best-first browse has no
+  /// rings; the field stays for the benchmark's per-layer catalog).
   uint64_t knn_rings = 0;
   /// Elements scanned on fetched pages.
   uint64_t elements_scanned = 0;
@@ -117,25 +123,15 @@ class FlatIndex {
                           FlatQueryStats* stats = nullptr) const;
 
   /// k nearest neighbours of `p` by box distance, ties broken by id (the
-  /// library-wide order of geom/knn.h). FLAT has no pointer hierarchy over
-  /// the data, so the query is an *expanding-ring crawl*: grow a cube
-  /// around `p`, pull the intersecting pages out of the memory-resident
-  /// seed tree, fetch the unvisited ones through `pool`, and stop once the
-  /// kth best distance is covered by the ring — every fetched page is a
-  /// page a range query of that radius would have fetched. `hits` is
-  /// cleared and filled ascending. k == 0 yields an empty answer; k larger
-  /// than the dataset yields every element.
-  ///
-  /// `initial_radius_hint` (> 0 to take effect) replaces the density-based
-  /// starting radius — exploration sessions pass the k-th best distance of
-  /// the previous step's hit list, so a slowly moving query starts its
-  /// first ring already tight (engine/session.h). The hint is purely a
-  /// starting point: the ring still doubles until the k-th best distance
-  /// is covered, so a wrong hint changes I/O, never the answer.
+  /// library-wide order of geom/knn.h). Distance browsing over the
+  /// memory-resident seed tree (rtree::RTree::BrowseKnn): pages are fetched
+  /// through `pool` in ascending MINDIST to `p`, and exactly the pages whose
+  /// MINDIST is at most the k-th hit's distance are read. `hits` is cleared
+  /// and filled ascending. k == 0 yields an empty answer; k larger than the
+  /// dataset yields every element.
   Status Knn(const geom::Vec3& p, size_t k, storage::BufferPool* pool,
              std::vector<geom::KnnHit>* hits,
-             FlatQueryStats* stats = nullptr,
-             double initial_radius_hint = 0.0) const;
+             FlatQueryStats* stats = nullptr) const;
 
   /// Pages (as indexes into page order) whose MBR intersects `box`.
   /// Memory-only (seed tree); used by SCOUT to translate predicted query

@@ -3,9 +3,10 @@
 // All kNN answers in the library use the same metric and the same total
 // order: the Euclidean distance from the query point to the element's
 // bounding box (0 inside the box), with ties broken by ascending element
-// id. The tie-break makes the k-element answer set *deterministic* — three
-// independent backends (FLAT crawl, R-tree best-first, grid scan) can be
-// compared hit-for-hit in BackendChoice::kAll parity runs.
+// id. The tie-break makes the k-element answer set *deterministic* — the
+// backends (FLAT and grid page browsing, the paged R-tree's best-first
+// descent, the sharded fan-out) can be compared hit-for-hit in
+// BackendChoice::kAll parity runs and against BruteForceKnn.
 
 #ifndef NEURODB_GEOM_KNN_H_
 #define NEURODB_GEOM_KNN_H_

@@ -183,6 +183,16 @@ Result<RTree> RTree::BulkLoadHilbert(const ElementVec& elements,
       elements.size());
 }
 
+Result<RTree> RTree::BulkLoadPages(const std::vector<Aabb>& page_bounds,
+                                   RTreeOptions options) {
+  ElementVec entries;
+  entries.reserve(page_bounds.size());
+  for (uint32_t i = 0; i < page_bounds.size(); ++i) {
+    entries.emplace_back(static_cast<ElementId>(i), page_bounds[i]);
+  }
+  return BulkLoadStr(entries, options);
+}
+
 Result<RTree> RTree::Build(const ElementVec& elements, RTreeOptions options) {
   switch (options.build) {
     case BuildAlgorithm::kStrBulk:
@@ -734,27 +744,35 @@ bool RTree::FindAny(const Aabb& box, SpatialElement* out,
   return FindAnyRec(*this, root_, box, out, stats);
 }
 
-std::vector<std::pair<ElementId, double>> RTree::Knn(const Vec3& p, size_t k,
-                                                     QueryStats* stats) const {
-  std::vector<std::pair<ElementId, double>> result;
-  if (root_ == -1 || k == 0) return result;
+Status RTree::BrowseKnn(const Vec3& p, size_t k, const PageScan& scan,
+                        std::vector<geom::KnnHit>* hits,
+                        QueryStats* stats) const {
+  hits->clear();
+  if (root_ == -1 || k == 0) return Status::OK();
 
-  struct HeapItem {
-    double dist;
-    bool is_node;
+  // A queue item is a node (entry == nullptr) or a leaf entry.
+  struct Item {
+    double key;
     int32_t node;
-    SpatialElement element;
-    bool operator>(const HeapItem& o) const { return dist > o.dist; }
+    const SpatialElement* entry;
+    bool operator>(const Item& o) const { return key > o.key; }
   };
-  std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<HeapItem>>
-      heap;
-  heap.push({0.0, true, root_, {}});
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> queue;
+  geom::KnnAccumulator acc(k);
+  // A box's distance is at most that of anything inside it, so an item
+  // keyed beyond the current k-th distance can never be read.
+  auto push = [&](const Aabb& bounds, int32_t node,
+                  const SpatialElement* entry) {
+    double key = geom::KnnDistance(p, bounds);
+    if (!(key > acc.WorstDistance())) queue.push({key, node, entry});
+  };
+  push(nodes_[root_].bounds, root_, nullptr);
 
-  while (!heap.empty() && result.size() < k) {
-    HeapItem top = heap.top();
-    heap.pop();
-    if (!top.is_node) {
-      result.emplace_back(top.element.id, std::sqrt(top.dist));
+  while (!queue.empty() && !(queue.top().key > acc.WorstDistance())) {
+    Item top = queue.top();
+    queue.pop();
+    if (top.entry != nullptr) {
+      NEURODB_RETURN_NOT_OK(scan(*top.entry, &acc));
       continue;
     }
     const Node& n = nodes_[top.node];
@@ -762,16 +780,17 @@ std::vector<std::pair<ElementId, double>> RTree::Knn(const Vec3& p, size_t k,
     if (n.IsLeaf()) {
       for (const auto& e : n.entries) {
         if (stats != nullptr) ++stats->entries_tested;
-        heap.push({e.bounds.SquaredDistanceTo(p), false, -1, e});
+        push(e.bounds, -1, &e);
       }
     } else {
       for (int32_t c : n.children) {
         if (stats != nullptr) ++stats->entries_tested;
-        heap.push({nodes_[c].bounds.SquaredDistanceTo(p), true, c, {}});
+        push(nodes_[c].bounds, c, nullptr);
       }
     }
   }
-  return result;
+  *hits = acc.TakeSorted();
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

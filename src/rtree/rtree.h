@@ -28,6 +28,7 @@
 #include "common/status.h"
 #include "geom/aabb.h"
 #include "geom/element.h"
+#include "geom/knn.h"
 #include "geom/vec3.h"
 #include "storage/page.h"
 
@@ -138,6 +139,11 @@ struct QueryStats {
   }
 };
 
+/// Reads the page a tree entry stands for and offers its elements to the
+/// accumulator (RTree::BrowseKnn).
+using PageScan = std::function<Status(const geom::SpatialElement& entry,
+                                      geom::KnnAccumulator* acc)>;
+
 /// In-memory R-tree. Move-only (owns its node arena).
 class RTree {
  public:
@@ -169,6 +175,11 @@ class RTree {
   static Result<RTree> BulkLoadHilbert(const geom::ElementVec& elements,
                                        RTreeOptions options = RTreeOptions());
 
+  /// STR bulk load over page MBRs: entry i has id i and bounds
+  /// page_bounds[i] (FLAT's seed tree, the grid's page tree).
+  static Result<RTree> BulkLoadPages(const std::vector<geom::Aabb>& page_bounds,
+                                     RTreeOptions options = RTreeOptions());
+
   /// Build through the path selected by options.build (STR bulk, Hilbert
   /// bulk, or repeated dynamic insertion).
   static Result<RTree> Build(const geom::ElementVec& elements,
@@ -192,12 +203,20 @@ class RTree {
   bool FindAny(const geom::Aabb& box, geom::SpatialElement* out,
                QueryStats* stats = nullptr) const;
 
-  /// k nearest neighbours of `p` by bounding-box distance (best-first).
-  /// Returns (id, distance) pairs sorted by increasing distance.
-  std::vector<std::pair<geom::ElementId, double>> Knn(const geom::Vec3& p,
-                                                      size_t k,
-                                                      QueryStats* stats =
-                                                          nullptr) const;
+  /// Distance browsing (Hjaltason & Samet, TODS 1999) over a tree whose
+  /// entries stand for data pages: one priority queue holds nodes and
+  /// entries keyed by their box distance (MINDIST) to `p`, and `scan` reads
+  /// the entries' pages in ascending key order. The search stops once k
+  /// hits are held and the next key is strictly greater than the k-th
+  /// distance: a page whose key ties it can still hold a smaller id
+  /// (geom/knn.h). The pages read are then exactly those whose MINDIST is
+  /// at most the answer's k-th distance — every page when k is at least the
+  /// element count. `hits` is cleared and filled ascending by (distance,
+  /// id); k == 0 reads nothing. The first error `scan` returns ends the
+  /// search.
+  Status BrowseKnn(const geom::Vec3& p, size_t k, const PageScan& scan,
+                   std::vector<geom::KnnHit>* hits,
+                   QueryStats* stats = nullptr) const;
 
   /// Number of stored elements.
   size_t size() const { return size_; }

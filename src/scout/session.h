@@ -46,12 +46,6 @@ struct SessionOptions {
   /// index crawl order.
   bool cache_results = false;
   size_t result_cache_boxes = 8;
-  /// Delta kNN seeding (engine::Session::StepKnn): reuse the previous
-  /// step's hit list to seed the expanding-ring search's starting radius —
-  /// a slowly moving kNN query starts its first ring already tight. Purely
-  /// a starting point for the crawl; answers are bit-identical either way
-  /// (flat::FlatIndex::Knn).
-  bool seed_knn = true;
   /// Attach an obs::Trace span tree to every StepRecord
   /// (engine::Session): root span "session.step" with "query" and
   /// "prefetch" children, tagged with epoch / results / pool activity.

@@ -1,8 +1,9 @@
-// kNN tests: brute-force ground truth on random circuits for all three
-// backends, tie-breaking determinism of the shared (distance, id) order,
-// and Status propagation for degenerate inputs (k == 0, k beyond the
-// dataset, non-finite points) at every API boundary — backend, engine,
-// session and batch.
+// kNN tests: brute-force ground truth on random circuits for every
+// backend, tie-breaking determinism of the shared (distance, id) order,
+// exact answers and exact page reads of the best-first page browse (FLAT
+// and the grid) on adversarial inputs, and Status propagation for
+// degenerate inputs (k == 0, k beyond the dataset, non-finite points) at
+// every API boundary — backend, engine, session and batch.
 
 #include "geom/knn.h"
 
@@ -32,6 +33,84 @@ neuro::Circuit MakeCircuit(uint32_t neurons, uint64_t seed) {
   auto circuit = neuro::CircuitGenerator(params).Generate();
   EXPECT_TRUE(circuit.ok());
   return std::move(circuit).value();
+}
+
+/// Pages whose MINDIST to `p` is at most `reach`: exactly the pages a
+/// best-first browse for a k-th distance of `reach` must read.
+uint64_t PagesWithin(const std::vector<Aabb>& page_bounds, const Vec3& p,
+                     double reach) {
+  uint64_t n = 0;
+  for (const Aabb& bounds : page_bounds) {
+    if (geom::KnnDistance(p, bounds) <= reach) ++n;
+  }
+  return n;
+}
+
+std::vector<Aabb> FlatPageBounds(const flat::FlatIndex& index) {
+  std::vector<Aabb> out;
+  for (uint32_t i = 0; i < index.NumPages(); ++i) {
+    out.push_back(index.PageBounds(i));
+  }
+  return out;
+}
+
+/// Each page's MBR, from the elements the store holds on it.
+std::vector<Aabb> StorePageBounds(const storage::PageStore& store) {
+  std::vector<Aabb> out;
+  for (storage::PageId id = 0; id < store.NumPages(); ++id) {
+    Aabb bounds;
+    for (const auto& e : store.Peek(id)->elements) bounds.Extend(e.bounds);
+    out.push_back(bounds);
+  }
+  return out;
+}
+
+/// FLAT and Grid kNN against brute force and the grid's scan oracle, each
+/// reading exactly the pages within the k-th hit's distance.
+void CheckBrowse(const geom::ElementVec& elements,
+                 const std::vector<Vec3>& points,
+                 const std::vector<size_t>& ks, size_t elems_per_page) {
+  flat::FlatOptions flat_options;
+  flat_options.elems_per_page = elems_per_page;
+  GridOptions grid_options;
+  grid_options.elems_per_page = elems_per_page;
+  FlatBackend flat(flat_options);
+  GridBackend grid(grid_options);
+  ASSERT_TRUE(flat.Build(elements).ok());
+  ASSERT_TRUE(grid.Build(elements).ok());
+  const std::vector<Aabb> flat_pages = FlatPageBounds(flat.index());
+  const std::vector<Aabb> grid_pages = StorePageBounds(*grid.store());
+
+  for (const Vec3& p : points) {
+    for (size_t k : ks) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " at (" << p.x
+                                        << ", " << p.y << ", " << p.z << ")");
+      const std::vector<KnnHit> truth = geom::BruteForceKnn(elements, p, k);
+      ASSERT_FALSE(truth.empty());
+      const double reach = truth.back().distance;
+
+      storage::PoolSet scan_pools = grid.MakePoolSet(64);
+      std::vector<KnnHit> scan;
+      ASSERT_TRUE(grid.KnnScanQuery(p, k, &scan_pools, &scan).ok());
+      EXPECT_EQ(scan, truth);
+
+      for (auto [backend, pages] :
+           {std::pair<SpatialBackend*, const std::vector<Aabb>*>{&flat,
+                                                                 &flat_pages},
+            {&grid, &grid_pages}}) {
+        storage::PoolSet pools = backend->MakePoolSet(64);
+        std::vector<KnnHit> hits;
+        RangeStats stats;
+        ASSERT_TRUE(backend->KnnQuery(p, k, &pools, &hits, &stats).ok());
+        EXPECT_EQ(hits, truth) << backend->name();
+        EXPECT_EQ(stats.pages_read, PagesWithin(*pages, p, reach))
+            << backend->name();
+        if (k >= elements.size()) {
+          EXPECT_EQ(stats.pages_read, pages->size()) << backend->name();
+        }
+      }
+    }
+  }
 }
 
 class KnnFixture : public ::testing::Test {
@@ -158,10 +237,100 @@ TEST(KnnTieBreakTest, EqualDistancesResolveByAscendingId) {
 }
 
 // --------------------------------------------------------------------------
-// Grid ring search vs the exhaustive-scan oracle
+// Best-first page browse: exact answers and exact I/O
 // --------------------------------------------------------------------------
 
-TEST_F(KnnFixture, GridRingSearchMatchesScanOracle) {
+TEST(KnnBrowseTest, TiesAtTheKthDistanceOnDifferentPages) {
+  // Six unit cubes at exactly the same distance from the origin, one per
+  // page, plus farther distractors. A k cutting through the tie must read
+  // every tied page (its key equals the k-th distance) to find the lowest
+  // ids. Rotating the ids over the positions puts the smallest tied id on
+  // every page in turn, whatever order the browse pops equal keys in.
+  const float d = 10.0f;
+  const std::vector<Vec3> centers = {{d, 0, 0},  {-d, 0, 0}, {0, d, 0},
+                                     {0, -d, 0}, {0, 0, d},  {0, 0, -d}};
+  for (size_t rotation = 0; rotation < centers.size(); ++rotation) {
+    SCOPED_TRACE(::testing::Message() << "rotation " << rotation);
+    geom::ElementVec elements;
+    for (size_t i = 0; i < centers.size(); ++i) {
+      elements.emplace_back(
+          static_cast<ElementId>((i + rotation) % centers.size()),
+          Aabb::Cube(centers[i], 1.0f));
+    }
+    elements.emplace_back(100, Aabb::Cube(Vec3(3 * d, 0, 0), 1.0f));
+    elements.emplace_back(101, Aabb::Cube(Vec3(0, 3 * d, d), 1.0f));
+    elements.emplace_back(102, Aabb::Cube(Vec3(-2 * d, -2 * d, 0), 1.0f));
+    CheckBrowse(elements, {Vec3(0, 0, 0)}, {1, 2, 3, 4, 5, 6, 7}, 1);
+  }
+}
+
+TEST(KnnBrowseTest, DuplicateBoxesAcrossPages) {
+  // Forty copies of one box spread over about ten pages, among a scattered
+  // cloud: the whole tie block sits at one distance.
+  geom::ElementVec elements;
+  const Aabb twin = Aabb::Cube(Vec3(20, 20, 20), 2.0f);
+  for (ElementId id = 0; id < 120; ++id) {
+    if (id % 3 == 0) {
+      elements.emplace_back(id, twin);
+    } else {
+      const float x = static_cast<float>((id * 37) % 50);
+      const float y = static_cast<float>((id * 11) % 50);
+      elements.emplace_back(id, Aabb::Cube(Vec3(x, y, 5.0f), 1.0f));
+    }
+  }
+  CheckBrowse(elements, {Vec3(20, 20, 20), Vec3(24, 18, 30)},
+              {1, 7, 40, 41, 60}, 4);
+}
+
+TEST(KnnBrowseTest, KBeyondDatasetReadsEveryPage) {
+  geom::ElementVec elements;
+  for (ElementId id = 0; id < 50; ++id) {
+    const float v = static_cast<float>(id);
+    elements.emplace_back(id, Aabb::Cube(Vec3(v, 2 * v, 50 - v), 1.5f));
+  }
+  CheckBrowse(elements, {Vec3(10, 10, 10)}, {50, 51, 500}, 6);
+}
+
+TEST(KnnBrowseTest, PointFarOutsideTheDomain) {
+  geom::ElementVec elements;
+  for (ElementId id = 0; id < 200; ++id) {
+    const float v = static_cast<float>(id);
+    elements.emplace_back(
+        id, Aabb::Cube(Vec3(std::fmod(v * 7.3f, 40.0f),
+                            std::fmod(v * 3.1f, 40.0f),
+                            std::fmod(v * 5.7f, 40.0f)),
+                       1.0f));
+  }
+  CheckBrowse(elements,
+              {Vec3(1e5f, -3e4f, 2e5f), Vec3(-900, 20, 20), Vec3(20, 20, 7e6f)},
+              {1, 9, 64}, 8);
+}
+
+TEST(KnnBrowseTest, ZeroExtentDomain) {
+  // Every element is the same degenerate point box: the domain has no
+  // extent, and every page's MBR is that point.
+  geom::ElementVec elements;
+  for (ElementId id = 0; id < 30; ++id) {
+    elements.emplace_back(id, Aabb(Vec3(3, 4, 5), Vec3(3, 4, 5)));
+  }
+  CheckBrowse(elements, {Vec3(3, 4, 5), Vec3(0, 0, 0), Vec3(3, 4, 500)},
+              {1, 5, 30, 31}, 4);
+}
+
+TEST_F(KnnFixture, BrowseReadsExactlyThePagesWithinTheKthDistance) {
+  std::vector<Vec3> points;
+  auto anchors = neuro::DataCenteredQueries(elements_, 1.0f, 6, 61);
+  for (const Aabb& box : anchors) points.push_back(box.Center());
+  auto uniform = neuro::UniformQueries(db_->domain(), 1.0f, 4, 62);
+  for (const Aabb& box : uniform) points.push_back(box.Center());
+  CheckBrowse(elements_, points, {1, 8, 100}, 64);
+}
+
+// --------------------------------------------------------------------------
+// Grid browse vs the exhaustive-scan oracle
+// --------------------------------------------------------------------------
+
+TEST_F(KnnFixture, GridBrowseMatchesScanOracle) {
   GridBackend* grid = db_->grid_backend();
   std::vector<Vec3> points;
   auto anchors = neuro::DataCenteredQueries(elements_, 1.0f, 8, 51);
@@ -173,45 +342,44 @@ TEST_F(KnnFixture, GridRingSearchMatchesScanOracle) {
 
   for (const Vec3& p : points) {
     for (size_t k : {1u, 9u, 100u}) {
-      storage::PoolSet ring_pools = grid->MakePoolSet(4096);
+      storage::PoolSet browse_pools = grid->MakePoolSet(4096);
       storage::PoolSet scan_pools = grid->MakePoolSet(4096);
-      std::vector<KnnHit> ring, scan;
-      RangeStats ring_stats, scan_stats;
+      std::vector<KnnHit> browse, scan;
+      RangeStats browse_stats, scan_stats;
       ASSERT_TRUE(
-          grid->KnnQuery(p, k, &ring_pools, &ring, &ring_stats).ok());
+          grid->KnnQuery(p, k, &browse_pools, &browse, &browse_stats).ok());
       ASSERT_TRUE(
           grid->KnnScanQuery(p, k, &scan_pools, &scan, &scan_stats).ok());
-      EXPECT_EQ(ring, scan) << "k=" << k << " at (" << p.x << ", " << p.y
-                            << ", " << p.z << ")";
-      // The ring search must never do more work than the full scan.
-      EXPECT_LE(ring_stats.pages_read, scan_stats.pages_read);
-      EXPECT_LE(ring_stats.elements_scanned, scan_stats.elements_scanned);
+      EXPECT_EQ(browse, scan) << "k=" << k << " at (" << p.x << ", " << p.y
+                              << ", " << p.z << ")";
+      // The browse must never do more work than the full scan.
+      EXPECT_LE(browse_stats.pages_read, scan_stats.pages_read);
+      EXPECT_LE(browse_stats.elements_scanned, scan_stats.elements_scanned);
     }
   }
 }
 
-TEST_F(KnnFixture, GridRingSearchPrunesOnSmallK) {
-  // For k == 1 on a data-centered point the ring search should terminate
-  // after a handful of rings, well short of the whole grid.
+TEST_F(KnnFixture, GridBrowsePrunesOnSmallK) {
+  // For k == 1 on a data-centered point the browse should stop after a
+  // handful of pages, well short of the whole grid.
   GridBackend* grid = db_->grid_backend();
-  ASSERT_GT(grid->NumCells(), 8u);  // resolution high enough to prune
-  uint64_t ring_total = 0, scan_total = 0;
+  uint64_t browse_total = 0, scan_total = 0;
   auto anchors = neuro::DataCenteredQueries(elements_, 1.0f, 10, 53);
   for (const Aabb& box : anchors) {
-    storage::PoolSet ring_pools = grid->MakePoolSet(4096);
+    storage::PoolSet browse_pools = grid->MakePoolSet(4096);
     storage::PoolSet scan_pools = grid->MakePoolSet(4096);
     std::vector<KnnHit> hits;
-    RangeStats ring_stats, scan_stats;
-    ASSERT_TRUE(grid->KnnQuery(box.Center(), 1, &ring_pools, &hits,
-                               &ring_stats)
+    RangeStats browse_stats, scan_stats;
+    ASSERT_TRUE(grid->KnnQuery(box.Center(), 1, &browse_pools, &hits,
+                               &browse_stats)
                     .ok());
     ASSERT_TRUE(grid->KnnScanQuery(box.Center(), 1, &scan_pools, &hits,
                                    &scan_stats)
                     .ok());
-    ring_total += ring_stats.elements_scanned;
+    browse_total += browse_stats.elements_scanned;
     scan_total += scan_stats.elements_scanned;
   }
-  EXPECT_LT(ring_total, scan_total);
+  EXPECT_LT(browse_total, scan_total);
 }
 
 // --------------------------------------------------------------------------

@@ -28,6 +28,24 @@ ElementVec RandomElements(size_t n, uint64_t seed, float domain = 100.0f) {
   return out;
 }
 
+// BrowseKnn over a tree whose entries are the elements themselves: each
+// scanned entry offers itself, and `keys` records the scan order's keys.
+std::vector<geom::KnnHit> Browse(const RTree& tree, const Vec3& p, size_t k,
+                                 std::vector<double>* keys) {
+  std::vector<geom::KnnHit> hits;
+  Status status = tree.BrowseKnn(
+      p, k,
+      [&](const SpatialElement& entry, geom::KnnAccumulator* acc) {
+        double key = geom::KnnDistance(p, entry.bounds);
+        keys->push_back(key);
+        acc->Offer(entry.id, key);
+        return Status::OK();
+      },
+      &hits);
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  return hits;
+}
+
 std::vector<ElementId> BruteForce(const ElementVec& elements,
                                   const Aabb& box) {
   std::vector<ElementId> out;
@@ -64,7 +82,9 @@ TEST(RTreeTest, EmptyTreeBehaves) {
   EXPECT_TRUE(out.empty());
   SpatialElement e;
   EXPECT_FALSE(tree.FindAny(Aabb::Cube(Vec3(0, 0, 0), 10), &e));
-  EXPECT_TRUE(tree.Knn(Vec3(0, 0, 0), 3).empty());
+  std::vector<double> keys;
+  EXPECT_TRUE(Browse(tree, Vec3(0, 0, 0), 3, &keys).empty());
+  EXPECT_TRUE(keys.empty());
   EXPECT_TRUE(tree.CheckInvariants().ok());
 }
 
@@ -133,36 +153,56 @@ TEST(RTreeTest, FindAnyReturnsIntersectingElement) {
   EXPECT_FALSE(tree->FindAny(Aabb::Cube(Vec3(1e6f, 1e6f, 1e6f), 1), &found));
 }
 
-TEST(RTreeTest, KnnMatchesBruteForce) {
+TEST(RTreeTest, BrowseKnnMatchesBruteForce) {
   ElementVec elements = RandomElements(800, 33);
   auto tree = RTree::BulkLoadStr(elements);
   ASSERT_TRUE(tree.ok());
-  Vec3 p(40, 60, 20);
-  const size_t k = 10;
-  auto got = tree->Knn(p, k);
-  ASSERT_EQ(got.size(), k);
-  // Brute-force reference by box distance.
-  std::vector<std::pair<double, ElementId>> ref;
-  for (const auto& e : elements) {
-    ref.emplace_back(e.bounds.SquaredDistanceTo(p), e.id);
-  }
-  std::sort(ref.begin(), ref.end());
-  for (size_t i = 0; i < k; ++i) {
-    EXPECT_NEAR(got[i].second * got[i].second, ref[i].first, 1e-6)
-        << "rank " << i;
-  }
-  // Distances are non-decreasing.
-  for (size_t i = 1; i < got.size(); ++i) {
-    EXPECT_GE(got[i].second, got[i - 1].second);
+  for (const Vec3& p : {Vec3(40, 60, 20), Vec3(-50, 130, 70)}) {
+    for (size_t k : {1u, 10u, 100u}) {
+      std::vector<double> keys;
+      std::vector<geom::KnnHit> got = Browse(*tree, p, k, &keys);
+      std::vector<geom::KnnHit> truth = geom::BruteForceKnn(elements, p, k);
+      EXPECT_EQ(got, truth) << "k=" << k;
+      // Entries are scanned in ascending key order, and exactly those
+      // within the k-th distance are scanned.
+      EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end())) << "k=" << k;
+      size_t within = 0;
+      for (const auto& e : elements) {
+        if (geom::KnnDistance(p, e.bounds) <= truth.back().distance) ++within;
+      }
+      EXPECT_EQ(keys.size(), within) << "k=" << k;
+    }
   }
 }
 
-TEST(RTreeTest, KnnWithKLargerThanTree) {
+TEST(RTreeTest, BrowseKnnWithKLargerThanTreeOrZero) {
   ElementVec elements = RandomElements(5, 77);
   auto tree = RTree::BulkLoadStr(elements);
   ASSERT_TRUE(tree.ok());
-  EXPECT_EQ(tree->Knn(Vec3(0, 0, 0), 50).size(), 5u);
-  EXPECT_TRUE(tree->Knn(Vec3(0, 0, 0), 0).empty());
+  std::vector<double> keys;
+  EXPECT_EQ(Browse(*tree, Vec3(0, 0, 0), 50, &keys),
+            geom::BruteForceKnn(elements, Vec3(0, 0, 0), 50));
+  EXPECT_EQ(keys.size(), 5u);
+  keys.clear();
+  EXPECT_TRUE(Browse(*tree, Vec3(0, 0, 0), 0, &keys).empty());
+  EXPECT_TRUE(keys.empty());
+}
+
+TEST(RTreeTest, BrowseKnnStopsOnScanError) {
+  ElementVec elements = RandomElements(300, 41);
+  auto tree = RTree::BulkLoadStr(elements);
+  ASSERT_TRUE(tree.ok());
+  size_t scans = 0;
+  std::vector<geom::KnnHit> hits{{7, 7.0}};
+  Status status = tree->BrowseKnn(
+      Vec3(50, 50, 50), 20,
+      [&](const SpatialElement&, geom::KnnAccumulator*) {
+        return ++scans == 3 ? Status::IOError("page read failed")
+                            : Status::OK();
+      },
+      &hits);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_EQ(scans, 3u);
 }
 
 TEST(RTreeTest, QueryStatsCountPerLevel) {

@@ -441,61 +441,41 @@ TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
     EXPECT_EQ(report->hits, truth) << "backend " << static_cast<int>(choice);
   }
 
-  // The session path, with and without the previous step's seed radius.
-  for (bool seed_knn : {false, true}) {
-    scout::SessionOptions options = db->options().session;
-    options.seed_knn = seed_knn;
-    auto session = engine::Session::Open(
-        &db->flat_index(), db->flat_backend()->store(), nullptr,
-        scout::PrefetchMethod::kNone, options, db->flat_backend());
-    ASSERT_TRUE(session.ok());
-    ASSERT_TRUE(session->Step(Aabb::Cube(point, 30.0f)).ok());
-    std::vector<KnnHit> hits;
-    ASSERT_TRUE(session->StepKnn(point, kK, &hits).ok());
-    EXPECT_EQ(hits, truth) << "seed_knn " << seed_knn;
-  }
+  // The session path.
+  auto session = engine::Session::Open(
+      &db->flat_index(), db->flat_backend()->store(), nullptr,
+      scout::PrefetchMethod::kNone, db->options().session, db->flat_backend());
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session->Step(Aabb::Cube(point, 30.0f)).ok());
+  std::vector<KnnHit> hits;
+  ASSERT_TRUE(session->StepKnn(point, kK, &hits).ok());
+  EXPECT_EQ(hits, truth);
 }
 
 // --------------------------------------------------------------------------
-// Delta kNN seeding parity (ROADMAP PR-4 follow-up)
+// Session kNN along an exploration walk
 // --------------------------------------------------------------------------
 
-TEST(UpdateTest, SeededStepKnnIsByteIdenticalToUnseeded) {
+TEST(UpdateTest, StepKnnWalkMatchesBruteForce) {
   ElementVec elements = MakeCloud(1500, 19);
   auto db = MakeEngine(elements);
+  auto session = engine::Session::Open(&db->flat_index(),
+                                       db->flat_backend()->store(), nullptr,
+                                       scout::PrefetchMethod::kNone,
+                                       db->options().session);
+  ASSERT_TRUE(session.ok());
 
-  scout::SessionOptions seeded_options = db->options().session;
-  seeded_options.seed_knn = true;
-  scout::SessionOptions unseeded_options = seeded_options;
-  unseeded_options.seed_knn = false;
-
-  auto seeded = engine::Session::Open(&db->flat_index(),
-                                      db->flat_backend()->store(), nullptr,
-                                      scout::PrefetchMethod::kNone,
-                                      seeded_options);
-  auto unseeded = engine::Session::Open(&db->flat_index(),
-                                        db->flat_backend()->store(), nullptr,
-                                        scout::PrefetchMethod::kNone,
-                                        unseeded_options);
-  ASSERT_TRUE(seeded.ok());
-  ASSERT_TRUE(unseeded.ok());
-
-  // A drifting exploration: each range step refreshes the seed candidates,
-  // each kNN step must agree hit-for-hit with the unseeded session and
-  // brute force.
+  // A drifting exploration: range steps warm the session pool between kNN
+  // steps, and every kNN step must agree hit-for-hit with brute force.
   neuro::NavigationPath walk =
       neuro::RandomWalkPath(db->domain(), 8, 12.0f, 23);
   for (const Vec3& waypoint : walk.waypoints) {
-    Aabb box = Aabb::Cube(waypoint, 40.0f);
-    ASSERT_TRUE(seeded->Step(box).ok());
-    ASSERT_TRUE(unseeded->Step(box).ok());
-
+    ASSERT_TRUE(session->Step(Aabb::Cube(waypoint, 40.0f)).ok());
     for (size_t k : {1u, 8u, 24u}) {
-      std::vector<KnnHit> with_seed, without_seed;
-      ASSERT_TRUE(seeded->StepKnn(waypoint, k, &with_seed).ok());
-      ASSERT_TRUE(unseeded->StepKnn(waypoint, k, &without_seed).ok());
-      EXPECT_EQ(with_seed, without_seed) << "k=" << k;
-      EXPECT_EQ(with_seed, geom::BruteForceKnn(elements, waypoint, k));
+      std::vector<KnnHit> hits;
+      ASSERT_TRUE(session->StepKnn(waypoint, k, &hits).ok());
+      EXPECT_EQ(hits, geom::BruteForceKnn(elements, waypoint, k))
+          << "k=" << k;
     }
   }
 }
