@@ -321,22 +321,20 @@ Result<scout::StepRecord> Session::Step(const geom::Aabb& box,
   return RunStep([&](std::vector<geom::ElementId>* ids,
                      geom::Aabb* prefetch_box) {
     *prefetch_box = box;
-    geom::ElementVec results;
     if (delta_ == nullptr || delta_->Empty()) {
-      // Read-only fast path: stream in crawl order, collect the element
-      // list for the prefetcher.
-      geom::CollectingVisitor collector;
+      // Read-only fast path: stream in crawl order, collect the ids for
+      // the prefetcher.
+      geom::VectorVisitor collector(ids);
       geom::TeeVisitor tee(&visitor, &collector);
-      NEURODB_RETURN_NOT_OK(index_->RangeQuery(box, pool_.get(), tee));
-      results = collector.TakeElements();
-    } else {
-      NEURODB_RETURN_NOT_OK(DeltaMergedRange(box, &results));
-      for (const geom::SpatialElement& e : results) {
-        visitor.Visit(e.id, e.bounds);
-      }
+      return index_->RangeQuery(box, pool_.get(), tee);
     }
+    geom::ElementVec results;
+    NEURODB_RETURN_NOT_OK(DeltaMergedRange(box, &results));
     ids->reserve(results.size());
-    for (const geom::SpatialElement& e : results) ids->push_back(e.id);
+    for (const geom::SpatialElement& e : results) {
+      visitor.Visit(e.id, e.bounds);
+      ids->push_back(e.id);
+    }
     return Status::OK();
   });
 }
