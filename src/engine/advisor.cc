@@ -219,7 +219,7 @@ Result<AdvisorDecision> QueryEngine::Advise(const WorkloadProfile& profile) {
   NEURODB_RETURN_NOT_OK(profile.Validate());
 
   const Aabb& domain = domain_;
-  const size_t population = live_bounds_.size();
+  const size_t population = live_.size();
   const double wr = profile.range_weight / (profile.range_weight +
                                             profile.knn_weight);
   const double wk = 1.0 - wr;
@@ -263,7 +263,7 @@ Result<AdvisorDecision> QueryEngine::Advise(const WorkloadProfile& profile) {
       model.bounds = sharded_->shard_bounds(s);
       model.population = sharded_->ShardPopulation(s);
       model.is_rtree = inner_rtree;
-      const BaseDeltaBackend& inner = sharded_->shard(s);
+      const SpatialBackend& inner = sharded_->shard(s);
       if (inner_rtree) {
         const auto& rt = static_cast<const PagedRTreeBackend&>(inner);
         if (!rt.base_empty()) model.rtree_levels = rt.tree().tree().LevelProfile();

@@ -1,14 +1,34 @@
 // NeuroDB — SpatialBackend: the pluggable index interface of QueryEngine.
 //
 // A backend owns one or more simulated disks (PageStores), knows how to lay
-// a dataset out on them (Build), how to answer range queries through buffer
-// pools with streaming visitor delivery (RangeQuery), and how to answer
-// k-nearest-neighbour queries with deterministic (distance, id) ordering
-// (KnnQuery). Queries take a storage::PoolSet — one BufferPool per store of
-// the backend (Stores()) — so multi-store backends such as the domain-
-// sharded ShardedBackend fit the same interface as the single-store FLAT,
-// paged R-tree and uniform grid, and join BackendChoice::kAll comparisons
-// without facade changes.
+// a dataset out on them (Build) and how to answer range queries through
+// buffer pools with streaming visitor delivery and k-nearest-neighbour
+// queries with deterministic (distance, id) ordering. Queries take a
+// storage::PoolSet — one BufferPool per store of the backend (Stores()) —
+// so multi-store backends such as the domain-sharded ShardedBackend fit the
+// same interface as the single-store FLAT, paged R-tree and uniform grid,
+// and join BackendChoice::kAll comparisons without facade changes.
+//
+// A backend is a read-only index over one base generation. It keeps no
+// copy of the element set and no delta: the engine's LiveSet
+// (engine/live_set.h) holds both, once. Mutation is layered over the
+// index at read time — RangeQueryView/KnnQueryView merge the base answer
+// (the BaseRangeQuery/BaseKnnQuery hooks) with a delta version:
+//
+//   * range: base results with dead ids filtered, plus the delta inserts
+//     intersecting the box, under the global ascending-id insert order;
+//   * kNN: the base is asked for k neighbours, re-asked with a doubled k
+//     while fewer than k of its hits are live (DeltaIndex::MergeKnn), and
+//     the accumulator is seeded from the delta side too, so the merged
+//     frontier is exact under the (distance, id) order; every ask is
+//     charged to the query's RangeStats.
+//
+// The delta version is one of three: the one the caller pinned (the
+// engine resolves a request's (epoch, delta) pair once and hands it to
+// every backend the request runs on); the attached LiveSet's version at an
+// epoch (RangeQueryAt/KnnQueryAt; kLatestEpoch is its newest); or none,
+// for a standalone backend. Compact rebuilds every backend in place over
+// the LiveSet's next base generation (Rebuild).
 
 #ifndef NEURODB_ENGINE_BACKEND_H_
 #define NEURODB_ENGINE_BACKEND_H_
@@ -22,6 +42,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "engine/delta_index.h"
+#include "engine/live_set.h"
 #include "geom/aabb.h"
 #include "geom/element.h"
 #include "geom/knn.h"
@@ -71,9 +92,6 @@ struct RangeStats {
   storage::PoolCounters pool;
 };
 
-/// Abstract index backend. Build once, then answer queries through a
-/// caller-supplied PoolSet (the pools determine cache behaviour; each
-/// query's RangeStats::pool tally determines its modeled time).
 /// Produces one PageStore per request — the hook QueryEngine uses to put a
 /// backend's pages on disk. `name` is a stable per-store identifier (e.g.
 /// "Grid" or "Sharded.shard3") that disk factories turn into a file name.
@@ -81,6 +99,10 @@ using StoreFactory =
     std::function<Result<std::unique_ptr<storage::PageStore>>(
         const std::string& name)>;
 
+/// Abstract index backend. Build once (Rebuild at Compact), then answer
+/// queries through a caller-supplied PoolSet (the pools determine cache
+/// behaviour; each query's RangeStats::pool tally determines its modeled
+/// time).
 class SpatialBackend {
  public:
   SpatialBackend() = default;
@@ -92,132 +114,74 @@ class SpatialBackend {
   virtual const char* name() const = 0;
 
   /// Lay `elements` out in this backend's page store(s) and build the
-  /// index. Called exactly once per backend instance.
-  virtual Status Build(const geom::ElementVec& elements) = 0;
+  /// index, in the caller's order (the packers break ties by input
+  /// position). Called exactly once per backend instance.
+  Status Build(const geom::ElementVec& elements);
 
-  /// Stream every element intersecting `box` to `visitor`; page I/O goes
-  /// through `pools`, which must be a PoolSet over this backend's Stores().
-  virtual Status RangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
-                            ResultVisitor& visitor,
-                            RangeStats* stats = nullptr) const = 0;
+  /// Tear the index down and build it again over `elements` — same
+  /// PageStore objects, fresh pages: the Compact path. Every BufferPool
+  /// over Stores() must be evicted before its next use (QueryEngine::Compact
+  /// evicts its own pools; session pools re-fetch through the store-epoch
+  /// check).
+  Status Rebuild(const geom::ElementVec& elements);
 
-  /// Fill `hits` with the k nearest elements of `point` by box distance,
-  /// ascending under the library-wide (distance, id) order (geom/knn.h) so
-  /// independent backends return bit-identical answers. Page I/O goes
-  /// through `pools`. k == 0 yields an empty answer; k larger than the
-  /// dataset yields every element. Non-finite points are InvalidArgument.
-  virtual Status KnnQuery(const geom::Vec3& point, size_t k,
-                          storage::PoolSet* pools,
-                          std::vector<geom::KnnHit>* hits,
-                          RangeStats* stats = nullptr) const = 0;
+  /// Resolve RangeQueryAt/KnnQueryAt epochs through `live` (the engine's
+  /// LiveSet). Without one — the default — a standalone backend answers
+  /// from its base alone.
+  void AttachLiveSet(const LiveSet* live) { live_set_ = live; }
+
+  /// Stream every element intersecting `box` to `visitor`, merged with the
+  /// delta version `delta` (null: the base alone). Page I/O goes through
+  /// `pools`, which must be a PoolSet over this backend's Stores().
+  virtual Status RangeQueryView(const DeltaIndex* delta, const geom::Aabb& box,
+                                storage::PoolSet* pools,
+                                ResultVisitor& visitor,
+                                RangeStats* stats = nullptr) const;
+
+  /// Fill `hits` with the k nearest live elements of `point` by box
+  /// distance, merged with `delta` (null: the base alone), ascending under
+  /// the library-wide (distance, id) order (geom/knn.h) so independent
+  /// backends return bit-identical answers. k == 0 yields an empty answer;
+  /// k larger than the dataset yields every element. Non-finite points are
+  /// InvalidArgument.
+  virtual Status KnnQueryView(const DeltaIndex* delta, const geom::Vec3& point,
+                              size_t k, storage::PoolSet* pools,
+                              std::vector<geom::KnnHit>* hits,
+                              RangeStats* stats = nullptr) const;
+
+  /// RangeQueryView over the attached LiveSet's delta version at
+  /// `read_epoch` (kLatestEpoch: its newest). OutOfRange when the epoch has
+  /// been retired from the retention window. A standalone backend answers
+  /// from its base at every epoch.
+  Status RangeQueryAt(storage::Epoch read_epoch, const geom::Aabb& box,
+                      storage::PoolSet* pools, ResultVisitor& visitor,
+                      RangeStats* stats = nullptr) const;
+
+  /// KnnQueryView as of `read_epoch`, exactly as RangeQueryAt.
+  Status KnnQueryAt(storage::Epoch read_epoch, const geom::Vec3& point,
+                    size_t k, storage::PoolSet* pools,
+                    std::vector<geom::KnnHit>* hits,
+                    RangeStats* stats = nullptr) const;
+
+  /// RangeQueryAt / KnnQueryAt at kLatestEpoch.
+  Status RangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                    ResultVisitor& visitor,
+                    RangeStats* stats = nullptr) const {
+    return RangeQueryAt(storage::kLatestEpoch, box, pools, visitor, stats);
+  }
+  Status KnnQuery(const geom::Vec3& point, size_t k, storage::PoolSet* pools,
+                  std::vector<geom::KnnHit>* hits,
+                  RangeStats* stats = nullptr) const {
+    return KnnQueryAt(storage::kLatestEpoch, point, k, pools, hits, stats);
+  }
 
   /// Index footprint.
   virtual BackendStats Stats() const = 0;
 
-  // --- Mutation protocol (base+delta backends) -----------------------------
-  //
-  // The built-in backends derive from BaseDeltaBackend and support the full
-  // protocol; a custom backend that leaves these defaulted is read-only, and
-  // QueryEngine::ApplyUpdates rejects the whole batch up front (checked via
-  // SupportsUpdates before anything applies) rather than diverging from the
-  // mutable backends mid-apply. Liveness validation (id exists / does not)
-  // happens at the engine boundary; backends apply what they are given.
-
-  /// True when this backend implements Insert/Erase/Move/Compact. The
-  /// engine refuses ApplyUpdates while any registered backend is
-  /// read-only — a half-applied batch would break kAll parity forever.
-  virtual bool SupportsUpdates() const { return false; }
-
-  /// Add element `id` at `bounds` to this backend's live set.
-  virtual Status Insert(geom::ElementId /*id*/, const geom::Aabb& /*bounds*/) {
-    return Status::Unimplemented(std::string(name()) +
-                                 ": backend does not support updates");
-  }
-
-  /// Remove live element `id`.
-  virtual Status Erase(geom::ElementId /*id*/) {
-    return Status::Unimplemented(std::string(name()) +
-                                 ": backend does not support updates");
-  }
-
-  /// Relocate live element `id` to `bounds`.
-  virtual Status Move(geom::ElementId /*id*/, const geom::Aabb& /*bounds*/) {
-    return Status::Unimplemented(std::string(name()) +
-                                 ": backend does not support updates");
-  }
-
-  /// Fold the accumulated delta back into a rebuilt immutable base. After a
-  /// successful Compact, DeltaSize() is 0 and query answers are unchanged.
-  /// The physical page layout is new: every BufferPool over this backend's
-  /// Stores() must be evicted before its next use (QueryEngine::Compact
-  /// handles its own pools; sessions opened before a compaction are stale).
-  virtual Status Compact() { return Status::OK(); }
-
-  /// Pending delta records (inserts + tombstones); 0 for read-only backends
-  /// and right after Compact.
-  virtual size_t DeltaSize() const { return 0; }
-
-  // --- Snapshot protocol (MVCC-lite) ---------------------------------------
-  //
-  // Mutable backends retain the last few published delta versions so a
-  // reader pinned at epoch E keeps seeing the E state while the writer
-  // commits E+1 (ISSUE 7). The defaults make an immutable custom backend
-  // trivially correct: with no mutations there is only one version, so the
-  // epoch-pinned queries forward to the plain ones and publishing is a
-  // no-op.
-
-  /// Apply a whole update batch and publish the result as the snapshot at
-  /// `epoch` — one immutable delta copy per backend per batch instead of
-  /// one per operation. The default loops Insert/Erase/Move.
-  virtual Status ApplyBatch(const std::vector<UpdateRequest>& updates,
-                            storage::Epoch epoch) {
-    (void)epoch;
-    for (const auto& u : updates) {
-      Status s;
-      switch (u.kind) {
-        case UpdateKind::kInsert:
-          s = Insert(u.id, u.bounds);
-          break;
-        case UpdateKind::kErase:
-          s = Erase(u.id);
-          break;
-        case UpdateKind::kMove:
-          s = Move(u.id, u.bounds);
-          break;
-      }
-      NEURODB_RETURN_NOT_OK(s);
-    }
-    return Status::OK();
-  }
-
-  /// Publish the current pending state as the immutable snapshot at
-  /// `epoch`. ApplyBatch calls this itself; the engine also calls it after
-  /// Compact so epoch E+1 resolves to the freshly compacted (empty-delta)
-  /// version.
-  virtual void PublishVersion(storage::Epoch /*epoch*/) {}
-
-  /// Stream every element intersecting `box` as of read epoch
-  /// `read_epoch` (kLatestEpoch = live pending state). OutOfRange when the
-  /// epoch has been retired from the retention window.
-  virtual Status RangeQueryAt(storage::Epoch /*read_epoch*/,
-                              const geom::Aabb& box, storage::PoolSet* pools,
-                              ResultVisitor& visitor,
-                              RangeStats* stats = nullptr) const {
-    return RangeQuery(box, pools, visitor, stats);
-  }
-
-  /// KnnQuery as of read epoch `read_epoch` (kLatestEpoch = live state).
-  virtual Status KnnQueryAt(storage::Epoch /*read_epoch*/,
-                            const geom::Vec3& point, size_t k,
-                            storage::PoolSet* pools,
-                            std::vector<geom::KnnHit>* hits,
-                            RangeStats* stats = nullptr) const {
-    return KnnQuery(point, k, pools, hits, stats);
-  }
-
-  /// How many published delta versions to retain (>= 1). No-op for
-  /// immutable backends.
-  virtual void SetVersionRetention(size_t /*versions*/) {}
+  bool built() const { return built_; }
+  /// True when the base indexes no elements (an empty build, or a compact
+  /// after everything was erased).
+  bool base_empty() const { return base_empty_; }
 
   /// Replace this backend's page store(s) with ones made by `factory` —
   /// how a durable engine moves a backend onto disk-backed stores. Must be
@@ -263,13 +227,49 @@ class SpatialBackend {
   const storage::PageStore& store() const { return *store_; }
 
  protected:
+  /// Lay `elements` out and build the index; `elements` may be empty (the
+  /// query hooks are then never called). Called once per Build, and once
+  /// per Rebuild after ResetBase.
+  virtual Status BuildBase(const geom::ElementVec& elements) = 0;
+
+  /// Drop the built index and Reset() the page store(s) so BuildBase can
+  /// run again over a new element set.
+  virtual Status ResetBase() = 0;
+
+  /// Answer a range query from the base index alone.
+  virtual Status BaseRangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                                ResultVisitor& visitor,
+                                RangeStats* stats) const = 0;
+
+  /// Answer a kNN query from the base index alone.
+  virtual Status BaseKnnQuery(const geom::Vec3& point, size_t k,
+                              storage::PoolSet* pools,
+                              std::vector<geom::KnnHit>* hits,
+                              RangeStats* stats) const = 0;
+
+  Status RequireBuilt(const char* op) const {
+    if (!built_) {
+      return Status::InvalidArgument(std::string(name()) + "::" + op +
+                                     ": not built");
+    }
+    return Status::OK();
+  }
+
   /// The primary store. Points at the default in-memory store unless
   /// AttachStores swapped in an owned (e.g. disk-backed) one.
   storage::PageStore* store_ = &memory_store_;
 
  private:
+  /// The delta version `read_epoch` resolves to through the attached
+  /// LiveSet (null when standalone).
+  Result<std::shared_ptr<const DeltaIndex>> ResolveDelta(
+      storage::Epoch read_epoch) const;
+
   storage::PageStore memory_store_;
   std::unique_ptr<storage::PageStore> owned_store_;
+  const LiveSet* live_set_ = nullptr;
+  bool built_ = false;
+  bool base_empty_ = false;
 };
 
 }  // namespace engine

@@ -14,8 +14,10 @@
 //     move = tombstone + re-insert at the new bounds), ascending.
 //
 // A merged query answer is: base results with dead ids filtered out, plus
-// the live inserts intersecting the query (engine/base_delta_backend.h).
-// Compact() folds the delta back into a rebuilt base and empties it.
+// the live inserts intersecting the query (SpatialBackend::RangeQueryView
+// in engine/backend.h). Compact folds the delta back into a rebuilt base
+// and empties it. An engine holds exactly one pending DeltaIndex, in its
+// LiveSet (engine/live_set.h).
 //
 // Readers never see the writer's DeltaIndex: every committed batch
 // publishes a copy into a VersionRing (below). Both sequences are
@@ -133,14 +135,12 @@ class DeltaIndex {
   /// Upsert `id` at `bounds` as a live delta element.
   void Insert(geom::ElementId id, const geom::Aabb& bounds) {
     inserts_.Put(geom::SpatialElement(id, bounds), /*replace=*/true);
-    ++revision_;
   }
 
   /// Kill `id`: a delta-born element is simply dropped; a base element
   /// gets a tombstone (its page copy cannot be removed until Compact).
   void Erase(geom::ElementId id) {
     if (!inserts_.Erase(id)) tombstones_.Put(id, /*replace=*/false);
-    ++revision_;
   }
 
   /// Relocate `id` to `bounds`. The base copy (if any) is tombstoned; the
@@ -149,13 +149,22 @@ class DeltaIndex {
     if (inserts_.Put(geom::SpatialElement(id, bounds), /*replace=*/true)) {
       tombstones_.Put(id, /*replace=*/false);
     }
-    ++revision_;
   }
 
   /// True when a *base* element with this id must not be reported: it is
   /// tombstoned, or shadowed by a delta copy (a Move's re-insert).
   bool IsDead(geom::ElementId id) const {
     return tombstones_.Contains(id) || inserts_.Contains(id);
+  }
+
+  /// The live insert with this id, or null when there is none.
+  const geom::SpatialElement* FindInsert(geom::ElementId id) const {
+    return inserts_.Find(id);
+  }
+
+  /// True when `id` has a tombstone (its base copy is dead).
+  bool IsTombstoned(geom::ElementId id) const {
+    return tombstones_.Contains(id);
   }
 
   /// Append every live insert intersecting `box` to `out`, ascending by id.
@@ -189,7 +198,7 @@ class DeltaIndex {
     });
   }
 
-  /// THE kNN-merge rule, in one place (the backend wrapper and session kNN
+  /// THE kNN-merge rule, in one place (the backend merge and session kNN
   /// steps both run it): the k best live hits around `point` into `out`.
   /// `base_knn(n, &hits)` must fill `hits` with the base's n best hits
   /// under the (distance, id) order. The base is asked for k; while fewer
@@ -271,13 +280,7 @@ class DeltaIndex {
   void Clear() {
     inserts_.Clear();
     tombstones_.Clear();
-    ++revision_;
   }
-
-  /// Mutation counter: bumped by every Insert/Erase/Move/Clear. Publishers
-  /// compare it against the revision they last snapshotted to skip copying
-  /// an unchanged delta (e.g. a backend whose shard a batch never touched).
-  uint64_t revision() const { return revision_; }
 
  private:
   static geom::ElementId IdOf(geom::ElementId id) { return id; }
@@ -335,13 +338,16 @@ class DeltaIndex {
       }
     }
 
-    bool Contains(geom::ElementId id) const {
+    /// The record with `id`, or null when there is none.
+    const Record* Find(geom::ElementId id) const {
       const size_t s = SlotOf(id);
-      if (s == dir_.size()) return false;
+      if (s == dir_.size()) return nullptr;
       const Chunk& chunk = *dir_[s].chunk;
       auto it = LowerBound(chunk, id);
-      return it != chunk.end() && IdOf(*it) == id;
+      return it != chunk.end() && IdOf(*it) == id ? &*it : nullptr;
     }
+
+    bool Contains(geom::ElementId id) const { return Find(id) != nullptr; }
 
     /// Add `record`. An existing record with its id is overwritten when
     /// `replace`, else left alone. Returns true when the id was new.
@@ -436,7 +442,6 @@ class DeltaIndex {
   ChunkedIdSeq<geom::SpatialElement> inserts_;
   /// Ids whose base copy is dead, ascending.
   ChunkedIdSeq<geom::ElementId> tombstones_;
-  uint64_t revision_ = 0;
 };
 
 /// One published, immutable delta version: the state of a DeltaIndex as of
@@ -458,57 +463,35 @@ struct DeltaSnapshot {
 template <typename T>
 class VersionRing {
  public:
+  /// One published snapshot and the epoch it describes.
+  struct Version {
+    storage::Epoch epoch = 0;
+    std::shared_ptr<const T> snapshot;
+  };
+
   explicit VersionRing(size_t retention = 8)
       : retention_(retention == 0 ? 1 : retention) {}
-
-  /// Keep at most `n` versions from now on (>= 1). Trims immediately.
-  void SetRetention(size_t n) {
-    std::lock_guard<std::mutex> lock(mu_);
-    retention_ = n == 0 ? 1 : n;
-    Trim();
-  }
 
   /// Publish `snapshot` as the state at `epoch`. Epochs must be pushed in
   /// ascending order; the oldest version falls off past the retention cap.
   void Publish(storage::Epoch epoch, std::shared_ptr<const T> snapshot) {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.push_back(Entry{epoch, std::move(snapshot)});
-    Trim();
-  }
-
-  /// Replace the newest snapshot in place, keeping its epoch — used when a
-  /// single-threaded mutator (plain Insert/Erase/Move outside an epoch'd
-  /// batch) changes state without committing a new engine epoch. Publishes
-  /// at epoch 0 when the ring is empty.
-  void Republish(std::shared_ptr<const T> snapshot) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (entries_.empty()) {
-      entries_.push_back(Entry{0, std::move(snapshot)});
-    } else {
-      entries_.back().snapshot = std::move(snapshot);
-    }
+    entries_.push_back(Version{epoch, std::move(snapshot)});
+    while (entries_.size() > retention_) entries_.erase(entries_.begin());
   }
 
   /// Drop all history and restart the ring at (`epoch`, `snapshot`) — the
-  /// Build path: the initial state of a fresh base.
+  /// Build and Compact paths: older versions describe states the new base
+  /// generation cannot reproduce.
   void Reset(storage::Epoch epoch, std::shared_ptr<const T> snapshot) {
     std::lock_guard<std::mutex> lock(mu_);
     entries_.clear();
-    entries_.push_back(Entry{epoch, std::move(snapshot)});
+    entries_.push_back(Version{epoch, std::move(snapshot)});
   }
 
-  /// Drop all history — the Compact path: the physical base changed, so
-  /// older delta versions no longer describe reachable states. Pinned
-  /// readers get OutOfRange until the writer publishes the post-compact
-  /// version.
-  void Clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    entries_.clear();
-  }
-
-  /// The newest snapshot with epoch <= `read_epoch` (kLatestEpoch pins the
-  /// newest overall). OutOfRange when `read_epoch` predates the retention
-  /// window — the caller's snapshot has been retired and it must re-pin.
+  /// The newest snapshot with epoch <= `read_epoch`. OutOfRange when
+  /// `read_epoch` predates the retention window — the caller's snapshot has
+  /// been retired and it must re-pin.
   Result<std::shared_ptr<const T>> At(storage::Epoch read_epoch) const {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
@@ -518,36 +501,17 @@ class VersionRing {
         "VersionRing: read epoch retired (older than the retention window)");
   }
 
-  /// The newest snapshot, or nullptr when nothing was ever published.
-  std::shared_ptr<const T> Latest() const {
+  /// The newest version, read in one step (snapshot null and epoch 0 when
+  /// nothing was ever published).
+  Version Latest() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return entries_.empty() ? nullptr : entries_.back().snapshot;
-  }
-
-  /// The newest published epoch (0 when empty).
-  storage::Epoch LatestEpoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.empty() ? 0 : entries_.back().epoch;
-  }
-
-  size_t NumVersions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.size();
+    return entries_.empty() ? Version{} : entries_.back();
   }
 
  private:
-  struct Entry {
-    storage::Epoch epoch = 0;
-    std::shared_ptr<const T> snapshot;
-  };
-
-  void Trim() {
-    while (entries_.size() > retention_) entries_.erase(entries_.begin());
-  }
-
   mutable std::mutex mu_;
   size_t retention_;
-  std::vector<Entry> entries_;
+  std::vector<Version> entries_;
 };
 
 }  // namespace engine

@@ -4,6 +4,7 @@ namespace neurodb {
 namespace engine {
 
 Status FlatBackend::BuildBase(const geom::ElementVec& elements) {
+  if (elements.empty()) return Status::OK();  // no crawl layout
   NEURODB_ASSIGN_OR_RETURN(flat::FlatIndex index,
                            flat::FlatIndex::Build(elements, store_, options_));
   index_.emplace(std::move(index));
@@ -16,8 +17,7 @@ Status FlatBackend::ResetBase() {
   return Status::OK();
 }
 
-Status FlatBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
-                                   const geom::Aabb& box,
+Status FlatBackend::BaseRangeQuery(const geom::Aabb& box,
                                    storage::PoolSet* pools,
                                    ResultVisitor& visitor,
                                    RangeStats* stats) const {
@@ -33,8 +33,7 @@ Status FlatBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
   return Status::OK();
 }
 
-Status FlatBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
-                                 const geom::Vec3& point, size_t k,
+Status FlatBackend::BaseKnnQuery(const geom::Vec3& point, size_t k,
                                  storage::PoolSet* pools,
                                  std::vector<geom::KnnHit>* hits,
                                  RangeStats* stats) const {
@@ -54,7 +53,7 @@ BackendStats FlatBackend::Stats() const {
   BackendStats stats;
   if (index_.has_value()) {
     stats.index_pages = index_->NumPages();
-    stats.metadata_bytes = index_->MetadataBytes() + MutationMetadataBytes();
+    stats.metadata_bytes = index_->MetadataBytes();
   }
   stats.io = IoTotals();
   return stats;

@@ -6,7 +6,7 @@
 #include <optional>
 #include <vector>
 
-#include "engine/base_delta_backend.h"
+#include "engine/backend.h"
 #include "flat/flat_index.h"
 
 namespace neurodb {
@@ -14,10 +14,10 @@ namespace engine {
 
 /// Adapter wrapping flat::FlatIndex. Owns the crawl-page store; the seed
 /// tree and neighborhood graph stay memory resident (FLAT's design). The
-/// immutable crawl layout is the base side of the base+delta protocol —
-/// updates accumulate in the inherited DeltaIndex until Compact() re-crawls
-/// the merged element set onto a reset store.
-class FlatBackend : public BaseDeltaBackend {
+/// immutable crawl layout is the base the inherited merge reads a delta
+/// version over; Rebuild re-crawls the next base generation onto a reset
+/// store.
+class FlatBackend : public SpatialBackend {
  public:
   explicit FlatBackend(flat::FlatOptions options = flat::FlatOptions())
       : options_(options) {}
@@ -29,6 +29,7 @@ class FlatBackend : public BaseDeltaBackend {
   /// The wrapped index — SCOUT sessions crawl and prefetch through it.
   /// Only valid when has_index(); an engine built empty (and populated
   /// purely through updates) has no crawl layout until the first Compact.
+  /// The index object keeps its address across Rebuild.
   const flat::FlatIndex& index() const { return *index_; }
 
   /// True when a built FLAT crawl layout exists (non-empty base).
@@ -39,11 +40,11 @@ class FlatBackend : public BaseDeltaBackend {
  protected:
   Status BuildBase(const geom::ElementVec& elements) override;
   Status ResetBase() override;
-  Status BaseRangeQuery(storage::Epoch read_epoch, const geom::Aabb& box,
-                        storage::PoolSet* pools, ResultVisitor& visitor,
+  Status BaseRangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                        ResultVisitor& visitor,
                         RangeStats* stats) const override;
-  Status BaseKnnQuery(storage::Epoch read_epoch, const geom::Vec3& point,
-                      size_t k, storage::PoolSet* pools,
+  Status BaseKnnQuery(const geom::Vec3& point, size_t k,
+                      storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
                       RangeStats* stats) const override;
 

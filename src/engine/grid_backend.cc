@@ -42,6 +42,7 @@ size_t GridBackend::CellOf(const Vec3& p) const {
 
 Status GridBackend::BuildBase(const geom::ElementVec& elements) {
   NEURODB_RETURN_NOT_OK(options_.Validate());
+  if (elements.empty()) return Status::OK();  // no cells, no pages
 
   num_elements_ = elements.size();
   domain_ = Aabb();
@@ -107,8 +108,7 @@ Status GridBackend::ResetBase() {
   return Status::OK();
 }
 
-Status GridBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
-                                   const Aabb& box, storage::PoolSet* pools,
+Status GridBackend::BaseRangeQuery(const Aabb& box, storage::PoolSet* pools,
                                    ResultVisitor& visitor,
                                    RangeStats* stats) const {
   if (pools == nullptr) {
@@ -165,9 +165,7 @@ Status GridBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
 Status GridBackend::ValidateKnn(storage::PoolSet* pools,
                                 std::vector<geom::KnnHit>* hits,
                                 const Vec3& point) const {
-  if (!built_) {
-    return Status::InvalidArgument("GridBackend: not built");
-  }
+  NEURODB_RETURN_NOT_OK(RequireBuilt("KnnQuery"));
   if (pools == nullptr) {
     return Status::InvalidArgument("GridBackend::KnnQuery: null pool set");
   }
@@ -194,8 +192,7 @@ Status GridBackend::ScanPage(size_t page_index, storage::BufferPool* pool,
   return Status::OK();
 }
 
-Status GridBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
-                                 const Vec3& point, size_t k,
+Status GridBackend::BaseKnnQuery(const Vec3& point, size_t k,
                                  storage::PoolSet* pools,
                                  std::vector<geom::KnnHit>* hits,
                                  RangeStats* stats) const {
@@ -234,11 +231,11 @@ Status GridBackend::KnnScanQuery(const Vec3& point, size_t k,
 
 BackendStats GridBackend::Stats() const {
   BackendStats stats;
-  if (built_) {
+  if (built()) {
     stats.index_pages = page_ids_.size();
     stats.metadata_bytes = cell_start_.capacity() * sizeof(uint32_t) +
                            page_ids_.capacity() * sizeof(storage::PageId) +
-                           page_tree_.MemoryBytes() + MutationMetadataBytes();
+                           page_tree_.MemoryBytes();
   }
   stats.io = IoTotals();
   return stats;

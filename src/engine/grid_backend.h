@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "engine/base_delta_backend.h"
+#include "engine/backend.h"
 #include "rtree/rtree.h"
 
 namespace neurodb {
@@ -44,10 +44,10 @@ struct GridOptions {
 
 /// Uniform-grid backend. Elements live in exactly one cell (chosen by
 /// bounding-box center); queries compensate by widening the examined cell
-/// block by the largest element half-extent seen at build time. Mutation
-/// rides the inherited base+delta protocol; Compact() re-grids the merged
-/// element set in place (same PageStore object, fresh pages).
-class GridBackend : public BaseDeltaBackend {
+/// block by the largest element half-extent seen at build time. Updates are
+/// merged over the grid at read time; Rebuild re-grids the next base
+/// generation in place (same PageStore object, fresh pages).
+class GridBackend : public SpatialBackend {
  public:
   explicit GridBackend(GridOptions options = GridOptions())
       : options_(options) {}
@@ -57,7 +57,7 @@ class GridBackend : public BaseDeltaBackend {
   /// The exhaustive page scan over the *base* layout, kept as the
   /// brute-force oracle the page-tree browse is tested against (and a
   /// deliberately index-free parity voice for targeted tests). Base-only:
-  /// pending delta records are not merged in.
+  /// delta records are not merged in.
   Status KnnScanQuery(const geom::Vec3& point, size_t k,
                       storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
@@ -79,13 +79,13 @@ class GridBackend : public BaseDeltaBackend {
  protected:
   Status BuildBase(const geom::ElementVec& elements) override;
   Status ResetBase() override;
-  Status BaseRangeQuery(storage::Epoch read_epoch, const geom::Aabb& box,
-                        storage::PoolSet* pools, ResultVisitor& visitor,
+  Status BaseRangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                        ResultVisitor& visitor,
                         RangeStats* stats) const override;
   /// Distance browsing over page_tree_: pages in ascending MINDIST to the
   /// point, stopping once the k-th best distance is below the next key.
-  Status BaseKnnQuery(storage::Epoch read_epoch, const geom::Vec3& point,
-                      size_t k, storage::PoolSet* pools,
+  Status BaseKnnQuery(const geom::Vec3& point, size_t k,
+                      storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
                       RangeStats* stats) const override;
 

@@ -43,7 +43,8 @@ Status EngineOptions::Validate() const {
   return rtree.Validate();
 }
 
-QueryEngine::QueryEngine(EngineOptions options) : options_(std::move(options)) {
+QueryEngine::QueryEngine(EngineOptions options)
+    : options_(std::move(options)), live_(options_.retained_versions) {
   auto flat = std::make_unique<FlatBackend>(options_.flat);
   auto rtree = std::make_unique<PagedRTreeBackend>(options_.rtree);
   auto grid = std::make_unique<GridBackend>(options_.grid);
@@ -197,23 +198,21 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
     NEURODB_RETURN_NOT_OK(durability_->LogLoad(0, elements));
   }
 
-  num_segments_ = elements.size();
+  // The LiveSet keeps the one id-sorted copy; duplicate ids fail the load
+  // before any backend builds.
+  NEURODB_ASSIGN_OR_RETURN(geom::ElementVec by_id,
+                           LiveSet::SortById(elements));
   domain_ = Aabb();
-  // A previous failed load may have left partial entries behind — ghost
-  // ids here would poison update validation (and retries) forever.
-  live_bounds_.clear();
-  live_bounds_.reserve(elements.size());
-  for (const auto& e : elements) {
-    domain_.Extend(e.bounds);
-    if (!live_bounds_.emplace(e.id, e.bounds).second) {
-      return Status::InvalidArgument("QueryEngine: duplicate element id");
-    }
-  }
+  for (const auto& e : elements) domain_.Extend(e.bounds);
 
+  // Backends build from the caller's order: the packers break ties by
+  // input position, so the id-sorted copy would move page layouts.
   for (auto& backend : backends_) {
     NEURODB_RETURN_NOT_OK(backend->Build(elements));
-    backend->SetVersionRetention(options_.retained_versions);
+    backend->AttachLiveSet(&live_);
   }
+  elements = geom::ElementVec();  // only the id-sorted copy stays
+  live_.Reset(std::make_shared<const geom::ElementVec>(std::move(by_id)), 0);
 
   // Worker pool for batch lanes and shard fan-out.
   if (options_.num_threads > 1) {
@@ -274,7 +273,7 @@ Status QueryEngine::ValidateBatchLocked(
     if (it != local.end()) return it->second;
     it = overlay->find(id);
     if (it != overlay->end()) return it->second;
-    return live_bounds_.find(id) != live_bounds_.end();
+    return live_.Lookup(id).has_value();
   };
   for (const UpdateRequest& update : updates) {
     switch (update.kind) {
@@ -318,54 +317,23 @@ Result<UpdateReport> QueryEngine::ApplyValidatedLocked(
   // The apply → publish layer of the write path, per batch, on every path
   // that applies one (ungrouped, group leader, WAL replay).
   Timer wall;
-  // Dirty region + live-id map first (erase/move dirty needs the *old*
-  // bounds): writer-private bookkeeping, invisible to readers.
+  // The batch applies once, to the LiveSet's pending delta (invisible to
+  // readers). Each op's dirty region takes the *old* bounds before it
+  // applies, so an insert-then-move of one id dirties both positions.
   UpdateReport report;
   for (const UpdateRequest& update : updates) {
-    switch (update.kind) {
-      case UpdateKind::kInsert:
-        report.dirty.Extend(update.bounds);
-        live_bounds_[update.id] = update.bounds;
-        ++num_segments_;
-        break;
-      case UpdateKind::kErase:
-        report.dirty.Extend(live_bounds_[update.id]);
-        live_bounds_.erase(update.id);
-        --num_segments_;
-        break;
-      case UpdateKind::kMove:
-        report.dirty.Extend(live_bounds_[update.id]);
-        report.dirty.Extend(update.bounds);
-        live_bounds_[update.id] = update.bounds;
-        break;
+    if (update.kind != UpdateKind::kInsert) {
+      report.dirty.Extend(*live_.Lookup(update.id));  // validated live
     }
+    if (update.kind != UpdateKind::kErase) report.dirty.Extend(update.bounds);
+    live_.Apply(update);
     ++report.applied;
   }
 
-  // Built-in backends cannot fail ApplyBatch once built; a custom backend
-  // that claims SupportsUpdates but errors mid-apply leaves the registry
-  // half-mutated — kAll parity would be silently broken forever, so the
-  // engine poisons itself instead (every later call fails loudly).
-  // Each backend applies the whole batch to its pending delta, then
-  // publishes ONE immutable snapshot at the new epoch — readers pinned at
-  // `next - 1` keep resolving their retained version, readers arriving
-  // after the epoch store below see the new one.
-  std::vector<UpdateRequest> batch(updates.begin(), updates.end());
-  for (auto& backend : backends_) {
-    Status applied = backend->ApplyBatch(batch, next);
-    if (!applied.ok()) {
-      corrupted_.store(true, std::memory_order_release);
-      return Status::Internal(
-          "QueryEngine::ApplyUpdates: backend failed mid-apply, engine state "
-          "is inconsistent — discard this engine (" +
-          applied.ToString() + ")");
-    }
-  }
-
-  // Publication point: every backend has the new version, so the epoch may
-  // become visible. Readers that loaded the old epoch nanoseconds ago are
-  // fine — its snapshot stays retained.
-  pool_manager_->AdvanceEpochTo(next);
+  // ONE immutable version at the new epoch, then the epoch: readers that
+  // pinned `next - 1` keep their version, readers arriving after the epoch
+  // store below see the new one.
+  live_.Publish(next);
   epoch_.store(next, std::memory_order_release);
 
   {
@@ -393,23 +361,12 @@ Result<UpdateReport> QueryEngine::ApplyUpdatesLocked(
     return Status::InvalidArgument("QueryEngine::ApplyUpdates: empty batch");
   }
 
-  // Mutability is all-or-nothing across the registry: a half-applied batch
-  // (mutable built-ins updated, a read-only custom backend not) would break
-  // kAll parity permanently, so refuse up front, before anything applies.
-  for (const auto& backend : backends_) {
-    if (!backend->SupportsUpdates()) {
-      return Status::Unimplemented(
-          std::string("QueryEngine::ApplyUpdates: backend '") +
-          backend->name() + "' is read-only");
-    }
-  }
-
   std::unordered_map<geom::ElementId, bool> overlay;
   NEURODB_RETURN_NOT_OK(ValidateBatchLocked(updates, &overlay));
 
   const storage::Epoch next = epoch_.load(std::memory_order_relaxed) + 1;
 
-  // The batch becomes crash-proof BEFORE any backend mutates: the WAL
+  // The batch becomes crash-proof BEFORE the live set mutates: the WAL
   // record (stamped with the epoch this batch will create) is written —
   // and, except under SyncPolicy::kNone, fsync'd — here, so an
   // acknowledged batch survives any later crash. If the append fails,
@@ -460,19 +417,9 @@ void QueryEngine::CommitGroupLocked(std::unique_lock<std::mutex>&) {
   }
   if (group.empty()) return;
 
-  // Gate checks shared by every member (batch-independent, so one answer
-  // serves the whole group).
+  // The gate check is batch-independent, so one answer serves the whole
+  // group.
   Status gate = RequireLoaded("ApplyUpdates");
-  if (gate.ok()) {
-    for (const auto& backend : backends_) {
-      if (!backend->SupportsUpdates()) {
-        gate = Status::Unimplemented(
-            std::string("QueryEngine::ApplyUpdates: backend '") +
-            backend->name() + "' is read-only");
-        break;
-      }
-    }
-  }
   if (!gate.ok()) {
     for (PendingCommit* pending : group) {
       pending->result = gate;
@@ -523,22 +470,11 @@ void QueryEngine::CommitGroupLocked(std::unique_lock<std::mutex>&) {
   obs::Bump(em_.wal_fsync);
   obs::Record(em_.commit_group_size, accepted.size());
 
-  // Apply in epoch order. A backend failure poisons the engine (see
-  // ApplyValidatedLocked); the batches after it are durable in the WAL but
-  // cannot apply — they fail with the poison status, like every later call.
-  Status poison = Status::OK();
+  // Apply in epoch order.
   for (size_t i = 0; i < accepted.size(); ++i) {
     PendingCommit* pending = accepted[i];
-    if (!poison.ok()) {
-      pending->result = poison;
-      complete(pending);
-      continue;
-    }
-    Result<UpdateReport> applied = ApplyValidatedLocked(
-        pending->updates,
-        base_epoch + 1 + static_cast<storage::Epoch>(i));
-    if (!applied.ok()) poison = applied.status();
-    pending->result = std::move(applied);
+    pending->result = ApplyValidatedLocked(
+        pending->updates, base_epoch + 1 + static_cast<storage::Epoch>(i));
     complete(pending);
   }
 }
@@ -628,24 +564,37 @@ Status QueryEngine::Compact() {
       NEURODB_RETURN_NOT_OK(durability_->LogEpochBump(next));
     }
     {
-      // Exclude readers for the rebuild: folding a delta replaces page
-      // layouts and clears every retained version — the one transition a
+      // Exclude readers for the rebuild: folding the delta replaces page
+      // layouts and retires every retained version — the one transition a
       // pinned snapshot cannot survive. Queries and session steps hold
       // this lock shared, so they are either fully before or fully after.
       std::unique_lock<std::shared_mutex> exclusive(compact_mu_);
-      for (auto& backend : backends_) {
-        NEURODB_RETURN_NOT_OK(backend->Compact());
+      if (live_.DeltaSize() > 0) {
+        // The next base generation, computed once for every backend.
+        auto next_base =
+            std::make_shared<const geom::ElementVec>(live_.NextBase());
+        for (auto& backend : backends_) {
+          Status rebuilt = backend->Rebuild(*next_base);
+          if (!rebuilt.ok()) {
+            // Earlier backends index the new generation, this one a
+            // half-built layout: no answer can be trusted any more.
+            corrupted_.store(true, std::memory_order_release);
+            return Status::Internal(
+                std::string("QueryEngine::Compact: backend '") +
+                backend->name() +
+                "' failed mid-rebuild, engine state is inconsistent — "
+                "discard this engine (" +
+                rebuilt.ToString() + ")");
+          }
+        }
+        live_.Reset(std::move(next_base), next);
+      } else {
+        live_.Publish(next);
       }
       // The physical page layout is new; every warm pool caches the old
       // one. (Session pools re-fetch lazily through the store-epoch
       // check.)
       pool_manager_->EvictAll();
-      // Re-seed the version rings before the new epoch becomes visible:
-      // the first reader pinning `next` must find a snapshot to resolve.
-      for (auto& backend : backends_) {
-        backend->PublishVersion(next);
-      }
-      pool_manager_->AdvanceEpochTo(next);
       epoch_.store(next, std::memory_order_release);
     }
     // Results are unchanged, so cached result boxes stay valid — only the
@@ -706,14 +655,14 @@ Status QueryEngine::CheckpointStreaming() {
   Timer wall;
   const storage::IoStats io_before = durability_->io();
 
-  // Phase 1 — pin, under a brief commit_mu_ hold: the epoch, the FLAT
-  // backend's published delta snapshot (immutable; together with its base
-  // list it IS the live set at that epoch) and the WAL cut point (every
-  // record at or before it has epoch <= pinned). compact_mu_ is taken
-  // shared *before* commit_mu_ drops so no Compact can swap the base list
-  // out from under the stream.
+  // Phase 1 — pin, under a brief commit_mu_ hold: the LiveSet's base
+  // generation and newest delta version (immutable; together they ARE the
+  // live set at the engine epoch) and the WAL cut point (every record at
+  // or before it has epoch <= pinned). compact_mu_ is taken shared
+  // *before* commit_mu_ drops so no Compact rebuilds under the stream.
   std::shared_lock<std::shared_mutex> no_compact(compact_mu_, std::defer_lock);
   storage::Epoch pinned = 0;
+  std::shared_ptr<const geom::ElementVec> base;
   DeltaSnapshot snap;
   uint64_t wal_cut = 0;
   {
@@ -721,7 +670,8 @@ Status QueryEngine::CheckpointStreaming() {
     NEURODB_RETURN_NOT_OK(RequireLoaded("Checkpoint"));
     no_compact.lock();
     pinned = epoch_.load(std::memory_order_relaxed);
-    snap = flat_->LatestDelta();
+    base = live_.base();
+    snap = live_.Latest();
     wal_cut = durability_->wal().end_offset();
   }
 
@@ -737,11 +687,8 @@ Status QueryEngine::CheckpointStreaming() {
       no_compact.unlock();
       return stream.status();
     }
-    static const engine::DeltaIndex kNoDelta;
-    const engine::DeltaIndex& delta =
-        snap.delta != nullptr ? *snap.delta : kNoDelta;
-    Status streamed = delta.ForEachLive(
-        flat_->base_elements(), [&](const geom::SpatialElement& element) {
+    Status streamed = snap.delta->ForEachLive(
+        *base, [&](const geom::SpatialElement& element) {
           return (*stream)->Append(element);
         });
     if (streamed.ok()) streamed = (*stream)->Finish();
@@ -789,8 +736,7 @@ Status QueryEngine::ApplyEpochBump(storage::Epoch e) {
   // state already holds the right live set (base + replayed batches);
   // only the epoch sequence needs the advance so later records stay
   // consecutive.
-  for (auto& backend : backends_) backend->PublishVersion(e);
-  pool_manager_->AdvanceEpochTo(e);
+  live_.Publish(e);
   epoch_.store(e, std::memory_order_release);
   {
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
@@ -845,9 +791,12 @@ Status QueryEngine::Recover(RecoveryReport* report) {
   }
 
   // Resume at the persisted epoch: recovery must never hand out an epoch
-  // the previous incarnation already stamped onto results.
-  pool_manager_->AdvanceEpochTo(ckpt);
-  epoch_.store(pool_manager_->epoch(), std::memory_order_release);
+  // the previous incarnation already stamped onto results. The LiveSet's
+  // newest version carries it too, so default-epoch reads report it.
+  if (ckpt > epoch()) {
+    live_.Publish(ckpt);
+    epoch_.store(ckpt, std::memory_order_release);
+  }
   result_cache_->AdvanceEpoch(epoch(), Aabb());
 
   // Replay the WAL tail through ApplyUpdates. Records at or below the
@@ -914,16 +863,13 @@ obs::MetricsSnapshot QueryEngine::MetricsSnapshot() {
   if (loaded_) {
     // Sampled gauges: lower layers are not instrumented on their hot paths
     // (a query's pool fetch costs zero extra when nobody looks) — their
-    // cumulative state is read here instead, under the same locks their
-    // writers hold (the pools latch themselves). Lock order matches
-    // ApplyUpdates/Compact: commit -> compact -> cache.
+    // cumulative state is read here instead: the LiveSet's newest
+    // published version, the result cache under its writers' lock, and the
+    // pools, which latch themselves.
     m->gauge("engine.epoch")->Set(epoch());
     m->gauge("engine.backends")->Set(backends_.size());
-    {
-      std::lock_guard<std::mutex> commit(commit_mu_);
-      m->gauge("engine.live_elements")->Set(num_segments_);
-      m->gauge("engine.delta_records")->Set(DeltaSize());
-    }
+    m->gauge("engine.live_elements")->Set(NumSegments());
+    m->gauge("engine.delta_records")->Set(DeltaSize());
     const storage::PoolManagerStats pool_stats = pool_manager_->Stats();
     m->gauge("pool.pools")->Set(pool_stats.pools);
     m->gauge("pool.pages_cached")->Set(pool_stats.pages_cached);
@@ -961,16 +907,10 @@ obs::MetricsSnapshot QueryEngine::MetricsSnapshot() {
   return m->Snapshot();
 }
 
-size_t QueryEngine::DeltaSize() const {
-  size_t total = 0;
-  for (const auto& backend : backends_) total += backend->DeltaSize();
-  return total;
-}
-
 Status QueryEngine::RequireLoaded(const char* op) const {
   if (corrupted_) {
     return Status::Internal(std::string("QueryEngine::") + op +
-                            ": engine poisoned by a failed update apply — "
+                            ": engine poisoned by a failed Compact — "
                             "discard this engine");
   }
   if (!loaded_) {
@@ -978,6 +918,13 @@ Status QueryEngine::RequireLoaded(const char* op) const {
                                    ": no circuit loaded");
   }
   return Status::OK();
+}
+
+Result<DeltaSnapshot> QueryEngine::PinRead(storage::Epoch read_epoch) const {
+  if (read_epoch == storage::kLatestEpoch) return live_.Latest();
+  NEURODB_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaIndex> delta,
+                           live_.At(read_epoch));
+  return DeltaSnapshot{read_epoch, std::move(delta)};
 }
 
 std::vector<const SpatialBackend*> QueryEngine::Select(
@@ -1095,14 +1042,13 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
   const bool parity_check = selected.size() > 1;
   std::vector<std::vector<ElementId>> id_sets;
 
-  // The snapshot pin: resolve "latest" ONCE, before the first backend
-  // runs, so every backend (and the parity check across them) answers the
-  // same epoch even while a concurrent ApplyUpdates publishes the next.
-  const storage::Epoch pinned =
-      request.read_epoch == storage::kLatestEpoch
-          ? epoch_.load(std::memory_order_acquire)
-          : request.read_epoch;
-  report->epoch = pinned;
+  // The snapshot pin: resolve the (epoch, delta) pair ONCE, before the
+  // first backend runs, so every backend (and the parity check across
+  // them) answers the same snapshot even while a concurrent ApplyUpdates
+  // publishes the next.
+  NEURODB_ASSIGN_OR_RETURN(const DeltaSnapshot pinned,
+                           PinRead(request.read_epoch));
+  report->epoch = pinned.epoch;
 
   report->rows.reserve(selected.size());
   for (size_t k = 0; k < selected.size(); ++k) {
@@ -1123,15 +1069,15 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
       geom::VectorVisitor ids(&id_sets.back());
       // The primary backend additionally streams to the caller.
       geom::TeeVisitor tee(k == 0 ? visitor : nullptr, &ids);
-      status = backend->RangeQueryAt(pinned, request.box, pool, tee,
-                                     &row.stats);
+      status = backend->RangeQueryView(pinned.delta.get(), request.box, pool,
+                                       tee, &row.stats);
     } else if (visitor != nullptr) {
-      status = backend->RangeQueryAt(pinned, request.box, pool, *visitor,
-                                     &row.stats);
+      status = backend->RangeQueryView(pinned.delta.get(), request.box, pool,
+                                       *visitor, &row.stats);
     } else {
       geom::CountingVisitor count;
-      status = backend->RangeQueryAt(pinned, request.box, pool, count,
-                                     &row.stats);
+      status = backend->RangeQueryView(pinned.delta.get(), request.box, pool,
+                                       count, &row.stats);
     }
     NEURODB_RETURN_NOT_OK(status);
 
@@ -1146,7 +1092,7 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
       obs::Add(bm.results, row.stats.results);
     }
     if (trace != nullptr) {
-      trace->Tag(backend_span, "epoch", pinned);
+      trace->Tag(backend_span, "epoch", pinned.epoch);
       trace->Tag(backend_span, "pages_read", row.stats.pages_read);
       trace->Tag(backend_span, "elements_scanned", row.stats.elements_scanned);
       trace->Tag(backend_span, "results", row.stats.results);
@@ -1172,11 +1118,9 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
                                  obs::Trace* trace, KnnReport* report) const {
   std::vector<const SpatialBackend*> selected = Select(request.backend);
   const bool parity_check = selected.size() > 1;
-  const storage::Epoch pinned =
-      request.read_epoch == storage::kLatestEpoch
-          ? epoch_.load(std::memory_order_acquire)
-          : request.read_epoch;
-  report->epoch = pinned;
+  NEURODB_ASSIGN_OR_RETURN(const DeltaSnapshot pinned,
+                           PinRead(request.read_epoch));
+  report->epoch = pinned.epoch;
 
   report->rows.reserve(selected.size());
   for (size_t k = 0; k < selected.size(); ++k) {
@@ -1192,8 +1136,9 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
     storage::IoStats io0 = backend->IoTotals();
 
     std::vector<geom::KnnHit> hits;
-    NEURODB_RETURN_NOT_OK(backend->KnnQueryAt(pinned, request.point, request.k,
-                                              pool, &hits, &row.stats));
+    NEURODB_RETURN_NOT_OK(backend->KnnQueryView(pinned.delta.get(),
+                                                request.point, request.k, pool,
+                                                &hits, &row.stats));
 
     row.stats.time_us = row.stats.pool.ModeledMicros(options_.cost);
     const storage::IoStats io_delta = backend->IoTotals() - io0;
@@ -1206,7 +1151,7 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
       obs::Add(bm.results, hits.size());
     }
     if (trace != nullptr) {
-      trace->Tag(backend_span, "epoch", pinned);
+      trace->Tag(backend_span, "epoch", pinned.epoch);
       trace->Tag(backend_span, "pages_read", row.stats.pages_read);
       trace->Tag(backend_span, "elements_scanned", row.stats.elements_scanned);
       trace->Tag(backend_span, "results", hits.size());
@@ -1262,6 +1207,8 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
   // published a newer version mid-plan. (The caller holds cache_mu_, so
   // the cache epoch cannot advance under the plan.)
   const storage::Epoch pinned = cache->epoch();
+  NEURODB_ASSIGN_OR_RETURN(const std::shared_ptr<const DeltaIndex> delta,
+                           live_.At(pinned));
 
   cache::DeltaPlan plan;
   NEURODB_ASSIGN_OR_RETURN(
@@ -1270,8 +1217,8 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
           *cache, request.box,
           [&](const Aabb& residual, CollectingVisitor* out) {
             RangeStats residual_stats;
-            NEURODB_RETURN_NOT_OK(backend->RangeQueryAt(
-                pinned, residual, pool, *out, &residual_stats));
+            NEURODB_RETURN_NOT_OK(backend->RangeQueryView(
+                delta.get(), residual, pool, *out, &residual_stats));
             row.stats.pages_read += residual_stats.pages_read;
             row.stats.elements_scanned += residual_stats.elements_scanned;
             row.stats.pool += residual_stats.pool;
@@ -1658,8 +1605,8 @@ Result<Session> QueryEngine::OpenSession(scout::PrefetchMethod method,
   if (session_options.cache_results) {
     session_options.result_cache_boxes = options_.result_cache_boxes;
   }
-  // Engine sessions are delta-aware: each step answers over the FLAT
-  // backend's newest *published* delta snapshot and replays the update log
+  // Engine sessions are delta-aware: each step answers over the LiveSet's
+  // newest *published* delta version and replays the update log
   // into the private result cache, so a session stays correct across
   // ApplyUpdates. Steps hold compact_mu_ shared (Compact excludes them for
   // the rebuild, after which the session re-fetches lazily through its
@@ -1670,7 +1617,7 @@ Result<Session> QueryEngine::OpenSession(scout::PrefetchMethod method,
   hooks.metrics = metrics_.get();
   hooks.slow_log = slow_log_.get();
   return Session::Open(&flat_->index(), flat_->store(), &resolver_, method,
-                       session_options, flat_, &update_log_, &compact_mu_,
+                       session_options, &live_, &update_log_, &compact_mu_,
                        hooks);
 }
 

@@ -52,6 +52,7 @@
 #include "engine/durability.h"
 #include "engine/flat_backend.h"
 #include "engine/grid_backend.h"
+#include "engine/live_set.h"
 #include "engine/rtree_backend.h"
 #include "engine/session.h"
 #include "engine/sharded_backend.h"
@@ -102,12 +103,14 @@ struct EngineOptions {
   /// kWarm/kDelta. (Sessions opened via Session::Open directly size their
   /// cache from scout::SessionOptions::result_cache_boxes instead.)
   size_t result_cache_boxes = 8;
-  /// Delta snapshot versions every backend retains for pinned readers
-  /// (RangeRequest::read_epoch): a reader pinned at most this many epochs
-  /// behind the newest ApplyUpdates still resolves; older pins get
-  /// kOutOfRange and should re-pin at the current epoch. Compact() retains
-  /// nothing across itself — it publishes a single post-compact version
-  /// (readers are excluded while it runs, so no in-flight pin is lost).
+  /// Delta versions the engine's LiveSet retains for explicitly pinned
+  /// readers (RangeRequest::read_epoch): a reader pinned at most this many
+  /// epochs behind the newest ApplyUpdates still resolves; older pins get
+  /// kOutOfRange and should re-pin at the current epoch. Default-epoch
+  /// reads hold their version by reference and are never retired.
+  /// Compact() retains nothing across itself — it publishes a single
+  /// post-compact version (readers are excluded while it runs, so no
+  /// in-flight pin is lost).
   size_t retained_versions = 8;
   storage::DiskCostModel cost;
   /// Exploration session tuning (pool, think time, SCOUT knobs).
@@ -170,9 +173,10 @@ struct RangeRequest {
   BackendChoice backend = BackendChoice::kAll;
   CachePolicy cache = CachePolicy::kCold;
   /// The data epoch to answer at. The default (storage::kLatestEpoch) pins
-  /// the request to the engine's current epoch at execution start — so one
+  /// the request to the newest published epoch at execution start — so one
   /// request sees one consistent snapshot even while ApplyUpdates publishes
-  /// the next epoch concurrently. An explicit epoch within the retention
+  /// the next epoch concurrently, and is never retired however many epochs
+  /// follow before it finishes. An explicit epoch within the retention
   /// window (EngineOptions::retained_versions) replays that snapshot;
   /// older epochs fail with kOutOfRange. Explicitly pinned requests bypass
   /// the result-cache delta path (cached entries track the live epoch).
@@ -331,11 +335,16 @@ struct MixedBatchResult {
 
 /// The engine. Load a circuit once; execute typed requests against it.
 ///
+/// The engine owns the one copy of the live element set (LiveSet: the base
+/// generation, the pending delta and the one version ring); every backend
+/// is a read-only index over it.
+///
 /// Concurrency (docs/API.md "Concurrency & snapshots"): after load, any
 /// number of reader threads may call Execute/ExecuteBatch while one writer
-/// at a time runs ApplyUpdates — every query pins a read epoch at start and
-/// answers from that snapshot (backends retain the last
-/// EngineOptions::retained_versions delta versions). ApplyUpdates calls are
+/// at a time runs ApplyUpdates — every query pins one (epoch, delta
+/// version) pair at start and answers from that snapshot on every backend
+/// it runs (the LiveSet retains the last EngineOptions::retained_versions
+/// versions for explicit epoch pins). ApplyUpdates calls are
 /// serialized against each other; Compact excludes readers for the rebuild
 /// itself. ApplyUpdatesAsync/CompactAsync move the same work onto a
 /// dedicated exec::ThreadPool worker so the calling thread never blocks.
@@ -385,19 +394,20 @@ class QueryEngine {
 
   bool loaded() const { return loaded_; }
 
-  /// Apply a batch of mutations to every registered backend, atomically
-  /// with respect to validation: the whole batch is checked against the
-  /// live id set first (insert of a live id, erase/move of an unknown id
+  /// Apply a batch of mutations to the engine's live set, atomically with
+  /// respect to validation: the whole batch is checked against the live id
+  /// set first (insert of a live id, erase/move of an unknown id
   /// and invalid bounds are InvalidArgument/AlreadyExists/NotFound) and
   /// nothing is applied on failure. On success the engine epoch advances
   /// by one, the result cache drops exactly the cached boxes intersecting
   /// the batch's dirty region, and the update log gains one stamp (open
   /// delta-aware sessions catch up on their next step). Buffer pools are
-  /// untouched — updates live in each backend's in-memory delta until
-  /// Compact(). Thread-safe against concurrent readers: backends publish
-  /// the new delta version *before* the engine epoch advances, so a reader
-  /// pinned at either epoch sees a complete snapshot. Concurrent
-  /// ApplyUpdates calls serialize on an internal commit lock.
+  /// untouched — updates live in the LiveSet's in-memory delta, which every
+  /// backend merges at read time, until Compact(). Thread-safe against
+  /// concurrent readers: the batch applies once and publishes one delta
+  /// version *before* the engine epoch advances, so a reader pinned at
+  /// either epoch sees a complete snapshot. Concurrent ApplyUpdates calls
+  /// serialize on an internal commit lock.
   Result<UpdateReport> ApplyUpdates(std::span<const UpdateRequest> updates);
 
   /// ApplyUpdates off the calling thread: the batch runs on the engine's
@@ -407,10 +417,13 @@ class QueryEngine {
   std::future<Result<UpdateReport>> ApplyUpdatesAsync(
       std::vector<UpdateRequest> updates);
 
-  /// Fold every backend's delta into a rebuilt immutable base (same
-  /// PageStore objects, fresh pages), evict the engine's warm pools (the
-  /// physical layout changed; cached result boxes stay — answers are
-  /// unchanged) and advance the epoch. Readers are excluded for the
+  /// Fold the delta into the next base generation, computed once, and
+  /// rebuild every backend in place over it (same PageStore objects, fresh
+  /// pages); evict the engine's warm pools (the physical layout changed;
+  /// cached result boxes stay — answers are unchanged) and advance the
+  /// epoch. A backend that fails to rebuild (a page-store write error)
+  /// leaves the backends inconsistent: the engine is poisoned and every
+  /// later call fails. Readers are excluded for the
   /// rebuild itself (an exclusive lock held only across Compact); sessions
   /// opened before a Compact *survive* it — their pools re-fetch lazily
   /// through the store-epoch check (storage::BufferPool::store_epoch).
@@ -420,23 +433,24 @@ class QueryEngine {
   std::future<Status> CompactAsync();
 
   /// Checkpoint off the calling thread, on the engine's mutation worker:
-  /// the live set is pinned at the current epoch (VersionRing snapshot)
-  /// and streamed to base.ndb while readers AND writers proceed; only the
-  /// final header-commit + WAL-cut swap takes the commit lock. Also
-  /// triggered automatically when the WAL passes
-  /// DurabilityOptions::checkpoint_wal_bytes.
+  /// the live set is pinned at the current epoch (the LiveSet's base
+  /// generation and delta version) and streamed to base.ndb while readers
+  /// AND writers proceed; only the final header-commit + WAL-cut swap
+  /// takes the commit lock. Also triggered automatically when the WAL
+  /// passes DurabilityOptions::checkpoint_wal_bytes.
   std::future<Status> CheckpointAsync();
 
   /// Durable engines only: rewrite base.ndb as the live set pinned at the
-  /// current epoch and drop the covered WAL prefix — without folding
-  /// backend deltas (Compact() does both). The rewrite streams outside
+  /// current epoch and drop the covered WAL prefix — without folding the
+  /// delta into the backends (Compact() does both). The rewrite streams outside
   /// the commit lock (writers keep committing; their records survive the
   /// WAL cut); after a quiescent checkpoint, Open replays nothing.
   Status Checkpoint();
 
-  /// Pending delta records summed over every backend (0 right after
-  /// LoadCircuit/LoadElements and after Compact).
-  size_t DeltaSize() const;
+  /// Records (inserts + tombstones) in the engine's one delta, as of the
+  /// newest published version (0 right after LoadCircuit/LoadElements and
+  /// after Compact).
+  size_t DeltaSize() const { return live_.DeltaSize(); }
 
   /// The current data epoch (0 until the first ApplyUpdates). Safe to call
   /// from any thread; the value a concurrent reader should pin at.
@@ -446,6 +460,10 @@ class QueryEngine {
 
   /// The applied-batch history (epoch + dirty region per batch).
   const UpdateLog& update_log() const { return update_log_; }
+
+  /// The one live set every backend indexes: base generation, delta
+  /// versions and id lookup (engine/live_set.h).
+  const LiveSet& live_set() const { return live_; }
 
   /// Execute a range request, streaming matches of the primary backend to
   /// `visitor` exactly once. With kAll, secondary backends run for the
@@ -503,7 +521,8 @@ class QueryEngine {
 
   // Introspection.
   const geom::Aabb& domain() const { return domain_; }
-  size_t NumSegments() const { return num_segments_; }
+  /// Live elements (the base generation plus the delta).
+  size_t NumSegments() const { return live_.size(); }
   const neuro::SegmentResolver& resolver() const { return resolver_; }
   const touch::JoinInput& axons() const { return axons_; }
   const touch::JoinInput& dendrites() const { return dendrites_; }
@@ -556,8 +575,9 @@ class QueryEngine {
   /// Point-in-time export of every metric, with snapshot-sampled gauges
   /// (epoch, delta size, pool/cache/io totals) refreshed first. Empty when
   /// metrics are off. Serializes via obs::MetricsSnapshot::ToJson() /
-  /// ToPrometheus(). Thread-safe (briefly excludes writers while sampling
-  /// the delta and result-cache gauges; the pools latch themselves).
+  /// ToPrometheus(). Thread-safe (the delta and live-element gauges read
+  /// the LiveSet's newest published version, the result-cache gauges
+  /// briefly take the cache lock, and the pools latch themselves).
   obs::MetricsSnapshot MetricsSnapshot();
 
  private:
@@ -576,14 +596,15 @@ class QueryEngine {
     Result<UpdateReport> result{Status::Internal("commit not processed")};
     bool done = false;
   };
-  /// Validate `updates` against live_bounds_ overlaid with `overlay`
+  /// Validate `updates` against the LiveSet overlaid with `overlay`
   /// (id → alive after earlier accepted batches in the same group). On OK
   /// the batch's own effects are merged into `overlay`.
   Status ValidateBatchLocked(
       std::span<const UpdateRequest> updates,
       std::unordered_map<geom::ElementId, bool>* overlay) const;
-  /// Post-validation, post-WAL tail of a commit: mutate backends, publish
-  /// version `next`, advance the epoch, invalidate caches, stamp the log.
+  /// Post-validation, post-WAL tail of a commit: apply the batch to the
+  /// LiveSet once, publish version `next`, advance the epoch, invalidate
+  /// caches, stamp the log.
   Result<UpdateReport> ApplyValidatedLocked(
       std::span<const UpdateRequest> updates, storage::Epoch next);
   /// The non-grouped commit body (kPerBatch / kNone / in-memory): validate,
@@ -595,8 +616,8 @@ class QueryEngine {
   /// to fill), validate each against the cumulative overlay, append every
   /// accepted record in ONE WAL write + ONE fsync, then apply in order.
   void CommitGroupLocked(std::unique_lock<std::mutex>& commit_lock);
-  /// Replay a kWalKindEpochBump record: publish an empty version at `e` on
-  /// every backend and advance the engine epoch (a Compact whose
+  /// Replay a kWalKindEpochBump record: publish the unchanged delta as the
+  /// version at `e` and advance the engine epoch (a Compact whose
   /// checkpoint never completed left this marker so replay continuity
   /// holds across its epoch).
   Status ApplyEpochBump(storage::Epoch e);
@@ -604,8 +625,8 @@ class QueryEngine {
   /// background checkpoint on the mutation worker when the WAL has grown
   /// past DurabilityOptions::checkpoint_wal_bytes (at most one in flight).
   void MaybeScheduleCheckpointLocked();
-  /// The streaming checkpoint: pin the live set at the current epoch via
-  /// the FLAT backend's version ring (brief commit_mu_ hold), stream the
+  /// The streaming checkpoint: pin the LiveSet's base generation and delta
+  /// version at the current epoch (brief commit_mu_ hold), stream the
   /// COW base rewrite under a *shared* compact lock (readers and writers
   /// proceed), then re-take commit_mu_ for the header-commit + WAL-cut
   /// swap. Serialized against itself by checkpoint_mu_.
@@ -616,9 +637,16 @@ class QueryEngine {
   /// query pool could starve the batch lanes a Compact is waiting out.
   exec::ThreadPool* MutationPool();
   /// The shared tail of LoadCircuit/LoadElements: build every backend over
-  /// `elements`, start the worker pool, create the persistent pool manager,
-  /// result cache and live-id map.
+  /// `elements` (in the caller's order), install their id-sorted copy as
+  /// the LiveSet's base, start the worker pool, create the persistent pool
+  /// manager and result cache.
   Status FinishLoad(geom::ElementVec elements);
+  /// The (epoch, delta version) pair a range or kNN request reads, resolved
+  /// once before its first backend runs: the LiveSet's newest pair for
+  /// kLatestEpoch — held by shared_ptr, so it is never retired under the
+  /// request — else the version at the explicit epoch (kOutOfRange once
+  /// retired).
+  Result<DeltaSnapshot> PinRead(storage::Epoch read_epoch) const;
   /// Backends a request executes on, primary first.
   std::vector<const SpatialBackend*> Select(BackendChoice choice) const;
   /// Session options with the engine-wide cost model applied.
@@ -757,23 +785,23 @@ class QueryEngine {
   ShardedBackend* sharded_ = nullptr;  // owned by backends_
 
   bool loaded_ = false;
-  /// A backend failed mid-ApplyUpdates: the registry is half-mutated and
-  /// kAll parity is unrecoverable — every later call fails loudly.
-  /// (Atomic: readers check it without holding the commit lock.)
+  /// A backend failed mid-Compact: some backends index the new base
+  /// generation and some a half-built or old one, so kAll parity is
+  /// unrecoverable — every later call fails loudly. (Atomic: readers check
+  /// it without holding the commit lock.)
   std::atomic<bool> corrupted_{false};
   neuro::SegmentResolver resolver_;
   touch::JoinInput axons_;
   touch::JoinInput dendrites_;
   geom::Aabb domain_;
-  size_t num_segments_ = 0;
 
-  /// The mutable-circuit bookkeeping: current bounds of every live element
-  /// (update validation + exact dirty regions for erase/move), the engine
-  /// epoch, and the applied-batch history sessions catch up on.
-  /// live_bounds_/num_segments_ are written under commit_mu_ only; the
-  /// epoch is the reader-visible publication point (stored with release
-  /// *after* every backend published the new delta version).
-  std::unordered_map<geom::ElementId, geom::Aabb> live_bounds_;
+  /// The mutable-circuit state: the one live set (base generation, pending
+  /// delta, version ring — update validation and exact dirty regions read
+  /// it too), the engine epoch, and the applied-batch history sessions
+  /// catch up on. The LiveSet's writer side runs under commit_mu_ only;
+  /// the epoch is the reader-visible publication point (stored with
+  /// release *after* the LiveSet published the new delta version).
+  LiveSet live_;
   std::atomic<storage::Epoch> epoch_{0};
   UpdateLog update_log_;
 

@@ -4,6 +4,7 @@ namespace neurodb {
 namespace engine {
 
 Status PagedRTreeBackend::BuildBase(const geom::ElementVec& elements) {
+  if (elements.empty()) return Status::OK();  // no tree
   NEURODB_ASSIGN_OR_RETURN(rtree::RTree tree,
                            rtree::RTree::Build(elements, options_));
   NEURODB_ASSIGN_OR_RETURN(rtree::PagedRTree paged,
@@ -18,8 +19,7 @@ Status PagedRTreeBackend::ResetBase() {
   return Status::OK();
 }
 
-Status PagedRTreeBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
-                                         const geom::Aabb& box,
+Status PagedRTreeBackend::BaseRangeQuery(const geom::Aabb& box,
                                          storage::PoolSet* pools,
                                          ResultVisitor& visitor,
                                          RangeStats* stats) const {
@@ -36,8 +36,7 @@ Status PagedRTreeBackend::BaseRangeQuery(storage::Epoch /*read_epoch*/,
   return Status::OK();
 }
 
-Status PagedRTreeBackend::BaseKnnQuery(storage::Epoch /*read_epoch*/,
-                                       const geom::Vec3& point, size_t k,
+Status PagedRTreeBackend::BaseKnnQuery(const geom::Vec3& point, size_t k,
                                        storage::PoolSet* pools,
                                        std::vector<geom::KnnHit>* hits,
                                        RangeStats* stats) const {
@@ -58,8 +57,7 @@ BackendStats PagedRTreeBackend::Stats() const {
   BackendStats stats;
   if (tree_.has_value()) {
     stats.index_pages = tree_->NumPages();
-    stats.metadata_bytes = tree_->tree().MemoryBytes() +
-                           MutationMetadataBytes();
+    stats.metadata_bytes = tree_->tree().MemoryBytes();
   }
   stats.io = IoTotals();
   return stats;

@@ -7,7 +7,7 @@
 #include <optional>
 #include <vector>
 
-#include "engine/base_delta_backend.h"
+#include "engine/backend.h"
 #include "rtree/paged_rtree.h"
 
 namespace neurodb {
@@ -15,10 +15,10 @@ namespace engine {
 
 /// Adapter wrapping rtree::PagedRTree: bulk load (STR, Hilbert, or dynamic
 /// insertion per RTreeOptions::build), one disk page per tree node, every
-/// visited node charged as one page fetch. Mutation rides the inherited
-/// base+delta protocol — Compact() rebuilds the tree through the same build
-/// path over the merged element set rather than updating nodes in place.
-class PagedRTreeBackend : public BaseDeltaBackend {
+/// visited node charged as one page fetch. Updates are merged over the tree
+/// at read time; Rebuild builds the tree again through the same build path
+/// over the next base generation rather than updating nodes in place.
+class PagedRTreeBackend : public SpatialBackend {
  public:
   explicit PagedRTreeBackend(rtree::RTreeOptions options = rtree::RTreeOptions())
       : options_(options) {}
@@ -35,11 +35,11 @@ class PagedRTreeBackend : public BaseDeltaBackend {
  protected:
   Status BuildBase(const geom::ElementVec& elements) override;
   Status ResetBase() override;
-  Status BaseRangeQuery(storage::Epoch read_epoch, const geom::Aabb& box,
-                        storage::PoolSet* pools, ResultVisitor& visitor,
+  Status BaseRangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                        ResultVisitor& visitor,
                         RangeStats* stats) const override;
-  Status BaseKnnQuery(storage::Epoch read_epoch, const geom::Vec3& point,
-                      size_t k, storage::PoolSet* pools,
+  Status BaseKnnQuery(const geom::Vec3& point, size_t k,
+                      storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
                       RangeStats* stats) const override;
 

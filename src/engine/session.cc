@@ -15,7 +15,7 @@ Result<Session> Session::Open(const flat::FlatIndex* index,
                               const neuro::SegmentResolver* resolver,
                               scout::PrefetchMethod method,
                               scout::SessionOptions options,
-                              const BaseDeltaBackend* delta_source,
+                              const LiveSet* live,
                               const UpdateLog* update_log,
                               std::shared_mutex* read_lock,
                               SessionObs hooks) {
@@ -30,9 +30,9 @@ Result<Session> Session::Open(const flat::FlatIndex* index,
   session.index_ = index;
   session.store_ = store;
   session.store_epoch_at_open_ = store->epoch();
-  session.delta_source_ = delta_source;
-  if (delta_source != nullptr) {
-    session.snap_ = delta_source->LatestDelta();
+  session.live_ = live;
+  if (live != nullptr) {
+    session.snap_ = live->Latest();
     session.delta_ = session.snap_.delta.get();
   }
   session.read_lock_ = read_lock;
@@ -124,7 +124,7 @@ Result<scout::StepRecord> Session::RunStep(
   // session cannot adopt is no layout at all: a base compacted down to
   // zero elements has no crawl pages left to explore.
   if (store_ != nullptr && store_->epoch() != store_epoch_at_open_) {
-    if (delta_source_ != nullptr && delta_source_->base_empty()) {
+    if (live_ != nullptr && live_->base()->empty()) {
       return Status::InvalidArgument(
           "Session::Step: the base compacted down to empty — there is no "
           "crawl layout left to explore; repopulate and reopen");
@@ -132,11 +132,11 @@ Result<scout::StepRecord> Session::RunStep(
     store_epoch_at_open_ = store_->epoch();
   }
 
-  // Pin the newest published delta snapshot for the duration of the step:
-  // every merge below sees one immutable delta even while ApplyUpdates
-  // publishes newer versions concurrently.
-  if (delta_source_ != nullptr) {
-    snap_ = delta_source_->LatestDelta();
+  // Pin the newest published (epoch, delta) pair for the duration of the
+  // step: every merge below sees one immutable delta even while
+  // ApplyUpdates publishes newer versions concurrently.
+  if (live_ != nullptr) {
+    snap_ = live_->Latest();
     delta_ = snap_.delta.get();
   }
 
@@ -361,7 +361,7 @@ Result<scout::StepRecord> Session::StepKnn(const geom::Vec3& point, size_t k,
     if (!merge_delta) {
       NEURODB_RETURN_NOT_OK(index_->Knn(point, k, pool_.get(), out));
     } else {
-      // The same merge BaseDeltaBackend runs (DeltaIndex::MergeKnn).
+      // The same merge the backends run (DeltaIndex::MergeKnn).
       NEURODB_RETURN_NOT_OK(delta_->MergeKnn(
           point, k,
           [&](size_t ask, std::vector<geom::KnnHit>* base_hits) {

@@ -21,12 +21,12 @@
 // so a correctly predicted step stalls for nothing.
 //
 // Sessions opened by QueryEngine::OpenSession are additionally *delta-
-// aware*: each step pins the FLAT backend's newest published delta
-// snapshot (BaseDeltaBackend::LatestDelta) and merges the immutable crawl
-// layout with it (tombstones filtered, inserts appended), stamps its
-// StepRecord with the snapshot's epoch, and — before querying — replays
-// any UpdateLog stamps it has not yet seen to invalidate exactly the
-// cached boxes whose region went dirty. A cached session therefore stays
+// aware*: each step pins the engine LiveSet's newest published (epoch,
+// delta) pair (LiveSet::Latest) and merges the immutable crawl layout with
+// it (tombstones filtered, inserts appended), stamps its StepRecord with
+// the pinned epoch, and — before querying — replays any UpdateLog stamps
+// it has not yet seen to invalidate exactly the cached boxes whose region
+// went dirty. A cached session therefore stays
 // byte-identical to a cold one across ApplyUpdates.
 //
 // Sessions also *survive* QueryEngine::Compact: each step re-reads the
@@ -49,8 +49,8 @@
 #include "cache/result_cache.h"
 #include "common/result.h"
 #include "common/sim_clock.h"
-#include "engine/base_delta_backend.h"
 #include "engine/delta_index.h"
+#include "engine/live_set.h"
 #include "flat/flat_index.h"
 #include "geom/aabb.h"
 #include "geom/knn.h"
@@ -84,19 +84,19 @@ struct SessionObs {
 class Session {
  public:
   /// Open a session over a FLAT-indexed dataset. `resolver` may be null
-  /// unless `method` is kScout. `delta_source` (the FLAT backend whose
-  /// published delta snapshots the session reads) and `update_log` (the
-  /// engine's applied-batch history) make the session delta-aware; leaving
-  /// them null gives the classic read-only session over the base layout
-  /// alone. `read_lock` (the engine's compaction lock) is held shared for
-  /// the duration of each step so a step never observes a half-rebuilt
-  /// page layout.
+  /// unless `method` is kScout. `live` (the engine's LiveSet, whose
+  /// published delta versions the session reads over the FLAT base) and
+  /// `update_log` (the engine's applied-batch history) make the session
+  /// delta-aware; leaving them null gives the classic read-only session
+  /// over the base layout alone. `read_lock` (the engine's compaction
+  /// lock) is held shared for the duration of each step so a step never
+  /// observes a half-rebuilt page layout.
   static Result<Session> Open(const flat::FlatIndex* index,
                               storage::PageStore* store,
                               const neuro::SegmentResolver* resolver,
                               scout::PrefetchMethod method,
                               scout::SessionOptions options,
-                              const BaseDeltaBackend* delta_source = nullptr,
+                              const LiveSet* live = nullptr,
                               const UpdateLog* update_log = nullptr,
                               std::shared_mutex* read_lock = nullptr,
                               SessionObs hooks = SessionObs{});
@@ -165,7 +165,7 @@ class Session {
   /// snapshot pinned by the running step, else the update log's newest
   /// epoch, else 0.
   uint64_t CurrentEpoch() const {
-    if (delta_source_ != nullptr) return snap_.epoch;
+    if (live_ != nullptr) return snap_.epoch;
     return update_log_ != nullptr ? update_log_->epoch() : 0;
   }
 
@@ -182,15 +182,15 @@ class Session {
   /// pool evicts its stale pages through the same check).
   const storage::PageStore* store_ = nullptr;
   storage::Epoch store_epoch_at_open_ = 0;
-  /// The backend whose published delta snapshots the session steps against
+  /// The LiveSet whose published delta versions the session steps against
   /// (null: read-only session over the base alone).
-  const BaseDeltaBackend* delta_source_ = nullptr;
+  const LiveSet* live_ = nullptr;
   /// The delta snapshot pinned for the step currently executing — refreshed
   /// at the top of every step, keeping the delta alive and immutable for
   /// the step's whole merge even while ApplyUpdates publishes newer ones.
   DeltaSnapshot snap_;
   /// Borrowed view of snap_.delta (null: no delta / empty overlay). Query
-  /// helpers read this instead of touching delta_source_ directly.
+  /// helpers read this instead of touching live_ directly.
   const DeltaIndex* delta_ = nullptr;
   /// The engine's compaction lock, held shared across each step (null:
   /// standalone session, no locking).

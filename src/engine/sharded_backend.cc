@@ -1,7 +1,6 @@
 #include "engine/sharded_backend.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -93,9 +92,9 @@ void SplitHilbert(const geom::ElementVec& elements, std::vector<uint32_t>* idx,
 
 std::vector<size_t> ShardedBackend::SelectShards(const Aabb& box) const {
   // Cost-based selection: bounds intersection alone is not enough — a
-  // shard whose live population is zero (an empty build, or every element
-  // erased since) is skipped outright, so the query pays neither the pool
-  // lookup nor the inner-grid scan for it.
+  // shard whose population is zero (an empty build, or a compact that left
+  // it nothing) is skipped outright, so the query pays neither the pool
+  // lookup nor the inner scan for it.
   std::vector<size_t> selected;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (shard_sizes_[s] == 0) continue;
@@ -106,90 +105,49 @@ std::vector<size_t> ShardedBackend::SelectShards(const Aabb& box) const {
   return selected;
 }
 
-std::vector<size_t> ShardedBackend::SelectShardsIn(
-    const Aabb& box, const ShardRouting& routing) const {
-  std::vector<size_t> selected;
-  for (size_t s = 0; s < routing.bounds.size(); ++s) {
-    if (routing.sizes[s] == 0) continue;
-    if (routing.bounds[s].IsValid() && box.Intersects(routing.bounds[s])) {
-      selected.push_back(s);
-    }
-  }
-  return selected;
-}
-
-Status ShardedBackend::Build(const geom::ElementVec& elements) {
-  if (built_) {
-    return Status::AlreadyExists("ShardedBackend: already built");
-  }
-  NEURODB_RETURN_NOT_OK(options_.Validate());
-  NEURODB_RETURN_NOT_OK(BuildBase(elements));
-  built_ = true;
-  // The initial version at epoch 0: spill delta (empty), routing snapshot;
-  // each shard published its own initial version inside its Build.
-  PublishVersion(0);
-  return Status::OK();
-}
-
-void ShardedBackend::PublishVersion(storage::Epoch epoch) {
-  BaseDeltaBackend::PublishVersion(epoch);  // the spill delta
-  for (auto& shard : shards_) shard->PublishVersion(epoch);
-  // The routing snapshot is tiny (<= 256 boxes), so it publishes
-  // unconditionally — no revision bookkeeping for bounds extensions.
-  routing_versions_.Publish(epoch, MakeRouting());
-}
-
-void ShardedBackend::RepublishLatest() {
-  BaseDeltaBackend::RepublishLatest();
-  for (auto& shard : shards_) shard->RepublishLatest();
-  routing_versions_.Republish(MakeRouting());
-}
-
-void ShardedBackend::SetVersionRetention(size_t versions) {
-  BaseDeltaBackend::SetVersionRetention(versions);
-  for (auto& shard : shards_) shard->SetVersionRetention(versions);
-  routing_versions_.SetRetention(versions);
-}
-
-void ShardedBackend::ResetDeltaVersions() {
-  BaseDeltaBackend::ResetDeltaVersions();
-  routing_versions_.Clear();
-}
-
 Status ShardedBackend::BuildBase(const geom::ElementVec& elements) {
-  // Never build an empty shard: fewer elements than shards degrades to
-  // fewer shards (a one-element circuit is a one-shard backend).
-  size_t shards = std::max<size_t>(
-      1, std::min(options_.num_shards, std::max<size_t>(1, elements.size())));
+  const bool first = shards_.empty();
+  if (first) NEURODB_RETURN_NOT_OK(options_.Validate());
+  // The first build never makes an empty shard: fewer elements than shards
+  // degrades to fewer shards (a one-element circuit is a one-shard
+  // backend). A rebuild keeps the shard count — and so the stores.
+  const size_t shards =
+      first ? std::min(options_.num_shards,
+                       std::max<size_t>(1, elements.size()))
+            : shards_.size();
 
   std::vector<uint32_t> idx(elements.size());
   std::iota(idx.begin(), idx.end(), 0);
   std::vector<std::pair<size_t, size_t>> runs;
-  if (elements.empty()) {
-    runs.emplace_back(0, 0);
-  } else if (options_.assignment == ShardAssignment::kHilbert) {
+  if (options_.assignment == ShardAssignment::kHilbert && !elements.empty()) {
     SplitHilbert(elements, &idx, shards, &runs);
   } else {
     SplitRecursive(elements, &idx, 0, elements.size(), shards, &runs);
   }
+  // Fewer elements than shards: the trailing shards stay empty.
+  while (runs.size() < shards) {
+    runs.emplace_back(elements.size(), elements.size());
+  }
 
-  shards_.reserve(runs.size());
-  shard_bounds_.reserve(runs.size());
-  shard_sizes_.reserve(runs.size());
-  id_to_shard_.reserve(elements.size());
-  for (const auto& [begin, end] : runs) {
+  shard_bounds_.assign(shards, Aabb());
+  shard_sizes_.assign(shards, 0);
+  for (size_t s = 0; s < shards; ++s) {
+    const auto [begin, end] = runs[s];
     geom::ElementVec part;
     part.reserve(end - begin);
-    Aabb bounds;
     for (size_t i = begin; i < end; ++i) {
       part.push_back(elements[idx[i]]);
-      bounds.Extend(part.back().bounds);
-      id_to_shard_[part.back().id] = static_cast<uint32_t>(shards_.size());
+      shard_bounds_[s].Extend(part.back().bounds);
     }
-    std::unique_ptr<BaseDeltaBackend> shard = MakeInner();
+    shard_sizes_[s] = part.size();
+    if (!first) {
+      NEURODB_RETURN_NOT_OK(shards_[s]->Rebuild(part));
+      continue;
+    }
+    std::unique_ptr<SpatialBackend> shard = MakeInner();
     if (store_factory_) {
       std::string shard_name =
-          std::string(name()) + ".shard" + std::to_string(shards_.size());
+          std::string(name()) + ".shard" + std::to_string(s);
       NEURODB_RETURN_NOT_OK(shard->AttachStores(
           [this, &shard_name](const std::string&) {
             return store_factory_(shard_name);
@@ -197,132 +155,15 @@ Status ShardedBackend::BuildBase(const geom::ElementVec& elements) {
     }
     NEURODB_RETURN_NOT_OK(shard->Build(part));
     shards_.push_back(std::move(shard));
-    shard_bounds_.push_back(bounds);
-    shard_sizes_.push_back(end - begin);
   }
   return Status::OK();
 }
 
-std::unique_ptr<BaseDeltaBackend> ShardedBackend::MakeInner() const {
+std::unique_ptr<SpatialBackend> ShardedBackend::MakeInner() const {
   if (options_.inner_index == ShardIndexKind::kRTree) {
     return std::make_unique<PagedRTreeBackend>(options_.inner_rtree);
   }
   return std::make_unique<GridBackend>(options_.inner);
-}
-
-Status ShardedBackend::ResetBase() {
-  shards_.clear();
-  shard_bounds_.clear();
-  shard_sizes_.clear();
-  id_to_shard_.clear();
-  return Status::OK();
-}
-
-size_t ShardedBackend::RouteByBounds(const Vec3& center) const {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (shard_bounds_[s].IsValid() && shard_bounds_[s].Contains(center)) {
-      return s;
-    }
-  }
-  return static_cast<size_t>(-1);
-}
-
-Status ShardedBackend::InsertPending(geom::ElementId id, const Aabb& bounds) {
-  NEURODB_RETURN_NOT_OK(RequireBuilt("Insert"));
-  size_t s = RouteByBounds(bounds.Center());
-  if (s == static_cast<size_t>(-1)) {
-    // Outside every shard: the spill delta (the inherited wrapper merges
-    // it over the shard fan-out). Re-homed into a shard at Compact.
-    delta_.Insert(id, bounds);
-    return Status::OK();
-  }
-  NEURODB_RETURN_NOT_OK(shards_[s]->InsertPending(id, bounds));
-  // The element's box may stick out of the median-split bounds; extending
-  // them keeps both range selection and the kNN frontier's lower-bound
-  // pruning conservative (bounds only ever grow between compactions).
-  shard_bounds_[s].Extend(bounds);
-  ++shard_sizes_[s];
-  id_to_shard_[id] = static_cast<uint32_t>(s);
-  return Status::OK();
-}
-
-Status ShardedBackend::ErasePending(geom::ElementId id) {
-  NEURODB_RETURN_NOT_OK(RequireBuilt("Erase"));
-  auto it = id_to_shard_.find(id);
-  if (it == id_to_shard_.end()) {
-    // A spill-born element (or an id the engine mis-validated — harmless
-    // either way: the spill delta drops the insert or tombstones a ghost).
-    delta_.Erase(id);
-    return Status::OK();
-  }
-  size_t s = it->second;
-  NEURODB_RETURN_NOT_OK(shards_[s]->ErasePending(id));
-  if (shard_sizes_[s] > 0) --shard_sizes_[s];
-  id_to_shard_.erase(it);
-  return Status::OK();
-}
-
-Status ShardedBackend::MovePending(geom::ElementId id, const Aabb& bounds) {
-  NEURODB_RETURN_NOT_OK(ErasePending(id));
-  return InsertPending(id, bounds);
-}
-
-Status ShardedBackend::Compact() {
-  NEURODB_RETURN_NOT_OK(RequireBuilt("Compact"));
-  if (DeltaSize() == 0) return Status::OK();
-
-  // Per-shard live sets, plus every spill element re-homed into the shard
-  // containing its center — or, when none does, the shard whose (live)
-  // bounds are nearest (ties: lowest index; a fully erased backend falls
-  // back to shard 0).
-  std::vector<geom::ElementVec> live(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    live[s] = shards_[s]->LiveElements();
-  }
-  delta_.ForEachInsert([&](const geom::SpatialElement& e) {
-    Vec3 center = e.bounds.Center();
-    size_t target = RouteByBounds(center);
-    if (target == static_cast<size_t>(-1)) {
-      double best = std::numeric_limits<double>::infinity();
-      target = 0;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (!shard_bounds_[s].IsValid()) continue;
-        double distance = shard_bounds_[s].SquaredDistanceTo(center);
-        if (distance < best) {
-          best = distance;
-          target = s;
-        }
-      }
-    }
-    live[target].push_back(e);
-  });
-
-  id_to_shard_.clear();
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    std::sort(live[s].begin(), live[s].end(),
-              [](const geom::SpatialElement& a, const geom::SpatialElement& b) {
-                return a.id < b.id;
-              });
-    NEURODB_RETURN_NOT_OK(shards_[s]->ReplaceBase(live[s]));
-    Aabb bounds;
-    for (const auto& e : live[s]) {
-      bounds.Extend(e.bounds);
-      id_to_shard_[e.id] = static_cast<uint32_t>(s);
-    }
-    shard_bounds_[s] = bounds;
-    shard_sizes_[s] = live[s].size();
-  }
-  delta_.Clear();
-  // Every shard's ring was cleared by its ReplaceBase; clear the spill and
-  // routing rings too. The engine publishes the post-compact version next.
-  ResetDeltaVersions();
-  return Status::OK();
-}
-
-size_t ShardedBackend::DeltaSize() const {
-  size_t total = delta_.Size();
-  for (const auto& shard : shards_) total += shard->DeltaSize();
-  return total;
 }
 
 std::vector<storage::PageStore*> ShardedBackend::Stores() {
@@ -332,8 +173,7 @@ std::vector<storage::PageStore*> ShardedBackend::Stores() {
   return stores;
 }
 
-Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
-                                      const Aabb& box, storage::PoolSet* pools,
+Status ShardedBackend::BaseRangeQuery(const Aabb& box, storage::PoolSet* pools,
                                       ResultVisitor& visitor,
                                       RangeStats* stats) const {
   if (pools == nullptr) {
@@ -344,16 +184,7 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
         "ShardedBackend::RangeQuery: pool set size != shard count");
   }
 
-  // Pinned readers select shards through the routing snapshot published at
-  // their epoch — the live bounds/sizes mutate under concurrent inserts.
-  std::vector<size_t> selected;
-  if (read_epoch == storage::kLatestEpoch) {
-    selected = SelectShards(box);
-  } else {
-    auto routing = routing_versions_.At(read_epoch);
-    NEURODB_RETURN_NOT_OK(routing.status());
-    selected = SelectShardsIn(box, **routing);
-  }
+  const std::vector<size_t> selected = SelectShards(box);
   if (selected.empty()) return Status::OK();
 
   // Serial path (no pool, a single shard, or already on a pool worker):
@@ -364,8 +195,8 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
     for (size_t s : selected) {
       storage::PoolSet shard_pool(pools->pool(s));
       RangeStats shard_stats;
-      NEURODB_RETURN_NOT_OK(shards_[s]->RangeQueryAt(
-          read_epoch, box, &shard_pool, visitor,
+      NEURODB_RETURN_NOT_OK(shards_[s]->RangeQueryView(
+          nullptr, box, &shard_pool, visitor,
           stats != nullptr ? &shard_stats : nullptr));
       if (stats != nullptr) {
         stats->pages_read += shard_stats.pages_read;
@@ -394,8 +225,8 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
     for (size_t i = lane.begin; i < lane.end; ++i) {
       size_t s = selected[i];
       storage::PoolSet shard_pool(pools->pool(s));
-      NEURODB_RETURN_NOT_OK(shards_[s]->RangeQueryAt(
-          read_epoch, box, &shard_pool, runs[i].out,
+      NEURODB_RETURN_NOT_OK(shards_[s]->RangeQueryView(
+          nullptr, box, &shard_pool, runs[i].out,
           stats != nullptr ? &runs[i].stats : nullptr));
     }
     return Status::OK();
@@ -414,8 +245,7 @@ Status ShardedBackend::BaseRangeQuery(storage::Epoch read_epoch,
   return Status::OK();
 }
 
-Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
-                                    const Vec3& point, size_t k,
+Status ShardedBackend::BaseKnnQuery(const Vec3& point, size_t k,
                                     storage::PoolSet* pools,
                                     std::vector<geom::KnnHit>* hits,
                                     RangeStats* stats) const {
@@ -435,18 +265,6 @@ Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
   hits->clear();
   if (k == 0) return Status::OK();
 
-  // Pinned readers walk the frontier of their routing snapshot.
-  std::shared_ptr<const ShardRouting> pinned;
-  if (read_epoch != storage::kLatestEpoch) {
-    auto routing = routing_versions_.At(read_epoch);
-    NEURODB_RETURN_NOT_OK(routing.status());
-    pinned = *routing;
-  }
-  const std::vector<Aabb>& bounds =
-      pinned != nullptr ? pinned->bounds : shard_bounds_;
-  const std::vector<size_t>& sizes =
-      pinned != nullptr ? pinned->sizes : shard_sizes_;
-
   // Best-first over the shard frontier: visit shards by ascending distance
   // from the query point to the shard box (ties by shard id), and stop as
   // soon as the next shard cannot improve the current k-th hit. Prune
@@ -454,11 +272,11 @@ Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
   // enter the answer (geom/knn.h).
   std::vector<std::pair<double, size_t>> frontier;
   frontier.reserve(shards_.size());
-  for (size_t s = 0; s < bounds.size(); ++s) {
+  for (size_t s = 0; s < shards_.size(); ++s) {
     // Population-based pruning: an empty shard can contribute nothing, so
     // it never enters the frontier even when its bounds are closest.
-    if (sizes[s] == 0 || !bounds[s].IsValid()) continue;
-    frontier.emplace_back(geom::KnnDistance(point, bounds[s]), s);
+    if (shard_sizes_[s] == 0 || !shard_bounds_[s].IsValid()) continue;
+    frontier.emplace_back(geom::KnnDistance(point, shard_bounds_[s]), s);
   }
   std::sort(frontier.begin(), frontier.end());
 
@@ -468,8 +286,8 @@ Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
     storage::PoolSet shard_pool(pools->pool(s));
     std::vector<geom::KnnHit> shard_hits;
     RangeStats shard_stats;
-    NEURODB_RETURN_NOT_OK(shards_[s]->KnnQueryAt(
-        read_epoch, point, k, &shard_pool, &shard_hits,
+    NEURODB_RETURN_NOT_OK(shards_[s]->KnnQueryView(
+        nullptr, point, k, &shard_pool, &shard_hits,
         stats != nullptr ? &shard_stats : nullptr));
     for (const geom::KnnHit& hit : shard_hits) acc.Offer(hit.id, hit.distance);
     if (stats != nullptr) {
@@ -486,7 +304,7 @@ Status ShardedBackend::BaseKnnQuery(storage::Epoch read_epoch,
 
 BackendStats ShardedBackend::Stats() const {
   BackendStats stats;
-  if (!built_) return stats;
+  if (!built()) return stats;
   for (const auto& shard : shards_) {
     BackendStats inner = shard->Stats();
     stats.index_pages += inner.index_pages;
@@ -494,10 +312,7 @@ BackendStats ShardedBackend::Stats() const {
     stats.io += inner.io;
   }
   stats.metadata_bytes += shard_bounds_.capacity() * sizeof(Aabb) +
-                          shard_sizes_.capacity() * sizeof(size_t) +
-                          id_to_shard_.size() *
-                              (sizeof(geom::ElementId) + sizeof(uint32_t)) +
-                          MutationMetadataBytes();  // the spill delta
+                          shard_sizes_.capacity() * sizeof(size_t);
   return stats;
 }
 

@@ -16,32 +16,28 @@
 //     merging per-shard answers under the global (distance, id) order and
 //     stopping once no unvisited shard can still beat the k-th hit.
 //
-// Mutation is sharded the same way the data is: each inner backend (a
-// GridBackend or PagedRTreeBackend per ShardedOptions::inner_index) is a
-// BaseDeltaBackend, so an update routed to a shard lands in that shard's
-// delta. Inserts route by the median-split bounds (the shard whose bounds
-// contain the new center, which then extend to cover the new element so the
-// frontier/selection pruning stays conservative); inserts landing outside
-// every shard go to the backend's own *spill* delta — the inherited
-// BaseDeltaBackend wrapper merges it over the shard fan-out. An id→shard
-// map keeps erases and moves exact (no cross-shard tombstone amplification)
-// and keeps per-shard populations truthful for cost-based selection.
-// Compact() folds every shard's delta in place — same PageStore objects,
-// fresh pages — and re-homes spill elements into their nearest shard.
+// The shards are base-only inner backends (a GridBackend or
+// PagedRTreeBackend per ShardedOptions::inner_index): the engine's one
+// delta is merged over the whole fan-out by the inherited
+// RangeQueryView/KnnQueryView, so an update never touches a shard and
+// shard bounds and populations change only when the base does. Rebuild
+// (Compact) re-splits the next base generation into the same number of
+// shards and rebuilds each in place — same PageStore objects, fresh pages
+// — so the per-shard pools stay valid; a shard may be empty after a
+// shrinking compact.
 //
-// Because every element lives in exactly one shard (or the spill), the
-// merged answers are exact, which lets the backend join BackendChoice::kAll
-// — four-way parity in the differential harness — for free.
+// Because every base element lives in exactly one shard, the merged
+// answers are exact, which lets the backend join BackendChoice::kAll —
+// four-way parity in the differential harness — for free.
 
 #ifndef NEURODB_ENGINE_SHARDED_BACKEND_H_
 #define NEURODB_ENGINE_SHARDED_BACKEND_H_
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
-#include "engine/base_delta_backend.h"
+#include "engine/backend.h"
 #include "engine/grid_backend.h"
 #include "engine/rtree_backend.h"
 #include "exec/thread_pool.h"
@@ -85,20 +81,15 @@ struct ShardedOptions {
   Status Validate() const;
 };
 
-/// Domain-sharded backend: K shards, each an inner BaseDeltaBackend (grid
+/// Domain-sharded backend: K shards, each a base-only inner backend (grid
 /// or paged R-tree) over its own PageStore. Stores() exposes one store per
 /// shard, so the engine's PoolSets carry one BufferPool per shard.
-class ShardedBackend : public BaseDeltaBackend {
+class ShardedBackend : public SpatialBackend {
  public:
   explicit ShardedBackend(ShardedOptions options = ShardedOptions())
       : options_(options) {}
 
   const char* name() const override { return "Sharded"; }
-
-  /// Custom build pipeline: split, then build one inner backend per run.
-  /// (The inherited Build would retain a duplicate base element list; the
-  /// shards each retain their own part instead.)
-  Status Build(const geom::ElementVec& elements) override;
 
   /// Attach a worker pool for intra-query shard fan-out; null (the
   /// default) keeps shard execution serial. Called by the engine when
@@ -107,37 +98,10 @@ class ShardedBackend : public BaseDeltaBackend {
   /// query itself already runs on a pool worker (ExecuteBatch lanes).
   void set_thread_pool(exec::ThreadPool* pool) { thread_pool_ = pool; }
 
-  /// Route to the shard whose bounds contain the new center (extending the
-  /// shard's bounds over the new element), else to the spill delta. These
-  /// are the pending (unpublished) building blocks; the inherited
-  /// Insert/Erase/Move wrappers add the republish, ApplyBatch adds the
-  /// per-epoch publish.
-  Status InsertPending(geom::ElementId id, const geom::Aabb& bounds) override;
-  /// Route to the owning shard via the id map, else to the spill delta.
-  Status ErasePending(geom::ElementId id) override;
-  Status MovePending(geom::ElementId id, const geom::Aabb& bounds) override;
-
-  /// Cascade: spill delta (inherited), every shard, and the routing
-  /// snapshot (shard bounds + populations) readers pin along with the
-  /// deltas.
-  void PublishVersion(storage::Epoch epoch) override;
-  void RepublishLatest() override;
-  void SetVersionRetention(size_t versions) override;
-
-  /// Fold every shard's delta in place and re-home spill elements into the
-  /// shard whose bounds contain (or are nearest to) their center. Shard
-  /// count and PageStore objects are stable across compaction — only page
-  /// contents change — so existing PoolSets stay structurally valid (their
-  /// cached pages must still be evicted).
-  Status Compact() override;
-
-  /// Spill delta plus every shard's pending delta records.
-  size_t DeltaSize() const override;
-
   BackendStats Stats() const override;
 
   /// Stash the factory; each shard gets its own store ("Sharded.shard<i>")
-  /// when BuildBase creates it. Must be called before Build, like the base.
+  /// when the first build creates it. Must be called before Build.
   Status AttachStores(const StoreFactory& factory) override {
     store_factory_ = factory;
     return Status::OK();
@@ -147,17 +111,14 @@ class ShardedBackend : public BaseDeltaBackend {
 
   const ShardedOptions& options() const { return options_; }
   size_t NumShards() const { return shards_.size(); }
-  /// Bounding box of shard `i`'s live elements. Cuts go through element
-  /// centers, boxes extend beyond them — and inserts only ever extend a
-  /// shard's bounds further (exact re-tightening happens at Compact).
+  /// Bounding box of shard `i`'s base elements (empty when it has none).
+  /// Cuts go through element centers; boxes extend beyond them.
   const geom::Aabb& shard_bounds(size_t i) const { return shard_bounds_[i]; }
-  const BaseDeltaBackend& shard(size_t i) const { return *shards_[i]; }
-  /// Live elements assigned to shard `i` — the per-shard population count
-  /// the cost-based shard selection prunes by (zero-population shards are
-  /// skipped even when their bounds intersect a query).
+  const SpatialBackend& shard(size_t i) const { return *shards_[i]; }
+  /// Base elements in shard `i` — the population the shard selection
+  /// prunes by (zero-population shards are skipped even when their bounds
+  /// intersect a query).
   size_t ShardPopulation(size_t i) const { return shard_sizes_[i]; }
-  /// Live elements routed to the spill delta (outside every shard bound).
-  size_t SpillPopulation() const { return delta_.InsertCount(); }
 
   /// Shards a range query over `box` executes on: bounds must intersect
   /// AND the population must be non-zero. Exposed for tests.
@@ -168,60 +129,31 @@ class ShardedBackend : public BaseDeltaBackend {
   uint64_t TotalStoreReads() const;
 
  protected:
+  /// The first build splits `elements` into min(num_shards, |elements|)
+  /// shards (one empty shard for an empty set) and builds one inner
+  /// backend per shard; a rebuild re-splits into the existing shards.
   Status BuildBase(const geom::ElementVec& elements) override;
-  Status ResetBase() override;
-  bool retain_base_elements() const override { return false; }
-  void ResetDeltaVersions() override;
-  Status BaseRangeQuery(storage::Epoch read_epoch, const geom::Aabb& box,
-                        storage::PoolSet* pools, ResultVisitor& visitor,
+  /// Nothing to drop: each shard resets itself in its own Rebuild.
+  Status ResetBase() override { return Status::OK(); }
+  Status BaseRangeQuery(const geom::Aabb& box, storage::PoolSet* pools,
+                        ResultVisitor& visitor,
                         RangeStats* stats) const override;
-  Status BaseKnnQuery(storage::Epoch read_epoch, const geom::Vec3& point,
-                      size_t k, storage::PoolSet* pools,
+  Status BaseKnnQuery(const geom::Vec3& point, size_t k,
+                      storage::PoolSet* pools,
                       std::vector<geom::KnnHit>* hits,
                       RangeStats* stats) const override;
 
  private:
-  /// The routing state a pinned reader resolves shard selection through: a
-  /// consistent (bounds, populations) pair as of one published epoch —
-  /// the live shard_bounds_/shard_sizes_ mutate under concurrent inserts.
-  struct ShardRouting {
-    std::vector<geom::Aabb> bounds;
-    std::vector<size_t> sizes;
-  };
-
-  /// A copy of the live routing state.
-  std::shared_ptr<const ShardRouting> MakeRouting() const {
-    auto routing = std::make_shared<ShardRouting>();
-    routing->bounds = shard_bounds_;
-    routing->sizes = shard_sizes_;
-    return routing;
-  }
-
-  /// SelectShards against an explicit routing view.
-  std::vector<size_t> SelectShardsIn(const geom::Aabb& box,
-                                     const ShardRouting& routing) const;
-
-  /// The shard whose bounds contain `center` (lowest index wins), or
-  /// npos when no shard covers it (the insert spills).
-  size_t RouteByBounds(const geom::Vec3& center) const;
-
   /// One inner backend of the configured kind.
-  std::unique_ptr<BaseDeltaBackend> MakeInner() const;
+  std::unique_ptr<SpatialBackend> MakeInner() const;
 
   ShardedOptions options_;
   exec::ThreadPool* thread_pool_ = nullptr;
   StoreFactory store_factory_;
 
-  std::vector<std::unique_ptr<BaseDeltaBackend>> shards_;
+  std::vector<std::unique_ptr<SpatialBackend>> shards_;
   std::vector<geom::Aabb> shard_bounds_;
   std::vector<size_t> shard_sizes_;
-  /// Owning shard of every live element that lives in a shard (spill
-  /// elements are absent) — exact erase/move routing and truthful
-  /// populations without cross-shard tombstones.
-  std::unordered_map<geom::ElementId, uint32_t> id_to_shard_;
-  /// Published routing snapshots, one per committed epoch (mirrors the
-  /// delta version ring).
-  VersionRing<ShardRouting> routing_versions_;
 };
 
 }  // namespace engine

@@ -1,9 +1,8 @@
 // NeuroDB — observability metrics: thread-safe named counters, gauges and
 // log-bucketed latency histograms with lock-free hot-path recording.
 //
-// The registry is the engine-wide, thread-safe successor to the per-
-// experiment `common/Stats` tickers (which stay single-writer by contract —
-// see common/stats.h). Layout:
+// The registry is the engine-wide, thread-safe home of every named metric.
+// Layout:
 //
 //   - `Counter`, `Gauge`, `Histogram` are plain structs of relaxed atomics:
 //     recording is a handful of uncontended atomic adds, safe from any

@@ -20,9 +20,8 @@ namespace storage {
 /// bumps it too — results are unchanged but the physical page layout is new.
 using Epoch = uint64_t;
 
-/// Sentinel read epoch: "the live, most recent state". A query pinned at
-/// kLatestEpoch reads the writer-visible pending delta rather than a
-/// published snapshot — the single-threaded fast path.
+/// Sentinel read epoch: "the most recent state". A query at kLatestEpoch
+/// reads the newest published delta version, pinned when it starts.
 inline constexpr Epoch kLatestEpoch = ~static_cast<Epoch>(0);
 
 }  // namespace storage

@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "storage/epoch.h"
 #include "storage/page_store.h"
 #include "storage/pool_set.h"
 
@@ -96,30 +95,10 @@ class PoolManager {
 
   size_t default_pool_pages() const { return default_pool_pages_; }
 
-  /// Data version the manager's pools serve. The engine advances it once
-  /// per applied update batch (and per compaction); results are stamped
-  /// with the epoch they answered at. Atomic: concurrent readers pin the
-  /// epoch while the writer commits the next one.
-  Epoch epoch() const { return epoch_.load(std::memory_order_acquire); }
-  Epoch AdvanceEpoch() {
-    return epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  }
-  /// Fast-forward to at least `e` (recovery restores the persisted epoch);
-  /// never moves backwards. Returns the resulting epoch.
-  Epoch AdvanceEpochTo(Epoch e) {
-    Epoch current = epoch_.load(std::memory_order_relaxed);
-    while (e > current &&
-           !epoch_.compare_exchange_weak(current, e,
-                                         std::memory_order_acq_rel)) {
-    }
-    return epoch_.load(std::memory_order_acquire);
-  }
-
   PoolManagerStats Stats() const;
 
  private:
   size_t default_pool_pages_;
-  std::atomic<Epoch> epoch_{0};
   /// std::map keeps iteration deterministic (stats, EvictAll order).
   std::map<std::string, std::unique_ptr<PoolSet>> sets_;
   uint64_t sets_created_ = 0;

@@ -39,7 +39,6 @@ constexpr ElementId kIds = 8 * DeltaIndex::kChunkRecords;
 struct Oracle {
   std::map<ElementId, Aabb> inserts;
   std::set<ElementId> tombstones;
-  uint64_t revision = 0;
 
   void Apply(UpdateKind kind, ElementId id, const Aabb& bounds) {
     switch (kind) {
@@ -54,12 +53,10 @@ struct Oracle {
         inserts[id] = bounds;
         break;
     }
-    ++revision;
   }
   void Clear() {
     inserts.clear();
     tombstones.clear();
-    ++revision;
   }
   bool IsDead(ElementId id) const {
     return tombstones.count(id) != 0 || inserts.count(id) != 0;
@@ -202,7 +199,6 @@ int Mismatches(const DeltaIndex& delta, const Oracle& oracle,
   bad += delta.TombstoneCount() != oracle.tombstones.size();
   bad += delta.Size() != oracle.inserts.size() + oracle.tombstones.size();
   bad += delta.Empty() != (oracle.inserts.empty() && oracle.tombstones.empty());
-  bad += delta.revision() != oracle.revision;
   for (ElementId id = 0; id <= kIds + 1; ++id) {
     bad += delta.IsDead(id) != oracle.IsDead(id);
   }
@@ -293,21 +289,22 @@ TEST(DeltaIndexTest, ReaderScansSnapshotsWhileWriterMutates) {
   const std::vector<Op> ops = MakeOps(IdOrder::kInterleaved, 4000, 13);
   constexpr size_t kPublishEvery = 20;
 
-  // The oracle state of every revision the writer will publish.
-  std::map<uint64_t, Oracle> expected;
+  // The oracle state at every epoch the writer will publish: epoch e is
+  // the state after e ops.
+  std::map<storage::Epoch, Oracle> expected;
   {
     Oracle oracle;
     expected[0] = oracle;
     for (size_t i = 0; i < ops.size(); ++i) {
       Apply(ops[i], &oracle);
-      if ((i + 1) % kPublishEvery == 0) expected[oracle.revision] = oracle;
+      if ((i + 1) % kPublishEvery == 0) expected[i + 1] = oracle;
     }
   }
 
   DeltaIndex delta;
   engine::VersionRing<DeltaIndex> ring(4);
   ring.Publish(0, std::make_shared<const DeltaIndex>(delta));
-  const std::shared_ptr<const DeltaIndex> first = ring.Latest();
+  const std::shared_ptr<const DeltaIndex> first = ring.Latest().snapshot;
 
   std::atomic<bool> done{false};
   std::atomic<int> bad{0};
@@ -316,12 +313,12 @@ TEST(DeltaIndexTest, ReaderScansSnapshotsWhileWriterMutates) {
     while (!done.load(std::memory_order_acquire) || scans.load() < 2) {
       // The newest published version, and the pinned first one, which
       // every later write shares or shadows chunks of.
-      const std::shared_ptr<const DeltaIndex> latest = ring.Latest();
-      auto it = expected.find(latest->revision());
+      const auto latest = ring.Latest();
+      auto it = expected.find(latest.epoch);
       if (it == expected.end()) {
         ++bad;
       } else {
-        bad += Mismatches(*latest, it->second, base);
+        bad += Mismatches(*latest.snapshot, it->second, base);
       }
       bad += Mismatches(*first, expected.at(0), base);
       ++scans;

@@ -25,6 +25,7 @@
 #define NEURODB_TESTS_DIFF_HARNESS_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <random>
@@ -59,6 +60,9 @@ struct DiffOutcome {
   size_t joins = 0;
   size_t walkthroughs = 0;
   size_t updates = 0;
+  /// RunConcurrentReaders: reads that failed with kOutOfRange (a retired
+  /// read epoch) and were retried.
+  size_t retired_retries = 0;
   /// Valid when diverged: the failing query's index in the workload and the
   /// sub-seed that regenerates it via neuro::MixedWorkloadQuery.
   size_t failing_index = 0;
@@ -921,9 +925,10 @@ struct ConcurrentReaderOptions {
   size_t compact_every = 0;
   /// Fraction of reader queries that are kNN instead of range.
   double knn_fraction = 0.3;
-  /// A reader pinned at an epoch the writer has since retired from the
-  /// retention window gets kOutOfRange — it re-pins and retries, at most
-  /// this many times per query before reporting the query as failed.
+  /// A read that fails with kOutOfRange (its epoch retired from the
+  /// retention window) re-pins and retries, at most this many times per
+  /// query before reporting the query as failed. Every retry is counted in
+  /// DiffOutcome::retired_retries.
   size_t max_retries = 64;
 };
 
@@ -946,17 +951,17 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
   DiffOutcome outcome;
 
   // ---- Script the writer deterministically, before any thread starts:
-  // per batch the concrete update requests, plus the oracle live set after
-  // each batch (snapshot 0 = the initial load).
+  // per batch the concrete update requests. Snapshot j, the oracle live set
+  // after j batches (snapshot 0 = the initial load), is replayed from the
+  // script at verdict time.
   std::vector<std::vector<engine::UpdateRequest>> batches(options.batches);
-  std::vector<geom::ElementVec> snapshots;
+  geom::ElementVec initial = elements;
+  std::sort(initial.begin(), initial.end(),
+            [](const geom::SpatialElement& a, const geom::SpatialElement& b) {
+              return a.id < b.id;
+            });
   {
-    geom::ElementVec live = elements;
-    std::sort(live.begin(), live.end(),
-              [](const geom::SpatialElement& a, const geom::SpatialElement& b) {
-                return a.id < b.id;
-              });
-    snapshots.push_back(live);
+    geom::ElementVec live = initial;
     geom::ElementId next_id = live.empty() ? 1 : live.back().id + 1;
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1);
     const geom::Aabb domain = db->domain();
@@ -995,7 +1000,6 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
         }
         batch.push_back(request);
       }
-      snapshots.push_back(live);
     }
   }
 
@@ -1005,7 +1009,13 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
   std::unordered_map<storage::Epoch, size_t> snapshot_at_epoch;
   snapshot_at_epoch[db->epoch()] = 0;
   std::string writer_error;
+  // Every thread starts at once, so the writer's commits overlap the reads.
+  std::atomic<bool> go{false};
+  auto await_go = [&go] {
+    while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+  };
   std::thread writer([&] {
+    await_go();
     size_t applied = 0;
     for (size_t j = 0; j < batches.size(); ++j) {
       Result<engine::UpdateReport> report =
@@ -1051,10 +1061,12 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
     std::string error;  // non-retryable failure
   };
   std::vector<std::vector<Observation>> observed(options.readers);
+  std::vector<size_t> retries(options.readers, 0);
   std::vector<std::thread> reader_threads;
   reader_threads.reserve(options.readers);
   for (size_t r = 0; r < options.readers; ++r) {
     reader_threads.emplace_back([&, r] {
+      await_go();
       std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull + 1000003ull * (r + 2));
       const geom::Aabb domain = db->domain();
       std::uniform_real_distribution<float> ux(domain.min.x, domain.max.x);
@@ -1112,14 +1124,17 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
             ob.error = failed.ToString();
             break;
           }
+          ++retries[r];
         }
         observed[r].push_back(std::move(ob));
       }
     });
   }
 
+  go.store(true, std::memory_order_release);
   writer.join();
   for (std::thread& t : reader_threads) t.join();
+  for (size_t count : retries) outcome.retired_retries += count;
 
   if (!writer_error.empty()) {
     outcome.diverged = true;
@@ -1128,50 +1143,87 @@ inline DiffOutcome RunConcurrentReaders(engine::QueryEngine* db,
   }
 
   // ---- Offline verdict: every recorded answer must equal the quiesced
-  // oracle at its pinned epoch.
+  // oracle at its pinned epoch. Answers are checked in script order while
+  // one live set replays the batches.
+  struct Checked {
+    size_t snapshot = 0;
+    size_t reader = 0;
+    size_t query = 0;
+  };
+  std::vector<Checked> order;
+  auto prefix = [&](size_t r, size_t q) {
+    std::ostringstream os;
+    os << "reader " << r << " query " << q << " (epoch "
+       << observed[r][q].epoch << "): ";
+    return os.str();
+  };
   for (size_t r = 0; r < observed.size(); ++r) {
     for (size_t q = 0; q < observed[r].size(); ++q) {
       const Observation& ob = observed[r][q];
       ++outcome.queries_run;
-      std::ostringstream os;
-      os << "reader " << r << " query " << q << " (epoch " << ob.epoch
-         << "): ";
       if (!ob.error.empty()) {
         outcome.diverged = true;
-        outcome.detail = os.str() + ob.error;
+        outcome.detail = prefix(r, q) + ob.error;
         return outcome;
       }
       if (!ob.backends_matched) {
         outcome.diverged = true;
-        outcome.detail = os.str() + "backends disagree at the pinned epoch";
+        outcome.detail = prefix(r, q) + "backends disagree at the pinned epoch";
         return outcome;
       }
       auto snap = snapshot_at_epoch.find(ob.epoch);
       if (snap == snapshot_at_epoch.end()) {
         outcome.diverged = true;
-        outcome.detail =
-            os.str() + "query pinned an epoch the writer never published";
+        outcome.detail = prefix(r, q) +
+                         "query pinned an epoch the writer never published";
         return outcome;
       }
-      const geom::ElementVec& live = snapshots[snap->second];
-      if (ob.is_knn) {
-        ++outcome.knns;
-        if (ob.hits != geom::BruteForceKnn(live, ob.point, ob.k)) {
-          outcome.diverged = true;
-          os << "kNN answer (k=" << ob.k << ", " << ob.hits.size()
-             << " hits) disagrees with the quiesced oracle at its epoch";
-          outcome.detail = os.str();
-          return outcome;
+      order.push_back(Checked{snap->second, r, q});
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Checked& a, const Checked& b) {
+                     return a.snapshot < b.snapshot;
+                   });
+  geom::ElementVec live = std::move(initial);
+  size_t replayed = 0;
+  for (const Checked& check : order) {
+    for (; replayed < check.snapshot; ++replayed) {
+      for (const engine::UpdateRequest& u : batches[replayed]) {
+        if (u.kind == engine::UpdateKind::kInsert) {
+          live.emplace_back(u.id, u.bounds);
+          continue;
         }
-      } else {
-        ++outcome.ranges;
-        if (ob.ids != BruteForceRangeIds(live, ob.box)) {
-          outcome.diverged = true;
-          os << "range answer (" << ob.ids.size() << " ids, box " << ob.box
-             << ") disagrees with the quiesced oracle at its epoch";
-          outcome.detail = os.str();
-          return outcome;
+        auto it = std::find_if(
+            live.begin(), live.end(),
+            [&u](const geom::SpatialElement& e) { return e.id == u.id; });
+        if (u.kind == engine::UpdateKind::kErase) {
+          live.erase(it);
+        } else {
+          it->bounds = u.bounds;
         }
+      }
+    }
+    const Observation& ob = observed[check.reader][check.query];
+    std::ostringstream os;
+    os << prefix(check.reader, check.query);
+    if (ob.is_knn) {
+      ++outcome.knns;
+      if (ob.hits != geom::BruteForceKnn(live, ob.point, ob.k)) {
+        outcome.diverged = true;
+        os << "kNN answer (k=" << ob.k << ", " << ob.hits.size()
+           << " hits) disagrees with the quiesced oracle at its epoch";
+        outcome.detail = os.str();
+        return outcome;
+      }
+    } else {
+      ++outcome.ranges;
+      if (ob.ids != BruteForceRangeIds(live, ob.box)) {
+        outcome.diverged = true;
+        os << "range answer (" << ob.ids.size() << " ids, box " << ob.box
+           << ") disagrees with the quiesced oracle at its epoch";
+        outcome.detail = os.str();
+        return outcome;
       }
     }
   }

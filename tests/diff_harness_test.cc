@@ -266,10 +266,11 @@ class LossyBackend : public engine::GridBackend {
  public:
   const char* name() const override { return "Lossy"; }
 
-  // Queries flow through the epoch-pinned entry point — inject there.
-  Status RangeQueryAt(storage::Epoch read_epoch, const Aabb& box,
-                      storage::PoolSet* pools, geom::ResultVisitor& visitor,
-                      engine::RangeStats* stats) const override {
+  // Engine queries flow through the pinned-delta entry point — inject
+  // there.
+  Status RangeQueryView(const engine::DeltaIndex* delta, const Aabb& box,
+                        storage::PoolSet* pools, geom::ResultVisitor& visitor,
+                        engine::RangeStats* stats) const override {
     struct DropFirst : geom::ResultVisitor {
       geom::ResultVisitor* inner = nullptr;
       bool dropped = false;
@@ -283,7 +284,7 @@ class LossyBackend : public engine::GridBackend {
     };
     DropFirst drop;
     drop.inner = &visitor;
-    return GridBackend::RangeQueryAt(read_epoch, box, pools, drop, stats);
+    return GridBackend::RangeQueryView(delta, box, pools, drop, stats);
   }
 };
 

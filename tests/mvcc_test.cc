@@ -1,8 +1,9 @@
 // Snapshot-read (MVCC-lite) tests: concurrent readers racing ApplyUpdates
 // and Compact must answer exactly as a quiesced engine pinned at their read
 // epoch (tests/diff_harness.h RunConcurrentReaders, also the body of the
-// mvcc_stress_nightly ctest label and the TSan CI job), explicit epoch pins
-// replay historical answers within the retention window and report
+// mvcc_stress_nightly ctest label and the TSan CI job) — default-epoch
+// reads never retried, even with one retained version — explicit epoch
+// pins replay historical answers within the retention window and report
 // kOutOfRange beyond it, and an engine created empty and populated purely
 // through updates survives a restart through QueryEngine::Open via its
 // WAL-logged load record.
@@ -112,6 +113,28 @@ TEST(MvccTest, ConcurrentReadersSurviveCompaction) {
   options.compact_every = 6;
   auto outcome = RunConcurrentReaders(&db, elements, options, MvccSeed() + 1);
   EXPECT_FALSE(outcome.diverged) << outcome.Summary();
+}
+
+// Default-epoch reads hold their (epoch, delta) pair by reference: however
+// far the one version ring moves on under them — here it keeps a single
+// version — a read in flight is never retired, so no reader retries.
+TEST(MvccTest, DefaultEpochReadsAreNeverRetired) {
+  ElementVec elements = MakeCloud(300, 83);
+  EngineOptions engine_options;
+  engine_options.retained_versions = 1;
+  QueryEngine db(engine_options);
+  ASSERT_TRUE(db.LoadElements(elements).ok());
+
+  // A writer committing 1-op batches for longer than the readers run.
+  ConcurrentReaderOptions options;
+  options.readers = 3;
+  options.queries_per_reader = 1000;
+  options.batches = 12000;
+  options.ops_per_batch = 1;
+  auto outcome = RunConcurrentReaders(&db, elements, options, MvccSeed() + 2);
+  EXPECT_FALSE(outcome.diverged) << outcome.Summary();
+  EXPECT_EQ(outcome.queries_run, options.readers * options.queries_per_reader);
+  EXPECT_EQ(outcome.retired_retries, 0u);
 }
 
 // ---------------------------------------------------------------------------

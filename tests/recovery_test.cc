@@ -460,6 +460,46 @@ TEST(RecoveryMatrixTest, KillInsideCoalescedGroupAppendWithWriterRace) {
   }
 }
 
+// A backend whose rebuild fails partway through Compact (a page-store
+// write error) leaves the backends on different base generations: the
+// engine poisons itself, and every later query and update fails rather
+// than answer from a half-built index.
+TEST(RecoveryTest, FailedCompactRebuildPoisonsTheEngine) {
+  TempDir dir;
+  storage::FaultPlan plan;
+  plan.path_filter = "Grid.pages";  // FLAT and the R-tree rebuild first
+  storage::FaultInjectingFileSystem fs(storage::DefaultFileSystem(), &plan);
+
+  auto batches = ScriptedBatches();
+  auto db =
+      std::make_unique<QueryEngine>(DurableOptions(dir.Sub("data"), &fs));
+  ASSERT_TRUE(db->LoadElements(MakeGrid(48)).ok());
+  ASSERT_TRUE(
+      db->ApplyUpdates(std::span<const UpdateRequest>(batches[0])).ok());
+
+  // The grid's first page write of the rebuild fails.
+  plan.Reset(0);
+  ASSERT_FALSE(db->Compact().ok());
+  ASSERT_TRUE(plan.Crashed());
+  // The device works again; the engine must still refuse.
+  plan.Reset(-1);
+
+  RangeRequest range;
+  range.box = Aabb(Vec3(-1000, -1000, -1000), Vec3(1000, 1000, 1000));
+  range.backend = BackendChoice::kAll;
+  EXPECT_FALSE(db->Execute(range).ok());
+  range.cache = CachePolicy::kWarm;
+  range.backend = BackendChoice::kFlat;
+  EXPECT_FALSE(db->Execute(range).ok());
+  KnnRequest knn;
+  knn.point = Vec3(0, 0, 0);
+  knn.k = 3;
+  EXPECT_FALSE(db->Execute(knn).ok());
+  EXPECT_FALSE(
+      db->ApplyUpdates(std::span<const UpdateRequest>(batches[1])).ok());
+  EXPECT_FALSE(db->Compact().ok());
+}
+
 TEST(RecoveryTest, CrashDuringCheckpointRollsBackToPreviousBaseAndWal) {
   TempDir dir;
   storage::FaultPlan plan;

@@ -7,77 +7,12 @@
 namespace neurodb {
 namespace {
 
-TEST(StatsTest, TickersStartAtZero) {
-  Stats s;
-  EXPECT_EQ(s.Get("anything"), 0u);
-}
-
-TEST(StatsTest, AddBumpSet) {
-  Stats s;
-  s.Add("pages", 3);
-  s.Bump("pages");
-  EXPECT_EQ(s.Get("pages"), 4u);
-  s.Set("pages", 10);
-  EXPECT_EQ(s.Get("pages"), 10u);
-}
-
-TEST(StatsTest, SetMaxKeepsMaximum) {
-  Stats s;
-  s.SetMax("peak", 5);
-  s.SetMax("peak", 3);
-  EXPECT_EQ(s.Get("peak"), 5u);
-  s.SetMax("peak", 9);
-  EXPECT_EQ(s.Get("peak"), 9u);
-}
-
-TEST(StatsTest, MergeAddsTickerwise) {
-  Stats a;
-  Stats b;
-  a.Add("x", 1);
-  b.Add("x", 2);
-  b.Add("y", 5);
-  a.Merge(b);
-  EXPECT_EQ(a.Get("x"), 3u);
-  EXPECT_EQ(a.Get("y"), 5u);
-}
-
-TEST(StatsTest, ResetZeroesButKeepsNames) {
-  Stats s;
-  s.Add("x", 7);
-  s.Reset();
-  EXPECT_EQ(s.Get("x"), 0u);
-  EXPECT_EQ(s.tickers().size(), 1u);
-  s.Clear();
-  EXPECT_TRUE(s.tickers().empty());
-}
-
-TEST(StatsTest, ToStringIsSortedByName) {
-  Stats s;
-  s.Add("zz", 1);
-  s.Add("aa", 2);
-  EXPECT_EQ(s.ToString(), "aa=2 zz=1");
-}
-
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile uint64_t sink = 0;
   for (int i = 0; i < 100000; ++i) sink += i;
   EXPECT_GT(t.ElapsedNanos(), 0u);
   EXPECT_GE(t.ElapsedMillis(), 0.0);
-}
-
-TEST(ScopedTimerTest, AddsElapsedToTicker) {
-  Stats s;
-  {
-    ScopedTimer timer(&s, "work_ns");
-    volatile uint64_t sink = 0;
-    for (int i = 0; i < 10000; ++i) sink += i;
-  }
-  EXPECT_GT(s.Get("work_ns"), 0u);
-}
-
-TEST(ScopedTimerTest, NullStatsIsSafe) {
-  ScopedTimer timer(nullptr, "x");  // must not crash on destruction
 }
 
 TEST(SimClockTest, StartsAtZeroAndAdvances) {

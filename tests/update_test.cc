@@ -1,5 +1,5 @@
 // Mutable-circuit coverage: the base+delta write path (ApplyUpdates /
-// Compact / epochs) through every backend, the engine result cache's
+// Compact / epochs) read through every backend, the engine result cache's
 // epoch invalidation, delta-aware sessions, delta kNN seeding parity and
 // the update-parity differential harness (tests/diff_harness.h's
 // RunUpdateParity — CI-sized here, scaled up by the update_parity_nightly
@@ -297,54 +297,61 @@ TEST(UpdateTest, CompactFoldsDeltaAndPreservesParity) {
 }
 
 // --------------------------------------------------------------------------
-// Sharded routing: spill inserts, bounds extension, compaction re-homing
+// An insert outside every shard: the one delta answers it on every backend
 // --------------------------------------------------------------------------
 
-TEST(UpdateTest, ShardedSpillAndRehoming) {
+TEST(UpdateTest, InsertOutsideEveryShardAnswersOnEveryBackend) {
   ElementVec elements = MakeCloud(500, 13);
-  engine::ShardedOptions options;
-  options.num_shards = 4;
-  options.inner.elems_per_page = 64;
-  engine::ShardedBackend backend(options);
-  ASSERT_TRUE(backend.Build(elements).ok());
+  auto db = MakeEngine(elements);
+  const engine::ShardedBackend& sharded = *db->sharded_backend();
+  ASSERT_GT(sharded.NumShards(), 1u);
 
-  // Far outside every shard bound: must spill, and still be queryable.
-  Aabb outside = Aabb::Cube(Vec3(900, 900, 900), 4.0f);
-  ASSERT_TRUE(backend.Insert(123'456, outside).ok());
-  EXPECT_EQ(backend.SpillPopulation(), 1u);
-
+  // Far outside every shard's bounds (and the grid's domain).
+  const ElementId outsider = 123'456;
+  const Aabb outside = Aabb::Cube(Vec3(900, 900, 900), 4.0f);
+  for (size_t s = 0; s < sharded.NumShards(); ++s) {
+    ASSERT_FALSE(sharded.shard_bounds(s).Intersects(outside));
+  }
+  ASSERT_TRUE(Apply(db.get(), {Insert(outsider, outside)}).ok());
   ElementVec live = elements;
-  live.emplace_back(123'456, outside);
+  live.emplace_back(outsider, outside);
 
-  storage::PoolSet pools = backend.MakePoolSet(4096);
-  geom::CollectingVisitor out;
-  ASSERT_TRUE(
-      backend.RangeQuery(outside.Expanded(5.0f), &pools, out).ok());
-  EXPECT_EQ(SortedIds(out), BruteForceRangeIds(live, outside.Expanded(5.0f)));
+  const Aabb around = outside.Expanded(5.0f);
+  const Vec3 near(890, 890, 890);
+  auto expect_every_backend = [&](const ElementVec& truth,
+                                  const std::string& when) {
+    for (engine::BackendChoice choice :
+         {engine::BackendChoice::kFlat, engine::BackendChoice::kRTree,
+          engine::BackendChoice::kGrid, engine::BackendChoice::kSharded}) {
+      const std::string where =
+          when + ", backend " + std::to_string(static_cast<int>(choice));
+      engine::RangeRequest range;
+      range.box = around;
+      range.backend = choice;
+      geom::CollectingVisitor out;
+      ASSERT_TRUE(db->Execute(range, out).ok()) << where;
+      EXPECT_EQ(SortedIds(out), BruteForceRangeIds(truth, around)) << where;
 
-  std::vector<KnnHit> hits;
-  ASSERT_TRUE(backend.KnnQuery(Vec3(890, 890, 890), 3, &pools, &hits).ok());
-  EXPECT_EQ(hits, geom::BruteForceKnn(live, Vec3(890, 890, 890), 3));
+      engine::KnnRequest knn;
+      knn.point = near;
+      knn.k = 3;
+      knn.backend = choice;
+      auto report = db->Execute(knn);
+      ASSERT_TRUE(report.ok()) << where;
+      EXPECT_EQ(report->hits, geom::BruteForceKnn(truth, near, 3)) << where;
+    }
+  };
+  expect_every_backend(live, "before Compact");
 
-  // Compaction re-homes the spill element into the nearest shard; answers
-  // are unchanged, the spill and all deltas drain.
-  ASSERT_TRUE(backend.Compact().ok());
-  EXPECT_EQ(backend.SpillPopulation(), 0u);
-  EXPECT_EQ(backend.DeltaSize(), 0u);
-  storage::PoolSet fresh = backend.MakePoolSet(4096);
-  geom::CollectingVisitor again;
-  ASSERT_TRUE(
-      backend.RangeQuery(outside.Expanded(5.0f), &fresh, again).ok());
-  EXPECT_EQ(SortedIds(again),
-            BruteForceRangeIds(live, outside.Expanded(5.0f)));
+  // Compaction folds the outsider into the base (the sharded backend
+  // re-splits around it); answers are unchanged and the delta drains.
+  ASSERT_TRUE(db->Compact().ok());
+  EXPECT_EQ(db->DeltaSize(), 0u);
+  expect_every_backend(live, "after Compact");
 
-  // And the spilled id is now exactly erasable (it lives in a shard).
-  ASSERT_TRUE(backend.Erase(123'456).ok());
-  geom::CollectingVisitor gone;
-  ASSERT_TRUE(
-      backend.RangeQuery(outside.Expanded(5.0f), &fresh, gone).ok());
-  EXPECT_EQ(SortedIds(gone),
-            BruteForceRangeIds(elements, outside.Expanded(5.0f)));
+  // And the folded id is exactly erasable.
+  ASSERT_TRUE(Apply(db.get(), {Erase(outsider)}).ok());
+  expect_every_backend(elements, "after the erase");
 }
 
 // --------------------------------------------------------------------------
@@ -444,7 +451,7 @@ TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
   // The session path.
   auto session = engine::Session::Open(
       &db->flat_index(), db->flat_backend()->store(), nullptr,
-      scout::PrefetchMethod::kNone, db->options().session, db->flat_backend());
+      scout::PrefetchMethod::kNone, db->options().session, &db->live_set());
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->Step(Aabb::Cube(point, 30.0f)).ok());
   std::vector<KnnHit> hits;
@@ -564,36 +571,6 @@ TEST(UpdateTest, SeededUpdateWorkloadHasNoDivergence) {
   EXPECT_GT(db->epoch(), 0u);
 }
 
-// A read-only registered backend must reject the whole batch up front —
-// a half-applied batch (built-ins mutated, custom backend not) would
-// break kAll parity permanently.
-class ReadOnlyBackend : public engine::GridBackend {
- public:
-  const char* name() const override { return "ReadOnly"; }
-  bool SupportsUpdates() const override { return false; }
-};
-
-TEST(UpdateTest, ReadOnlyBackendRejectsUpdatesAtomically) {
-  ElementVec elements = MakeCloud(150, 43);
-  auto db = std::make_unique<engine::QueryEngine>(SmallEngineOptions());
-  ASSERT_TRUE(db->RegisterBackend(std::make_unique<ReadOnlyBackend>()).ok());
-  ASSERT_TRUE(db->LoadElements(elements).ok());
-
-  EXPECT_EQ(Apply(db.get(), {Insert(500'000, Aabb::Cube(Vec3(1, 1, 1), 2))})
-                .code(),
-            StatusCode::kUnimplemented);
-  // Nothing applied anywhere: no delta records, no epoch bump, and the
-  // five-way kAll panel still agrees.
-  EXPECT_EQ(db->DeltaSize(), 0u);
-  EXPECT_EQ(db->epoch(), 0u);
-  engine::RangeRequest request;
-  request.box = Aabb::Cube(Vec3(150, 150, 150), 80.0f);
-  request.backend = engine::BackendChoice::kAll;
-  auto report = db->Execute(request);
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->results_match);
-}
-
 // Compaction rebuilds the page layout under any open session's private
 // pool — the session adopts the new layout lazily (its pool drops stale
 // pages through the store-epoch check) and keeps answering, byte-identical
@@ -655,27 +632,30 @@ TEST(UpdateTest, SessionsReportCompactToEmpty) {
   EXPECT_EQ(gone.status().code(), StatusCode::kInvalidArgument);
 }
 
-// An injected mutation bug (a backend that ignores erases) is caught by
-// the update-parity harness with a usable repro handle.
-class EraseDroppingBackend : public engine::GridBackend {
+// An injected mutation bug (a backend whose reads skip the delta merge, so
+// an erased base element stays visible) is caught by the update-parity
+// harness with a usable repro handle.
+class DeltaSkippingBackend : public engine::GridBackend {
  public:
-  const char* name() const override { return "EraseDropper"; }
-  // Updates flow through the batched publish path — drop the erases there.
-  Status ApplyBatch(const std::vector<engine::UpdateRequest>& updates,
-                    storage::Epoch epoch) override {
-    std::vector<engine::UpdateRequest> kept;
-    for (const auto& u : updates) {
-      if (u.kind != engine::UpdateKind::kErase) kept.push_back(u);
-    }
-    return engine::GridBackend::ApplyBatch(kept, epoch);
+  const char* name() const override { return "DeltaSkipper"; }
+  // Engine reads hand every backend the pinned delta — drop it there.
+  Status RangeQueryView(const engine::DeltaIndex*, const Aabb& box,
+                        storage::PoolSet* pools, geom::ResultVisitor& visitor,
+                        engine::RangeStats* stats) const override {
+    return GridBackend::RangeQueryView(nullptr, box, pools, visitor, stats);
+  }
+  Status KnnQueryView(const engine::DeltaIndex*, const Vec3& point, size_t k,
+                      storage::PoolSet* pools, std::vector<KnnHit>* hits,
+                      engine::RangeStats* stats) const override {
+    return GridBackend::KnnQueryView(nullptr, point, k, pools, hits, stats);
   }
 };
 
-TEST(UpdateTest, CatchesBackendThatDropsErases) {
+TEST(UpdateTest, CatchesBackendThatSkipsTheDelta) {
   ElementVec elements = MakeCloud(400, 37);
   auto db = std::make_unique<engine::QueryEngine>(SmallEngineOptions());
   ASSERT_TRUE(
-      db->RegisterBackend(std::make_unique<EraseDroppingBackend>()).ok());
+      db->RegisterBackend(std::make_unique<DeltaSkippingBackend>()).ok());
   ASSERT_TRUE(db->LoadElements(elements).ok());
 
   UpdateParityOptions options;

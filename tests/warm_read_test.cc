@@ -44,8 +44,8 @@ std::vector<neuro::WorkloadQuery> Reads(QueryEngine& db, size_t n,
                                         uint64_t seed) {
   neuro::MixedWorkloadOptions mix;
   mix.knn_fraction = 0.3;
-  return neuro::MixedWorkload(db.domain(), db.flat_backend()->base_elements(),
-                              mix, n, seed);
+  return neuro::MixedWorkload(db.domain(), *db.live_set().base(), mix, n,
+                              seed);
 }
 
 QueryRequest MakeRequest(const neuro::WorkloadQuery& q, BackendChoice backend,
