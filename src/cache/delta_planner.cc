@@ -80,6 +80,10 @@ Result<geom::ElementVec> DeltaPlanner::Answer(
         run_residual,
     DeltaPlan* plan_out) {
   DeltaPlan plan = Plan(cache, box);
+  // The one entry the plan reads is scanned now, if it never was.
+  if (plan.source.has_value()) {
+    NEURODB_RETURN_NOT_OK(cache.Scan(*plan.source));
+  }
 
   geom::CollectingVisitor residual_out;
   for (const Aabb& residual : plan.residuals) {

@@ -62,13 +62,14 @@ class DeltaPlanner {
   /// Plan `box` against `cache` (counts a cache lookup).
   static DeltaPlan Plan(ResultCache& cache, const geom::Aabb& box);
 
-  /// The full delta protocol: plan `box`, answer every residual through
-  /// `run_residual` (a backend or index range query into the visitor),
-  /// and merge with the covered fragment under the ascending-id order.
-  /// On a miss the one "residual" is the whole box, so the caller needs
-  /// no separate path. The caller streams the returned answer and
-  /// decides whether to Insert it back into `cache`. `plan_out` (may be
-  /// null) receives the plan for statistics.
+  /// The full delta protocol: plan `box`, scan the source entry if it is
+  /// unscanned (ResultCache::Scan; a failed scan is returned), answer
+  /// every residual through `run_residual` (a backend or index range query
+  /// into the visitor), and merge with the covered fragment under the
+  /// ascending-id order. On a miss the one "residual" is the whole box, so
+  /// the caller needs no separate path. The caller streams the returned
+  /// answer and decides whether to Insert it back into `cache`. `plan_out`
+  /// (may be null) receives the plan for statistics.
   static Result<geom::ElementVec> Answer(
       ResultCache& cache, const geom::Aabb& box,
       const std::function<Status(const geom::Aabb&,
@@ -82,7 +83,8 @@ class DeltaPlanner {
 
   /// The delta answer: `entry`'s cached elements filtered by exact
   /// bounds-vs-`box` intersection, merged with the residual query results,
-  /// deduplicated, ascending by id. `residual_results` need not be sorted.
+  /// deduplicated, ascending by id. `entry` must be scanned;
+  /// `residual_results` need not be sorted.
   static geom::ElementVec MergeById(const CachedResult& entry,
                                     const geom::Aabb& box,
                                     geom::ElementVec residual_results);

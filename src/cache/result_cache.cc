@@ -6,10 +6,19 @@ namespace neurodb {
 namespace cache {
 
 void ResultCache::Insert(const geom::Aabb& box, geom::ElementVec results) {
+  Add(CachedResult{box, std::move(results), epoch_, nullptr});
+}
+
+void ResultCache::InsertUnscanned(const geom::Aabb& box, ScanFn scan) {
+  if (Add(CachedResult{box, {}, epoch_, std::move(scan)})) ++stats_.deferred;
+}
+
+bool ResultCache::Add(CachedResult entry) {
+  const geom::Aabb& box = entry.box;
   // Zero-volume (planar/degenerate) boxes can never serve a hit —
   // BestOverlap demands positive overlap volume — so storing them would
   // only evict useful entries from the FIFO.
-  if (capacity_ == 0 || !box.IsValid() || box.Volume() <= 0.0) return;
+  if (capacity_ == 0 || !box.IsValid() || box.Volume() <= 0.0) return false;
 
   // An existing entry covering the whole box already answers everything the
   // new entry could; refresh its recency instead of storing a subset.
@@ -18,7 +27,7 @@ void ResultCache::Insert(const geom::Aabb& box, geom::ElementVec results) {
       CachedResult kept = std::move(entries_[i]);
       entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
       entries_.push_back(std::move(kept));
-      return;
+      return false;
     }
   }
 
@@ -31,11 +40,35 @@ void ResultCache::Insert(const geom::Aabb& box, geom::ElementVec results) {
     }
   }
 
-  entries_.push_back(CachedResult{box, std::move(results), epoch_});
+  entries_.push_back(std::move(entry));
   ++stats_.insertions;
   while (entries_.size() > capacity_) {
     entries_.pop_front();
     ++stats_.evictions;
+  }
+  return true;
+}
+
+Status ResultCache::Scan(size_t i) {
+  CachedResult& entry = entries_[i];
+  if (entry.scanned()) return Status::OK();
+  const ScanFn scan = std::exchange(entry.scan, nullptr);
+  Status status = scan(entry.box, &entry.results);
+  if (!status.ok()) {
+    entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+    ++stats_.evictions;
+    return status;
+  }
+  ++stats_.scanned;
+  return Status::OK();
+}
+
+void ResultCache::DropUnscanned() {
+  for (size_t i = entries_.size(); i-- > 0;) {
+    if (!entries_[i].scanned()) {
+      entries_.erase(entries_.begin() + static_cast<ptrdiff_t>(i));
+      ++stats_.evictions;
+    }
   }
 }
 

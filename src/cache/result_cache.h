@@ -9,7 +9,9 @@
 // entry is the complete answer for its coverage AABB, an element
 // intersecting the covered fragment is guaranteed to be in the entry — the
 // delta answer is exact, not approximate (cf. incremental query answering
-// under updates, PAPERS.md).
+// under updates, PAPERS.md). A predicted box may be stored unscanned, with
+// an opaque scan that computes its result set the first time a plan reads
+// the entry: most predictions are never read.
 //
 // The cache is a pure geometry/value structure: it knows nothing about
 // backends, pools or clocks, so one implementation serves the engine's
@@ -21,8 +23,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <optional>
 
+#include "common/status.h"
 #include "geom/aabb.h"
 #include "geom/element.h"
 #include "storage/epoch.h"
@@ -46,13 +50,23 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t insertions = 0;
-  /// Entries dropped by capacity or subsumption.
+  /// Entries dropped by capacity, subsumption, Clear, DropUnscanned or a
+  /// failed Scan.
   uint64_t evictions = 0;
   /// Entries dropped because an update batch dirtied their region
   /// (AdvanceEpoch) — the cache's invalidation churn, reported alongside
   /// hits/misses by the update benchmarks and session aggregates.
   uint64_t invalidated_boxes = 0;
+  /// Insertions made unscanned (InsertUnscanned; also counted in
+  /// insertions), and the unscanned entries whose scan Scan later ran.
+  uint64_t deferred = 0;
+  uint64_t scanned = 0;
 };
+
+/// Computes an unscanned entry's result set: appends the complete answer
+/// for `box`, ascending by id, to `results`.
+using ScanFn =
+    std::function<Status(const geom::Aabb& box, geom::ElementVec* results)>;
 
 /// One cached evaluated box: its coverage AABB, the exact result set
 /// (ascending by element id), and the data epoch it was computed at. Every
@@ -63,11 +77,18 @@ struct CachedResult {
   geom::Aabb box;
   geom::ElementVec results;
   storage::Epoch epoch = 0;
+  /// Set while the entry is unscanned: `results` stays empty until
+  /// ResultCache::Scan runs this once. The cache never looks inside it.
+  ScanFn scan;
+
+  bool scanned() const { return scan == nullptr; }
 };
 
 /// FIFO cache of the last `capacity` evaluated boxes. Insertion drops
 /// entries the new box subsumes; inserting a box an existing entry already
-/// covers refreshes that entry instead of duplicating it.
+/// covers refreshes that entry instead of duplicating it. Insert, Covers,
+/// BestOverlap and AdvanceEpoch read boxes only, so an unscanned entry takes
+/// part in them exactly like a scanned one.
 class ResultCache {
  public:
   explicit ResultCache(size_t capacity_boxes = 8)
@@ -77,12 +98,27 @@ class ResultCache {
   size_t size() const { return entries_.size(); }
   bool enabled() const { return capacity_ > 0; }
 
+  /// Entry `i`, oldest first. Its `results` are meaningful only once it is
+  /// scanned().
   const CachedResult& entry(size_t i) const { return entries_[i]; }
 
   /// Remember `results` (must be the complete answer for `box`, sorted
   /// ascending by id) as the newest entry, stamped with the current epoch.
   /// No-op when capacity is 0.
   void Insert(const geom::Aabb& box, geom::ElementVec results);
+
+  /// Remember `box` as the newest entry without its results: `scan`
+  /// computes them the first time Scan is called on the entry, which may
+  /// be never. Stored under Insert's rules.
+  void InsertUnscanned(const geom::Aabb& box, ScanFn scan);
+
+  /// Make entry `i` scanned: run its scan if it has not run yet (counted in
+  /// `scanned`). A failed scan drops the entry and returns its status.
+  Status Scan(size_t i);
+
+  /// Drop every unscanned entry, e.g. when the pages their scans read are
+  /// gone.
+  void DropUnscanned();
 
   /// An update batch moved the data to `epoch`, touching `dirty`: drop
   /// exactly the entries whose coverage box intersects the dirty region
@@ -96,8 +132,8 @@ class ResultCache {
   storage::Epoch epoch() const { return epoch_; }
 
   /// True when an existing entry's coverage box contains `box` — an
-  /// insert for `box` would add nothing, so callers can skip computing
-  /// the results at all (think-time prepopulation of a repeating path).
+  /// insert for `box` would add nothing, so callers can skip preparing
+  /// one at all (think-time prepopulation of a repeating path).
   bool Covers(const geom::Aabb& box) const {
     for (const CachedResult& entry : entries_) {
       if (entry.box.Contains(box)) return true;
@@ -119,6 +155,9 @@ class ResultCache {
   const CacheStats& stats() const { return stats_; }
 
  private:
+  /// Insert's rules for a built entry; false when nothing was stored.
+  bool Add(CachedResult entry);
+
   size_t capacity_;
   /// Oldest first; back is the newest.
   std::deque<CachedResult> entries_;

@@ -177,7 +177,7 @@ class DeltaIndex {
   /// THE range-merge rule, in one place: given the base answer for `box`
   /// in `elements`, drop dead base elements and append the live inserts
   /// intersecting `box`. Every read path — backend wrapper, session
-  /// steps, think-time prepopulation — overlays through here, so the
+  /// steps, predicted cache entries' scans — overlays through here, so the
   /// merge semantics cannot drift apart between them.
   void Overlay(const geom::Aabb& box, geom::ElementVec* elements) const {
     if (Empty()) return;

@@ -73,6 +73,9 @@ Result<Session> Session::Open(const flat::FlatIndex* index,
     session.m_stall_us_ = hooks.metrics->histogram("session.step.stall_us");
     session.m_prefetch_us_ =
         hooks.metrics->histogram("session.step.prefetch_us");
+    session.m_deferred_ =
+        hooks.metrics->counter("session.prepopulate.deferred");
+    session.m_scanned_ = hooks.metrics->counter("session.prepopulate.scanned");
   }
 
   scout::PrefetchContext ctx;
@@ -120,10 +123,12 @@ Result<scout::StepRecord> Session::RunStep(
   // base answers every query identically (compaction folds the delta in
   // without changing the live set), the pool evicts its stale pages
   // through the same store-epoch check, and the FLAT index was rebuilt in
-  // place — so simply adopt the new layout and carry on. The one layout a
-  // session cannot adopt is no layout at all: a base compacted down to
-  // zero elements has no crawl pages left to explore.
+  // place — so simply adopt the new layout and carry on. Only unscanned
+  // cache entries go: their scans would read pages of the old layout. The
+  // one layout a session cannot adopt is no layout at all: a base
+  // compacted down to zero elements has no crawl pages left to explore.
   if (store_ != nullptr && store_->epoch() != store_epoch_at_open_) {
+    if (cache_ != nullptr) cache_->DropUnscanned();
     if (live_ != nullptr && live_->base()->empty()) {
       return Status::InvalidArgument(
           "Session::Step: the base compacted down to empty — there is no "
@@ -147,9 +152,11 @@ Result<scout::StepRecord> Session::RunStep(
 
   scout::StepRecord step;
   uint64_t t0 = clock_->NowMicros();
-  // The pool is the session's own (one step at a time), so the counter
-  // delta across the step is exactly the step's pool activity.
+  // The pool and the cache are the session's own (one step at a time), so
+  // counter deltas across the step are exactly the step's activity.
   const storage::PoolCounters pool0 = pool_->Counters();
+  const cache::CacheStats cache0 =
+      cache_ != nullptr ? cache_->stats() : cache::CacheStats{};
   last_cover_fraction_ = 0.0;
   last_delta_fraction_ = 1.0;
 
@@ -207,6 +214,10 @@ Result<scout::StepRecord> Session::RunStep(
   obs::Record(m_latency_us_, wall_us);
   obs::Record(m_stall_us_, step.stall_us);
   obs::Record(m_prefetch_us_, prefetch_us);
+  if (cache_ != nullptr) {
+    obs::Add(m_deferred_, cache_->stats().deferred - cache0.deferred);
+    obs::Add(m_scanned_, cache_->stats().scanned - cache0.scanned);
+  }
 
   total_stall_us_ += step.stall_us;
   steps_.push_back(step);
@@ -255,18 +266,24 @@ Status Session::CachedRangeStep(const geom::Aabb& box,
 
 size_t Session::PrepopulateCache(size_t budget) {
   size_t loaded = 0;
-  for (const geom::Aabb& predicted : prefetcher_->PredictedBoxes()) {
-    if (!predicted.IsValid()) continue;
-    // Already fully covered (a stationary or repeating path): evaluating
-    // would rebuild a result Insert only discards — skip the page scan.
-    if (cache_->Covers(predicted)) continue;
+  for (const scout::PredictedBox& predicted : prefetcher_->PredictedBoxes()) {
+    const geom::Aabb& box = predicted.box;
+    if (!box.IsValid()) continue;
+    // Already fully covered (a stationary or repeating path): an insert
+    // would only refresh the covering entry — skip the box.
+    if (cache_->Covers(box)) continue;
 
-    std::vector<uint32_t> pages = index_->PagesInRange(predicted);
+    // The prefetcher hands over the pages it computed to prefetch the box;
+    // only a box it predicted past its own budget still needs them.
+    std::vector<uint32_t> own_pages;
+    if (!predicted.pages.has_value()) own_pages = index_->PagesInRange(box);
+    const std::vector<uint32_t>& pages =
+        predicted.pages.has_value() ? *predicted.pages : own_pages;
     size_t uncached = 0;
     for (uint32_t page : pages) {
       if (!pool_->Contains(index_->PageAt(page))) ++uncached;
     }
-    // Evaluating this box would need more demand I/O than the think pause
+    // Caching this box would need more page reads than the think pause
     // still covers — leave it to the next step's demand path.
     size_t remaining = budget > loaded ? budget - loaded : 0;
     if (uncached > remaining) continue;
@@ -282,26 +299,38 @@ size_t Session::PrepopulateCache(size_t budget) {
       if (pool_->Prefetch(id).ok()) ++loaded;
     }
 
-    // Evaluate over resident pages only; if anything got evicted under
-    // pool pressure the entry would be incomplete, so skip the insert.
-    geom::ElementVec results;
-    bool complete = true;
+    // The entry is complete only if every page is resident now; if one got
+    // evicted under pool pressure, skip the insert.
+    std::vector<const storage::Page*> resident;
+    resident.reserve(pages.size());
     for (uint32_t page : pages) {
       const storage::Page* data = pool_->Peek(index_->PageAt(page));
-      if (data == nullptr) {
-        complete = false;
-        break;
-      }
-      for (const geom::SpatialElement& e : data->elements) {
-        if (e.bounds.Intersects(predicted)) results.push_back(e);
-      }
+      if (data == nullptr) break;
+      resident.push_back(data);
     }
-    if (!complete) continue;
-    // Page contents are the immutable base — overlay the live delta so the
-    // cached entry is the *current* complete answer for the predicted box.
-    if (delta_ != nullptr) delta_->Overlay(predicted, &results);
-    cache::SortById(&results);
-    cache_->Insert(predicted, std::move(results));
+    if (resident.size() != pages.size()) continue;
+    // Most predictions are never used, so the entry is scanned only when a
+    // plan picks it. Store pages stay put until the layout epoch moves (and
+    // RunStep drops unscanned entries when it does); the pinned delta is the
+    // one this step answered at, so the scan yields the answer at this
+    // step's epoch, which update-log invalidation keeps current.
+    cache_->InsertUnscanned(
+        box, [pages = std::move(resident), delta = snap_.delta,
+              store = store_, epoch = store_epoch_at_open_](
+                 const geom::Aabb& scan_box, geom::ElementVec* out) {
+          if (store->epoch() != epoch) {
+            return Status::Internal(
+                "Session: a predicted cache entry outlived its page layout");
+          }
+          for (const storage::Page* page : pages) {
+            for (const geom::SpatialElement& e : page->elements) {
+              if (e.bounds.Intersects(scan_box)) out->push_back(e);
+            }
+          }
+          if (delta != nullptr) delta->Overlay(scan_box, out);
+          cache::SortById(out);
+          return Status::OK();
+        });
   }
   return loaded;
 }

@@ -16,9 +16,11 @@
 // the cache plus at most six residual boxes answered by the index, merged
 // under the global id order — the result set is identical to a full
 // re-query, the demand I/O is proportional to the *uncovered* volume only.
-// During think time the prefetcher's predicted next box is evaluated over
-// prefetched pages and inserted into the cache (results, not just pages),
-// so a correctly predicted step stalls for nothing.
+// During think time the prefetcher's predicted next boxes are prefetched and
+// inserted into the cache as unscanned entries over their resident pages;
+// the step whose plan picks one scans it (results, not just pages), so a
+// correctly predicted step stalls for nothing and an unused prediction costs
+// no scan.
 //
 // Sessions opened by QueryEngine::OpenSession are additionally *delta-
 // aware*: each step pins the engine LiveSet's newest published (epoch,
@@ -33,10 +35,11 @@
 // store's layout epoch, and when a compaction rebuilt the pages the
 // session simply adopts the new layout — its buffer pool already evicts
 // stale pages through the same store-epoch check
-// (storage::BufferPool::store_epoch), and cached result boxes stay valid
-// because compaction never changes answers. The one unrecoverable case is
-// a base compacted down to nothing (every element erased, then Compact):
-// the FLAT index ceases to exist and Step reports it.
+// (storage::BufferPool::store_epoch), and scanned cached result boxes stay
+// valid because compaction never changes answers; unscanned ones are
+// dropped, as their pages belong to the old layout. The one unrecoverable
+// case is a base compacted down to nothing (every element erased, then
+// Compact): the FLAT index ceases to exist and Step reports it.
 
 #ifndef NEURODB_ENGINE_SESSION_H_
 #define NEURODB_ENGINE_SESSION_H_
@@ -169,10 +172,11 @@ class Session {
     return update_log_ != nullptr ? update_log_->epoch() : 0;
   }
 
-  /// Think-time result prefetch: evaluate the prefetcher's predicted boxes
-  /// over pool-resident pages (loading missing ones within the remaining
-  /// `budget`) and insert their results into the cache. Returns pages
-  /// loaded (they count against the step's prefetch budget).
+  /// Think-time result prefetch: make the prefetcher's predicted boxes
+  /// pool-resident (loading missing pages within the remaining `budget`)
+  /// and insert each box into the cache unscanned, with its pages and the
+  /// step's pinned delta. Returns pages loaded (they count against the
+  /// step's prefetch budget).
   size_t PrepopulateCache(size_t budget);
 
   const flat::FlatIndex* index_ = nullptr;
@@ -224,6 +228,8 @@ class Session {
   obs::Histogram* m_latency_us_ = nullptr;
   obs::Histogram* m_stall_us_ = nullptr;
   obs::Histogram* m_prefetch_us_ = nullptr;
+  obs::Counter* m_deferred_ = nullptr;
+  obs::Counter* m_scanned_ = nullptr;
 };
 
 }  // namespace engine

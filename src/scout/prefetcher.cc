@@ -46,6 +46,22 @@ size_t PrefetchPages(const PrefetchContext& ctx,
   return loaded;
 }
 
+/// Prefetch `box`'s pages within what is left of `budget` (`*loaded` pages
+/// are spent), and record the box, with the page list when one was
+/// computed, while `predicted` holds fewer than `max_predicted` boxes.
+void PredictBox(const PrefetchContext& ctx, const Aabb& box, size_t budget,
+                size_t max_predicted, size_t* loaded,
+                std::vector<PredictedBox>* predicted) {
+  PredictedBox prediction{box, std::nullopt};
+  if (*loaded < budget) {
+    prediction.pages = ctx.index->PagesInRange(box);
+    *loaded += PrefetchPages(ctx, *prediction.pages, budget - *loaded);
+  }
+  if (predicted->size() < max_predicted) {
+    predicted->push_back(std::move(prediction));
+  }
+}
+
 // ---------------------------------------------------------------------------
 
 class NonePrefetcher : public Prefetcher {
@@ -111,7 +127,9 @@ class ExtrapolationPrefetcher : public Prefetcher {
     predicted_.clear();
   }
 
-  std::vector<Aabb> PredictedBoxes() const override { return predicted_; }
+  const std::vector<PredictedBox>& PredictedBoxes() const override {
+    return predicted_;
+  }
 
   size_t AfterQuery(const Aabb& query, const std::vector<ElementId>&,
                     size_t budget_pages) override {
@@ -123,13 +141,9 @@ class ExtrapolationPrefetcher : public Prefetcher {
       float side = query.Extent().x;
       // One and two steps ahead along the motion vector.
       for (int step = 1; step <= 2; ++step) {
-        Aabb predicted =
-            Aabb::Cube(center + delta * static_cast<float>(step), side);
-        predicted_.push_back(predicted);
-        if (loaded < budget_pages) {
-          loaded += PrefetchPages(ctx_, ctx_.index->PagesInRange(predicted),
-                                  budget_pages - loaded);
-        }
+        PredictBox(ctx_,
+                   Aabb::Cube(center + delta * static_cast<float>(step), side),
+                   budget_pages, SIZE_MAX, &loaded, &predicted_);
       }
     }
     prev_center_ = center;
@@ -139,7 +153,7 @@ class ExtrapolationPrefetcher : public Prefetcher {
  private:
   PrefetchContext ctx_;
   std::optional<Vec3> prev_center_;
-  std::vector<Aabb> predicted_;
+  std::vector<PredictedBox> predicted_;
 };
 
 // ---------------------------------------------------------------------------
@@ -162,7 +176,9 @@ class ScoutPrefetcher : public Prefetcher {
 
   size_t CandidateCount() const override { return last_candidates_; }
 
-  std::vector<Aabb> PredictedBoxes() const override { return predicted_; }
+  const std::vector<PredictedBox>& PredictedBoxes() const override {
+    return predicted_;
+  }
 
   size_t AfterQuery(const Aabb& query, const std::vector<ElementId>& result,
                     size_t budget_pages) override {
@@ -231,27 +247,18 @@ class ScoutPrefetcher : public Prefetcher {
     for (const Structure* s : candidates) {
       for (const StructureExit& exit : s->exits) {
         // Predictions are recorded independently of the page budget: a
-        // cached session can still evaluate an exhausted-budget (or
+        // cached session can still cache an exhausted-budget (or
         // zero-budget) prediction over already-resident pages for free.
         if (loaded >= budget_pages && predicted_.size() >= kMaxPredicted) {
           break;
         }
-        Aabb predicted = Aabb::Cube(exit.point + exit.direction * step, side);
-        if (predicted_.size() < kMaxPredicted) predicted_.push_back(predicted);
-        if (loaded < budget_pages) {
-          loaded += PrefetchPages(ctx_, ctx_.index->PagesInRange(predicted),
-                                  budget_pages - loaded);
-        }
+        PredictBox(ctx_, Aabb::Cube(exit.point + exit.direction * step, side),
+                   budget_pages, kMaxPredicted, &loaded, &predicted_);
         if (deep) {
-          Aabb two_ahead =
-              Aabb::Cube(exit.point + exit.direction * (2.0f * step), side);
-          if (predicted_.size() < kMaxPredicted) {
-            predicted_.push_back(two_ahead);
-          }
-          if (loaded < budget_pages) {
-            loaded += PrefetchPages(ctx_, ctx_.index->PagesInRange(two_ahead),
-                                    budget_pages - loaded);
-          }
+          PredictBox(
+              ctx_,
+              Aabb::Cube(exit.point + exit.direction * (2.0f * step), side),
+              budget_pages, kMaxPredicted, &loaded, &predicted_);
         }
       }
     }
@@ -268,7 +275,7 @@ class ScoutPrefetcher : public Prefetcher {
   std::unordered_set<ElementId> candidate_ids_;
   std::optional<Vec3> prev_center_;
   size_t last_candidates_ = 0;
-  std::vector<Aabb> predicted_;
+  std::vector<PredictedBox> predicted_;
 };
 
 }  // namespace

@@ -57,6 +57,15 @@ struct PrefetchContext {
   const neuro::SegmentResolver* resolver = nullptr;
 };
 
+/// Where a prefetcher expects a next query box to land.
+struct PredictedBox {
+  geom::Aabb box;
+  /// The box's FLAT page indexes (FlatIndex::PagesInRange), when the
+  /// prefetcher computed them to prefetch the box; nullopt when it had no
+  /// budget left for the box.
+  std::optional<std::vector<uint32_t>> pages;
+};
+
 /// Interface: one instance drives one query sequence.
 class Prefetcher {
  public:
@@ -80,10 +89,13 @@ class Prefetcher {
   /// Where the prefetcher believes the *next* query boxes land, most
   /// likely first, as computed by the latest AfterQuery call. Box-predicting
   /// methods (extrapolation, SCOUT) report a few boxes; page-order methods
-  /// (Hilbert) and kNone report none. The result-cache prefetch path
-  /// evaluates these boxes during think time so a correctly predicted next
-  /// step is answered without any demand I/O at all.
-  virtual std::vector<geom::Aabb> PredictedBoxes() const { return {}; }
+  /// (Hilbert) and kNone report none. A cached session records these boxes
+  /// as result-cache entries during think time, so a correctly predicted
+  /// next step is answered without any demand I/O at all.
+  virtual const std::vector<PredictedBox>& PredictedBoxes() const {
+    static const std::vector<PredictedBox> kNone;
+    return kNone;
+  }
 };
 
 /// Construct a prefetcher. SCOUT requires context.resolver != nullptr.

@@ -163,6 +163,157 @@ TEST(ResultCacheTest, BestOverlapPicksLargestIntersection) {
   EXPECT_EQ(planar.size(), 0u);
 }
 
+/// A scan that counts its runs and answers `results` for any box.
+ScanFn CountingScan(int* runs, ElementVec results = {}) {
+  return [runs, results](const Aabb&, ElementVec* out) {
+    ++*runs;
+    out->insert(out->end(), results.begin(), results.end());
+    return Status::OK();
+  };
+}
+
+TEST(ResultCacheTest, UnscannedEntriesFollowTheBoxRules) {
+  int runs = 0;
+  ResultCache cache(2);
+  const Aabb big({0, 0, 0}, {10, 10, 10});
+  cache.InsertUnscanned(big, CountingScan(&runs));
+  cache.Insert(Aabb({100, 0, 0}, {101, 1, 1}), OneElement(2));
+  ASSERT_EQ(cache.size(), 2u);
+  EXPECT_FALSE(cache.entry(0).scanned());
+  EXPECT_TRUE(cache.entry(1).scanned());
+
+  // Covered refresh: the unscanned entry moves to most-recent, unscanned.
+  cache.Insert(Aabb({2, 2, 2}, {3, 3, 3}), OneElement(9));
+  ASSERT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.entry(1).box, big);
+  EXPECT_FALSE(cache.entry(1).scanned());
+  EXPECT_TRUE(cache.Covers(Aabb({1, 1, 1}, {9, 9, 9})));
+
+  // BestOverlap weighs an unscanned entry by its box alone.
+  auto best = cache.BestOverlap(Aabb({5, 0, 0}, {15, 10, 10}));
+  ASSERT_TRUE(best.has_value());
+  EXPECT_EQ(cache.entry(*best).box, big);
+
+  // Capacity eviction is FIFO whatever the entry's state: the scanned
+  // entry is now the oldest and goes first.
+  cache.InsertUnscanned(Aabb({50, 0, 0}, {60, 10, 10}), CountingScan(&runs));
+  ASSERT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.entry(0).box, big);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+
+  // A dirty region invalidates an unscanned entry like any other.
+  cache.AdvanceEpoch(1, Aabb({55, 5, 5}, {56, 6, 6}));
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().invalidated_boxes, 1u);
+
+  // Subsumption drops it too.
+  cache.InsertUnscanned(Aabb({-1, -1, -1}, {20, 20, 20}), CountingScan(&runs));
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+
+  // Only stored unscanned inserts count as deferred (this covered one
+  // stores nothing), and no box rule ever ran a scan.
+  cache.InsertUnscanned(Aabb({0, 0, 0}, {1, 1, 1}), CountingScan(&runs));
+  EXPECT_EQ(cache.stats().deferred, 3u);
+  EXPECT_EQ(cache.stats().insertions, 4u);
+  EXPECT_EQ(cache.stats().scanned, 0u);
+  EXPECT_EQ(runs, 0);
+
+  // Dropping unscanned entries leaves scanned ones.
+  cache.Insert(Aabb({200, 0, 0}, {201, 1, 1}), OneElement(4));
+  cache.DropUnscanned();
+  ASSERT_EQ(cache.size(), 1u);
+  EXPECT_TRUE(cache.entry(0).scanned());
+  EXPECT_EQ(cache.entry(0).results[0].id, 4u);
+}
+
+TEST(DeltaPlannerTest, AnswerScansOnlyThePickedEntryOnce) {
+  Pcg32 rng(5);
+  ElementVec elements;
+  for (uint64_t id = 0; id < 500; ++id) {
+    Aabb b = RandomBox(&rng, 100.0f);
+    b.max = b.min + (b.max - b.min) * 0.05f;
+    elements.emplace_back(id, b);
+  }
+  auto brute = [&](const Aabb& box) {
+    ElementVec out;
+    for (const auto& e : elements) {
+      if (e.bounds.Intersects(box)) out.push_back(e);
+    }
+    SortById(&out);
+    return out;
+  };
+  const Aabb boxes[] = {Aabb({0, 0, 0}, {30, 30, 30}),
+                        Aabb({40, 40, 40}, {70, 70, 70}),
+                        Aabb({0, 60, 0}, {30, 90, 30})};
+  int runs[3] = {0, 0, 0};
+  ResultCache cache(4);
+  for (int i = 0; i < 3; ++i) {
+    cache.InsertUnscanned(boxes[i], [&runs, i, &brute](const Aabb& box,
+                                                       ElementVec* out) {
+      ++runs[i];
+      *out = brute(box);
+      return Status::OK();
+    });
+  }
+
+  int residual_queries = 0;
+  auto residual = [&](const Aabb& part, geom::CollectingVisitor* out) {
+    ++residual_queries;
+    for (const SpatialElement& e : brute(part)) out->Visit(e.id, e.bounds);
+    return Status::OK();
+  };
+  // Mostly inside the second box: the plan picks it, three times over.
+  const Aabb query({45, 45, 45}, {75, 72, 72});
+  for (int round = 0; round < 3; ++round) {
+    DeltaPlan plan;
+    auto answer = DeltaPlanner::Answer(cache, query, residual, &plan);
+    ASSERT_TRUE(answer.ok());
+    ASSERT_TRUE(plan.source.has_value());
+    EXPECT_EQ(cache.entry(*plan.source).box, boxes[1]);
+    const ElementVec truth = brute(query);
+    ASSERT_EQ(answer->size(), truth.size());
+    for (size_t k = 0; k < truth.size(); ++k) {
+      EXPECT_EQ((*answer)[k].id, truth[k].id);
+    }
+  }
+  EXPECT_GT(residual_queries, 0);
+  EXPECT_EQ(runs[0], 0);
+  EXPECT_EQ(runs[1], 1);
+  EXPECT_EQ(runs[2], 0);
+  EXPECT_EQ(cache.stats().scanned, 1u);
+}
+
+TEST(DeltaPlannerTest, FailedScanFailsTheAnswer) {
+  ResultCache cache(4);
+  const Aabb box({0, 0, 0}, {10, 10, 10});
+  cache.InsertUnscanned(box, [](const Aabb&, ElementVec* out) {
+    // Part of an answer, then a failure: none of it may be served.
+    out->emplace_back(1, Aabb({1, 1, 1}, {2, 2, 2}));
+    return Status::IOError("page gone");
+  });
+  int residual_queries = 0;
+  auto residual = [&](const Aabb&, geom::CollectingVisitor* out) {
+    ++residual_queries;
+    out->Visit(7, Aabb({5, 5, 5}, {6, 6, 6}));
+    return Status::OK();
+  };
+
+  auto failed = DeltaPlanner::Answer(cache, box, residual, nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(residual_queries, 0);
+  // The entry is gone, so the next answer runs as a full miss.
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.stats().scanned, 0u);
+  DeltaPlan plan;
+  auto retried = DeltaPlanner::Answer(cache, box, residual, &plan);
+  ASSERT_TRUE(retried.ok());
+  EXPECT_FALSE(plan.source.has_value());
+  ASSERT_EQ(retried->size(), 1u);
+  EXPECT_EQ((*retried)[0].id, 7u);
+}
+
 TEST(DeltaPlannerTest, SliverOverlapDegradesToFullMiss) {
   ResultCache cache(2);
   cache.Insert(Aabb({0, 0, 0}, {10, 10, 10}), {});

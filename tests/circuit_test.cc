@@ -154,7 +154,9 @@ TEST(CircuitGeneratorTest, LayerBandsPartitionTheColumn) {
   for (size_t l = layers; l-- > 0;) {  // bottom-up
     auto [lo, hi] = gen.LayerBand(l);
     EXPECT_LT(lo, hi);
-    if (prev_hi >= 0.0f) EXPECT_FLOAT_EQ(lo, prev_hi);
+    if (prev_hi >= 0.0f) {
+      EXPECT_FLOAT_EQ(lo, prev_hi);
+    }
     prev_hi = hi;
   }
   EXPECT_FLOAT_EQ(prev_hi, column_height);

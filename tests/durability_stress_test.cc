@@ -83,7 +83,9 @@ std::vector<ElementId> LiveIds(QueryEngine* db) {
   geom::CollectingVisitor out;
   auto report = db->Execute(request, out);
   EXPECT_TRUE(report.ok()) << report.status().ToString();
-  if (report.ok()) EXPECT_TRUE(report->results_match);
+  if (report.ok()) {
+    EXPECT_TRUE(report->results_match);
+  }
   std::vector<ElementId> ids = out.Ids();
   std::sort(ids.begin(), ids.end());
   return ids;

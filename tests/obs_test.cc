@@ -78,7 +78,9 @@ TEST(HistogramTest, BucketBoundsRoundTrip) {
     // The upper bound is the largest value of its own bucket, and bounds
     // grow strictly with the index.
     EXPECT_EQ(obs::Histogram::BucketIndex(upper), i) << "bucket " << i;
-    if (i > 0) EXPECT_GT(upper, prev) << "bucket " << i;
+    if (i > 0) {
+      EXPECT_GT(upper, prev) << "bucket " << i;
+    }
     prev = upper;
   }
   // Every value maps into a bucket whose bound contains it, within 25%.
@@ -643,6 +645,47 @@ TEST(EngineObsTest, ScoutStepsRecordTheirThinkTimeWork) {
     EXPECT_EQ(prefetch->count, queries.size());
     // The think-time phase is one part of each step's wall time.
     EXPECT_LE(prefetch->sum, latency->sum);
+  }
+}
+
+TEST(EngineObsTest, PrepopulationCountsDeferredAndScannedEntries) {
+  neuro::CircuitParams params;
+  params.num_neurons = 20;
+  params.seed = 2024;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  auto path = neuro::FollowBranchPath(*circuit, 1, 12.0f, 1);
+  ASSERT_TRUE(path.ok());
+  const std::vector<Aabb> queries = neuro::PathQueries(*path, 30.0f);
+
+  for (scout::PrefetchMethod method :
+       {scout::PrefetchMethod::kScout, scout::PrefetchMethod::kExtrapolation,
+        scout::PrefetchMethod::kNone}) {
+    SCOPED_TRACE(scout::PrefetchMethodName(method));
+    QueryEngine db;
+    ASSERT_TRUE(db.LoadCircuit(*circuit).ok());
+    auto session = db.OpenSession(method, CachePolicy::kDelta);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    for (const Aabb& box : queries) ASSERT_TRUE(session->Step(box).ok());
+
+    const obs::MetricsSnapshot snap = db.MetricsSnapshot();
+    const obs::CounterSnapshot* deferred =
+        snap.FindCounter("session.prepopulate.deferred");
+    const obs::CounterSnapshot* scanned =
+        snap.FindCounter("session.prepopulate.scanned");
+    ASSERT_NE(deferred, nullptr);
+    ASSERT_NE(scanned, nullptr);
+    // A prediction is scanned at most once, and only when a plan uses it.
+    EXPECT_LE(scanned->value, deferred->value);
+    EXPECT_EQ(deferred->value, session->result_cache()->stats().deferred);
+    EXPECT_EQ(scanned->value, session->result_cache()->stats().scanned);
+    if (method == scout::PrefetchMethod::kNone) {
+      EXPECT_EQ(deferred->value, 0u);
+      EXPECT_EQ(scanned->value, 0u);
+    } else {
+      EXPECT_GT(deferred->value, 0u);
+      EXPECT_GT(scanned->value, 0u);
+    }
   }
 }
 

@@ -334,7 +334,9 @@ void RunCrashMatrix(size_t tear_bytes,
     EXPECT_LE(report.replayed_batches, acked + 1);
     EXPECT_EQ(report.replayed_batches, acked);
     EXPECT_EQ(report.torn_tail, tear_bytes > 0);
-    if (tear_bytes > 0) EXPECT_GT(report.dropped_bytes, 0u);
+    if (tear_bytes > 0) {
+      EXPECT_GT(report.dropped_bytes, 0u);
+    }
     EXPECT_EQ((*recovered)->epoch(),
               report.checkpoint_epoch + report.replayed_batches);
 

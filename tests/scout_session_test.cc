@@ -166,6 +166,42 @@ TEST_F(SessionFixture, RunsAreIndependentAndRepeatable) {
   EXPECT_EQ(a->pages_missed, b->pages_missed);
 }
 
+// The box-predicting prefetchers hand each predicted box over with the
+// page list they computed to prefetch it, so a cached session need not
+// compute it again; a box predicted past the budget carries none.
+TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
+  for (PrefetchMethod method :
+       {PrefetchMethod::kScout, PrefetchMethod::kExtrapolation}) {
+    SCOPED_TRACE(PrefetchMethodName(method));
+    for (size_t budget : {size_t{0}, size_t{4096}}) {
+      storage::BufferPool pool(&store_, 4096);
+      PrefetchContext ctx;
+      ctx.index = &*index_;
+      ctx.pool = &pool;
+      ctx.resolver = &resolver_;
+      auto prefetcher = MakePrefetcher(method, ctx);
+      ASSERT_TRUE(prefetcher.ok());
+      size_t predicted = 0;
+      for (const Aabb& query : queries_) {
+        std::vector<geom::ElementId> ids;
+        geom::VectorVisitor visitor(&ids);
+        ASSERT_TRUE(index_->RangeQuery(query, &pool, visitor).ok());
+        (*prefetcher)->AfterQuery(query, ids, budget);
+        for (const PredictedBox& box : (*prefetcher)->PredictedBoxes()) {
+          ++predicted;
+          if (budget == 0) {
+            EXPECT_FALSE(box.pages.has_value());
+          } else {
+            ASSERT_TRUE(box.pages.has_value());
+            EXPECT_EQ(*box.pages, index_->PagesInRange(box.box));
+          }
+        }
+      }
+      EXPECT_GT(predicted, 0u);
+    }
+  }
+}
+
 TEST_F(SessionFixture, NullWiringFails) {
   WalkthroughSession bad(nullptr, &store_, &resolver_, DefaultOptions());
   EXPECT_FALSE(bad.Run(queries_, PrefetchMethod::kNone).ok());

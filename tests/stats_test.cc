@@ -10,7 +10,7 @@ namespace {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile uint64_t sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (uint64_t i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GT(t.ElapsedNanos(), 0u);
   EXPECT_GE(t.ElapsedMillis(), 0.0);
 }

@@ -8,13 +8,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <ctime>
+#include <map>
 #include <memory>
 #include <set>
+#include <thread>
 
 #include "diff_harness.h"
 #include "engine/query_engine.h"
+#include "neuro/circuit_generator.h"
+#include "neuro/element_id.h"
 #include "neuro/workload.h"
 
 namespace neurodb {
@@ -630,6 +637,223 @@ TEST(UpdateTest, SessionsReportCompactToEmpty) {
   auto gone = session->Step(Aabb::Cube(Vec3(150, 150, 150), 40.0f));
   EXPECT_FALSE(gone.ok());
   EXPECT_EQ(gone.status().code(), StatusCode::kInvalidArgument);
+}
+
+// --------------------------------------------------------------------------
+// Predicted cache entries that outlive their step
+// --------------------------------------------------------------------------
+
+// A cached kScout or kExtrapolation session records its predicted boxes as
+// unscanned cache entries over the pages resident at the time, and a later
+// step scans one only if its plan picks it. Updates and Compact between the
+// two steps must leave such an entry exact or drop it.
+
+/// A small circuit loaded into an engine, the elements it loaded, and an
+/// overlapping path along one neuron's branch (10 µm steps, 30 µm cubes).
+struct ExploreFixture {
+  std::unique_ptr<engine::QueryEngine> db;
+  ElementVec live;
+  std::vector<Aabb> path;
+};
+
+ExploreFixture MakeExploreFixture() {
+  neuro::CircuitParams params;
+  params.num_neurons = 20;
+  params.seed = 2024;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  EXPECT_TRUE(circuit.ok());
+  ExploreFixture f;
+  if (!circuit.ok()) return f;
+  f.db = std::make_unique<engine::QueryEngine>(SmallEngineOptions());
+  EXPECT_TRUE(f.db->LoadCircuit(*circuit).ok());
+  f.live = circuit->FlattenSegments(neuro::NeuriteFilter::kAll).Elements();
+  auto path = neuro::FollowBranchPath(*circuit, 1, 10.0f, 1);
+  EXPECT_TRUE(path.ok());
+  if (path.ok()) f.path = neuro::PathQueries(*path, 30.0f);
+  return f;
+}
+
+/// Ids no circuit segment uses (gid 2^23).
+ElementId FreshId(size_t k) {
+  return neuro::EncodeSegmentId(1u << 23, 0, static_cast<uint32_t>(k));
+}
+
+bool TouchesAny(const Aabb& box, const std::vector<Aabb>& boxes) {
+  return std::any_of(boxes.begin(), boxes.end(),
+                     [&](const Aabb& b) { return b.Intersects(box); });
+}
+
+/// Erase about a sixth of `live`, taking only elements away from every box
+/// in `keep_clear`: one batch per 50 µm cell, skipping a cell whose batch's
+/// dirty region would touch `keep_clear`, so no batch invalidates those
+/// boxes.
+void EraseSixthAwayFrom(engine::QueryEngine* db,
+                        const std::vector<Aabb>& keep_clear, ElementVec* live) {
+  std::map<std::array<int, 3>, std::vector<size_t>> cells;
+  for (size_t i = 0; i < live->size(); ++i) {
+    const Aabb& bounds = (*live)[i].bounds;
+    if (TouchesAny(bounds, keep_clear)) continue;
+    const Vec3 c = bounds.Center();
+    cells[{static_cast<int>(std::floor(c.x / 50.0f)),
+           static_cast<int>(std::floor(c.y / 50.0f)),
+           static_cast<int>(std::floor(c.z / 50.0f))}]
+        .push_back(i);
+  }
+  std::vector<bool> erased(live->size(), false);
+  size_t count = 0;
+  for (const auto& [cell, members] : cells) {
+    if (count >= live->size() / 6) break;
+    Aabb dirty;
+    std::vector<engine::UpdateRequest> batch;
+    for (size_t i : members) {
+      dirty.Extend((*live)[i].bounds);
+      batch.push_back(Erase((*live)[i].id));
+    }
+    if (TouchesAny(dirty, keep_clear)) continue;
+    ASSERT_TRUE(db->ApplyUpdates(batch).ok());
+    for (size_t i : members) erased[i] = true;
+    count += members.size();
+  }
+  EXPECT_GT(count, 0u);
+  size_t kept = 0;
+  for (size_t i = 0; i < live->size(); ++i) {
+    if (!erased[i]) (*live)[kept++] = (*live)[i];
+  }
+  live->resize(kept);
+}
+
+// Between two steps of a cached session, one of three things happens in
+// turn: (a) a batch commits away from every cached box, (b) a batch dirties
+// a predicted box, (c) a sixth of the elements away from the path and the
+// cache are erased and Compact runs — the entries it leaves unscanned read
+// pages of the old layout unless the session drops them. Every step must
+// equal the brute-force live set.
+TEST(UpdateTest, PredictedEntriesOutliveStepsExactly) {
+  for (scout::PrefetchMethod method :
+       {scout::PrefetchMethod::kScout, scout::PrefetchMethod::kExtrapolation}) {
+    SCOPED_TRACE(scout::PrefetchMethodName(method));
+    ExploreFixture f = MakeExploreFixture();
+    ASSERT_GE(f.path.size(), 9u);
+    auto session = f.db->OpenSession(method, engine::CachePolicy::kDelta);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    const Vec3 far = f.db->domain().max + Vec3(100, 100, 100);
+    size_t inserted = 0, pending_at_update = 0, pending_at_compact = 0;
+
+    for (size_t s = 0; s < f.path.size(); ++s) {
+      geom::CollectingVisitor out;
+      auto step = session->Step(f.path[s], out);
+      ASSERT_TRUE(step.ok()) << "step " << s << ": "
+                             << step.status().ToString();
+      ASSERT_EQ(SortedIds(out), BruteForceRangeIds(f.live, f.path[s]))
+          << "step " << s;
+
+      const cache::ResultCache& cache = *session->result_cache();
+      std::vector<Aabb> cached = f.path;
+      std::vector<Aabb> pending;
+      for (size_t i = 0; i < cache.size(); ++i) {
+        cached.push_back(cache.entry(i).box);
+        if (!cache.entry(i).scanned()) pending.push_back(cache.entry(i).box);
+      }
+      Aabb bounds;
+      switch (s % 3) {
+        case 0:  // (a)
+          bounds = Aabb::Cube(far + Vec3(static_cast<float>(s), 0, 0), 2.0f);
+          pending_at_update += pending.size();
+          break;
+        case 1:  // (b), or the next step's box when nothing is predicted
+          bounds = Aabb::Cube(
+              pending.empty() ? f.path[std::min(s + 1, f.path.size() - 1)]
+                                    .Center()
+                              : pending.front().Center(),
+              2.0f);
+          break;
+        default:  // (c)
+          EraseSixthAwayFrom(f.db.get(), cached, &f.live);
+          ASSERT_TRUE(f.db->Compact().ok());
+          pending_at_compact += pending.size();
+          continue;
+      }
+      const ElementId id = FreshId(inserted++);
+      ASSERT_TRUE(Apply(f.db.get(), {Insert(id, bounds)}).ok());
+      f.live.emplace_back(id, bounds);
+    }
+    // Predictions were pending when updates and compactions ran, and later
+    // steps used some of them.
+    EXPECT_GT(pending_at_update, 0u);
+    EXPECT_GT(pending_at_compact, 0u);
+    EXPECT_GT(session->result_cache()->stats().scanned, 0u);
+  }
+}
+
+// The same sessions while another thread commits and compacts in a region
+// the path never touches: its own elements beyond the domain, and base
+// elements no path box intersects. Every step's answer is then the initial
+// one, at whatever epoch the step pinned.
+TEST(UpdateTest, PredictedEntriesStayExactBesideAConcurrentWriter) {
+  for (scout::PrefetchMethod method :
+       {scout::PrefetchMethod::kScout, scout::PrefetchMethod::kExtrapolation}) {
+    SCOPED_TRACE(scout::PrefetchMethodName(method));
+    ExploreFixture f = MakeExploreFixture();
+    ASSERT_GE(f.path.size(), 9u);
+    std::vector<ElementId> away;
+    for (const geom::SpatialElement& e : f.live) {
+      if (!TouchesAny(e.bounds, f.path)) away.push_back(e.id);
+    }
+    ASSERT_GT(away.size(), 40u);
+    auto session = f.db->OpenSession(method, engine::CachePolicy::kDelta);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+    constexpr size_t kRounds = 40;
+    std::atomic<bool> stepping{false}, writer_done{false};
+    Status writer_status;
+    std::thread writer([&] {
+      const Vec3 far = f.db->domain().max + Vec3(100, 100, 100);
+      // Start once the session has stepped, so its steps span several
+      // epochs whatever the scheduling.
+      while (!stepping.load()) std::this_thread::yield();
+      for (size_t round = 0; round < kRounds && writer_status.ok(); ++round) {
+        const Vec3 at = far + Vec3(static_cast<float>(round), 0, 0);
+        std::vector<engine::UpdateRequest> batch = {
+            Insert(FreshId(round), Aabb::Cube(at, 2.0f)),
+            Erase(away[round])};
+        if (round > 0) {
+          batch.push_back(
+              Move(FreshId(round - 1), Aabb::Cube(at + Vec3(0, 5, 0), 2.0f)));
+        }
+        writer_status = f.db->ApplyUpdates(batch).status();
+        if (writer_status.ok() && round % 10 == 9) {
+          writer_status = f.db->Compact();
+        }
+        std::this_thread::yield();
+      }
+      writer_done = true;
+    });
+
+    size_t steps = 0;
+    std::set<uint64_t> epochs;
+    for (bool last_pass = false; !last_pass;) {
+      last_pass = writer_done.load();
+      for (const Aabb& box : f.path) {
+        geom::CollectingVisitor out;
+        auto step = session->Step(box, out);
+        stepping = true;
+        if (!step.ok()) {
+          ADD_FAILURE() << "step " << steps << ": "
+                        << step.status().ToString();
+          last_pass = true;
+          break;
+        }
+        EXPECT_EQ(SortedIds(out), BruteForceRangeIds(f.live, box))
+            << "step " << steps;
+        epochs.insert(step->epoch);
+        ++steps;
+      }
+    }
+    writer.join();
+    EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+    EXPECT_GT(epochs.size(), 1u);
+    EXPECT_GT(session->result_cache()->stats().scanned, 0u);
+  }
 }
 
 // An injected mutation bug (a backend whose reads skip the delta merge, so
