@@ -1,17 +1,13 @@
-// R-tree construction-variant sweep: Guttman-quadratic insertion vs R*
-// insertion (with and without forced reinsertion) vs STR / Hilbert bulk
-// loading across a fill-factor grid, on a uniform cloud (where data-oblivious
-// tiling shines) and a clustered cloud (where adaptive splits shine — STR
-// slabs crossing empty inter-cluster space inflate leaf MBRs). Reports build
-// time, structure (nodes, height, leaf fill, leaf overlap volume) and the
-// average nodes visited by a data-centered range query; emits
-// BENCH_micro_rtree.json.
+// R-tree structure sweep: the STR-packed tree (the only construction path)
+// on a uniform cloud (where data-oblivious tiling shines) and a clustered
+// cloud (where STR slabs crossing empty inter-cluster space inflate leaf
+// MBRs). Reports build time, structure (nodes, height, and the leaf fill
+// and leaf overlap volume of its LevelProfile) and the average nodes
+// visited by a data-centered range query; emits BENCH_micro_rtree.json.
 //
 // Doubles as the `micro_rtree_smoke` ctest gate (NEURODB_BENCH_SMOKE=1):
-//   * every variant returns the same total result count per dataset,
-//   * bulk-loaded leaf fill reaches the configured fill-factor target,
-//   * on the uniform cloud, bulk-loaded leaf overlap stays at or below the
-//     naive quadratic-insertion bound.
+//   * each dataset's total result count equals brute force,
+//   * leaf fill is at least 0.9 (STR packs every leaf but the last full).
 
 #include <chrono>
 #include <cstdio>
@@ -28,29 +24,9 @@
 using namespace neurodb;
 using geom::Aabb;
 using geom::Vec3;
-using rtree::BuildAlgorithm;
 using rtree::RTree;
-using rtree::RTreeOptions;
 
 namespace {
-
-struct Variant {
-  std::string name;
-  RTreeOptions options;
-  bool is_bulk = false;
-};
-
-struct Row {
-  Variant variant;
-  std::string dataset;
-  double build_ms = 0;
-  size_t nodes = 0;
-  int height = 0;
-  double leaf_fill = 0;
-  double leaf_overlap = 0;
-  double avg_query_nodes = 0;
-  uint64_t results = 0;
-};
 
 double MsSince(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -92,143 +68,87 @@ int main() {
        neuro::ClusteredElements(n, domain, /*clusters=*/24, /*sigma=*/6.0f,
                                 /*elem_side=*/1.5f, /*seed=*/11)});
 
-  std::printf(
-      "R-tree build-variant sweep: %zu elements per dataset, %zu queries\n\n",
-      n, num_queries);
-
-  std::vector<Variant> variants;
-  {
-    Variant v{"quad-insert", RTreeOptions(), false};
-    v.options.split = rtree::SplitAlgorithm::kQuadratic;
-    v.options.build = BuildAlgorithm::kDynamicInsert;
-    v.options.reinsert_factor = 0.0;
-    variants.push_back(v);
-  }
-  for (double reinsert : {0.0, 0.15, 0.3}) {
-    Variant v{reinsert == 0.0 ? "rstar-insert"
-                              : "rstar-reinsert-" + std::to_string(
-                                    static_cast<int>(reinsert * 100)),
-              RTreeOptions(), false};
-    v.options.split = rtree::SplitAlgorithm::kRStar;
-    v.options.build = BuildAlgorithm::kDynamicInsert;
-    v.options.reinsert_factor = reinsert;
-    variants.push_back(v);
-  }
-  for (double ff : {0.7, 0.85, 1.0}) {
-    for (BuildAlgorithm build :
-         {BuildAlgorithm::kStrBulk, BuildAlgorithm::kHilbertBulk}) {
-      Variant v{(build == BuildAlgorithm::kStrBulk ? "str-bulk-" : "hilbert-bulk-") +
-                    std::to_string(static_cast<int>(ff * 100)),
-                RTreeOptions(), true};
-      v.options.build = build;
-      v.options.fill_factor = ff;
-      variants.push_back(v);
-    }
-  }
+  std::printf("STR R-tree sweep: %zu elements per dataset, %zu queries\n\n", n,
+              num_queries);
 
   bench::JsonEmitter emitter("micro_rtree");
+  TableWriter table("STR R-tree (leaf overlap in um^3)",
+                    {"dataset", "build ms", "nodes", "height", "leaf fill",
+                     "leaf overlap", "query nodes", "results"});
   int failures = 0;
 
   for (const Dataset& dataset : datasets) {
     auto queries =
         neuro::DataCenteredQueries(dataset.elements, 8.0f, num_queries, 13);
-    TableWriter table(dataset.name + " cloud (leaf overlap in um^3)",
-                      {"variant", "build ms", "nodes", "height", "leaf fill",
-                       "leaf overlap", "query nodes"});
-    std::vector<Row> rows;
 
-    for (const Variant& variant : variants) {
-      auto t0 = std::chrono::steady_clock::now();
-      auto tree = RTree::Build(dataset.elements, variant.options);
-      if (!tree.ok()) {
-        std::fprintf(stderr, "%s: build failed: %s\n", variant.name.c_str(),
-                     tree.status().ToString().c_str());
-        return 1;
-      }
-      Row row;
-      row.variant = variant;
-      row.dataset = dataset.name;
-      row.build_ms = MsSince(t0);
-      row.nodes = tree->NumNodes();
-      row.height = tree->Height();
-      auto profile = tree->LevelProfile();
-      if (!profile.empty()) {
-        row.leaf_fill = profile.front().mean_fill;
-        row.leaf_overlap = profile.front().overlap_volume;
-      }
-      uint64_t nodes_visited = 0;
-      std::vector<geom::ElementId> out;
-      for (const Aabb& q : queries) {
-        rtree::QueryStats stats;
-        out.clear();
-        tree->RangeQuery(q, &out, &stats);
-        nodes_visited += stats.nodes_visited;
-        row.results += out.size();
-      }
-      row.avg_query_nodes = static_cast<double>(nodes_visited) /
-                            static_cast<double>(queries.size());
-
-      table.AddRow({variant.name, TableWriter::Num(row.build_ms, 2),
-                    TableWriter::Int(row.nodes), TableWriter::Int(row.height),
-                    TableWriter::Num(row.leaf_fill, 3),
-                    TableWriter::Num(row.leaf_overlap, 0),
-                    TableWriter::Num(row.avg_query_nodes, 1)});
-      emitter.AddRow(
-          bench::JsonRow()
-              .Str("dataset", dataset.name)
-              .Str("variant", variant.name)
-              .Num("fill_factor", variant.options.fill_factor)
-              .Num("reinsert_factor", variant.options.reinsert_factor)
-              .Num("build_ms", row.build_ms)
-              .Int("nodes", row.nodes)
-              .Int("height", static_cast<uint64_t>(row.height))
-              .Num("leaf_fill", row.leaf_fill)
-              .Num("leaf_overlap", row.leaf_overlap)
-              .Num("avg_query_nodes", row.avg_query_nodes)
-              .Int("results", row.results));
-      rows.push_back(row);
+    auto t0 = std::chrono::steady_clock::now();
+    auto tree = RTree::BulkLoadStr(dataset.elements);
+    if (!tree.ok()) {
+      std::fprintf(stderr, "%s: build failed: %s\n", dataset.name.c_str(),
+                   tree.status().ToString().c_str());
+      return 1;
     }
-    table.Print();
+    const double build_ms = MsSince(t0);
+    double leaf_fill = 0;
+    double leaf_overlap = 0;
+    auto profile = tree->LevelProfile();
+    if (!profile.empty()) {
+      leaf_fill = profile.front().mean_fill;
+      leaf_overlap = profile.front().overlap_volume;
+    }
+
+    uint64_t nodes_visited = 0;
+    uint64_t results = 0;
+    uint64_t brute_force = 0;
+    std::vector<geom::ElementId> out;
+    for (const Aabb& q : queries) {
+      rtree::QueryStats stats;
+      out.clear();
+      tree->RangeQuery(q, &out, &stats);
+      nodes_visited += stats.nodes_visited;
+      results += out.size();
+      for (const auto& e : dataset.elements) {
+        if (e.bounds.Intersects(q)) ++brute_force;
+      }
+    }
+    const double avg_query_nodes = static_cast<double>(nodes_visited) /
+                                   static_cast<double>(queries.size());
+
+    table.AddRow({dataset.name, TableWriter::Num(build_ms, 2),
+                  TableWriter::Int(tree->NumNodes()),
+                  TableWriter::Int(tree->Height()),
+                  TableWriter::Num(leaf_fill, 3),
+                  TableWriter::Num(leaf_overlap, 0),
+                  TableWriter::Num(avg_query_nodes, 1),
+                  TableWriter::Int(results)});
+    emitter.AddRow(bench::JsonRow()
+                       .Str("dataset", dataset.name)
+                       .Str("variant", "str-bulk")
+                       .Num("build_ms", build_ms)
+                       .Int("nodes", tree->NumNodes())
+                       .Int("height", static_cast<uint64_t>(tree->Height()))
+                       .Num("leaf_fill", leaf_fill)
+                       .Num("leaf_overlap", leaf_overlap)
+                       .Num("avg_query_nodes", avg_query_nodes)
+                       .Int("results", results));
 
     // Gates (cheap — enforced on every run, not just smoke).
-    const Row& naive = rows.front();
-    for (const Row& row : rows) {
-      if (row.results != naive.results) {
-        std::fprintf(stderr,
-                     "GATE[%s]: %s returned %llu results, %s returned %llu\n",
-                     dataset.name.c_str(), row.variant.name.c_str(),
-                     static_cast<unsigned long long>(row.results),
-                     naive.variant.name.c_str(),
-                     static_cast<unsigned long long>(naive.results));
-        ++failures;
-      }
-      if (!row.variant.is_bulk) continue;
-      const double target = row.variant.options.fill_factor * 0.9;
-      if (row.leaf_fill < target) {
-        std::fprintf(stderr, "GATE[%s]: %s leaf fill %.3f below target %.3f\n",
-                     dataset.name.c_str(), row.variant.name.c_str(),
-                     row.leaf_fill, target);
-        ++failures;
-      }
-      // Bulk tiling beats naive insertion on overlap where it is
-      // data-appropriate: on the uniform cloud. On clusters, slabs that
-      // cross empty inter-cluster space legitimately overlap more. Hilbert
-      // runs carry a documented slack — curve segments trade tile
-      // disjointness for sort simplicity and are known to overlap more
-      // than STR tiles on uniform data (Leutenegger et al., ICDE'97).
-      const bool hilbert =
-          row.variant.options.build == BuildAlgorithm::kHilbertBulk;
-      const double bound = naive.leaf_overlap * (hilbert ? 16.0 : 1.0);
-      if (dataset.name == "uniform" && row.leaf_overlap > bound) {
-        std::fprintf(stderr,
-                     "GATE[%s]: %s leaf overlap %.0f exceeds naive bound "
-                     "%.0f\n",
-                     dataset.name.c_str(), row.variant.name.c_str(),
-                     row.leaf_overlap, bound);
-        ++failures;
-      }
+    if (results != brute_force) {
+      std::fprintf(stderr,
+                   "GATE[%s]: the tree returned %llu results, brute force "
+                   "%llu\n",
+                   dataset.name.c_str(),
+                   static_cast<unsigned long long>(results),
+                   static_cast<unsigned long long>(brute_force));
+      ++failures;
+    }
+    if (leaf_fill < 0.9) {
+      std::fprintf(stderr, "GATE[%s]: leaf fill %.3f below 0.9\n",
+                   dataset.name.c_str(), leaf_fill);
+      ++failures;
     }
   }
+  table.Print();
   emitter.Write();
 
   if (failures > 0) {

@@ -240,7 +240,7 @@ Result<AdvisorDecision> QueryEngine::Advise(const WorkloadProfile& profile) {
   // R-tree: the per-level MBR profile of the built tree.
   std::vector<rtree::LevelStats> rtree_levels;
   if (rtree_ != nullptr && !rtree_->base_empty()) {
-    rtree_levels = rtree_->tree().tree().LevelProfile();
+    rtree_levels = rtree_->tree().LevelProfile();
   }
 
   // Grid: cell geometry plus the cell-major page count.
@@ -256,17 +256,17 @@ Result<AdvisorDecision> QueryEngine::Advise(const WorkloadProfile& profile) {
   // Sharded: per-shard bounds + population + inner model.
   std::vector<ShardModel> shards;
   if (sharded_ != nullptr) {
-    const bool inner_rtree =
+    const bool rtree_shards =
         sharded_->options().inner_index == ShardIndexKind::kRTree;
     for (size_t s = 0; s < sharded_->NumShards(); ++s) {
       ShardModel model;
       model.bounds = sharded_->shard_bounds(s);
       model.population = sharded_->ShardPopulation(s);
-      model.is_rtree = inner_rtree;
+      model.is_rtree = rtree_shards;
       const SpatialBackend& inner = sharded_->shard(s);
-      if (inner_rtree) {
+      if (rtree_shards) {
         const auto& rt = static_cast<const PagedRTreeBackend&>(inner);
-        if (!rt.base_empty()) model.rtree_levels = rt.tree().tree().LevelProfile();
+        if (!rt.base_empty()) model.rtree_levels = rt.tree().LevelProfile();
       } else {
         const auto& gb = static_cast<const GridBackend&>(inner);
         model.grid.total_pages = static_cast<double>(gb.Stats().index_pages);

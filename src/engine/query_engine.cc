@@ -13,6 +13,16 @@ namespace engine {
 using geom::Aabb;
 using geom::ElementId;
 
+namespace {
+
+// Element bounds must be finite: every packer sorts by box center, and a NaN
+// key breaks std::sort's ordering contract.
+bool IsFiniteBox(const Aabb& box) {
+  return geom::IsFinitePoint(box.min) && geom::IsFinitePoint(box.max);
+}
+
+}  // namespace
+
 Status EngineOptions::Validate() const {
   if (pool_pages == 0) {
     return Status::InvalidArgument("EngineOptions: pool_pages must be > 0");
@@ -175,6 +185,13 @@ Status QueryEngine::LoadElements(geom::ElementVec elements) {
 }
 
 Status QueryEngine::FinishLoad(geom::ElementVec elements) {
+  for (const auto& e : elements) {
+    if (!IsFiniteBox(e.bounds)) {
+      return Status::InvalidArgument("QueryEngine: element " +
+                                     std::to_string(e.id) +
+                                     " has a non-finite bound");
+    }
+  }
   // Durable engines initialize their data directory before any backend
   // builds: disk-backed stores land inside it. Open() arrives here with
   // durability_ already attached to the existing directory.
@@ -278,7 +295,7 @@ Status QueryEngine::ValidateBatchLocked(
   for (const UpdateRequest& update : updates) {
     switch (update.kind) {
       case UpdateKind::kInsert:
-        if (!update.bounds.IsValid()) {
+        if (!update.bounds.IsValid() || !IsFiniteBox(update.bounds)) {
           return Status::InvalidArgument(
               "QueryEngine::ApplyUpdates: insert with invalid bounds");
         }
@@ -296,7 +313,7 @@ Status QueryEngine::ValidateBatchLocked(
         local[update.id] = false;
         break;
       case UpdateKind::kMove:
-        if (!update.bounds.IsValid()) {
+        if (!update.bounds.IsValid() || !IsFiniteBox(update.bounds)) {
           return Status::InvalidArgument(
               "QueryEngine::ApplyUpdates: move with invalid bounds");
         }

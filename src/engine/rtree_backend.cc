@@ -6,15 +6,13 @@ namespace engine {
 Status PagedRTreeBackend::BuildBase(const geom::ElementVec& elements) {
   if (elements.empty()) return Status::OK();  // no tree
   NEURODB_ASSIGN_OR_RETURN(rtree::RTree tree,
-                           rtree::RTree::Build(elements, options_));
-  NEURODB_ASSIGN_OR_RETURN(rtree::PagedRTree paged,
-                           rtree::PagedRTree::Build(std::move(tree), store_));
-  tree_.emplace(std::move(paged));
+                           rtree::RTree::BulkLoadStr(elements, options_));
+  NEURODB_ASSIGN_OR_RETURN(tree_, rtree::PagedRTree::Build(tree, store_));
   return Status::OK();
 }
 
 Status PagedRTreeBackend::ResetBase() {
-  tree_.reset();
+  tree_ = rtree::PagedRTree();
   store_->Reset();
   return Status::OK();
 }
@@ -25,7 +23,7 @@ Status PagedRTreeBackend::BaseRangeQuery(const geom::Aabb& box,
                                          RangeStats* stats) const {
   storage::BufferPool* pool = pools != nullptr ? pools->pool(0) : nullptr;
   rtree::QueryStats tree_stats;
-  NEURODB_RETURN_NOT_OK(tree_->RangeQuery(box, visitor, pool, &tree_stats));
+  NEURODB_RETURN_NOT_OK(tree_.RangeQuery(box, visitor, pool, &tree_stats));
   if (stats != nullptr) {
     stats->pages_read = tree_stats.nodes_visited;
     stats->results = tree_stats.results;
@@ -42,7 +40,7 @@ Status PagedRTreeBackend::BaseKnnQuery(const geom::Vec3& point, size_t k,
                                        RangeStats* stats) const {
   storage::BufferPool* pool = pools != nullptr ? pools->pool(0) : nullptr;
   rtree::QueryStats tree_stats;
-  NEURODB_RETURN_NOT_OK(tree_->Knn(point, k, pool, hits, &tree_stats));
+  NEURODB_RETURN_NOT_OK(tree_.Knn(point, k, pool, hits, &tree_stats));
   if (stats != nullptr) {
     stats->pages_read = tree_stats.nodes_visited;
     stats->results = tree_stats.results;
@@ -55,10 +53,8 @@ Status PagedRTreeBackend::BaseKnnQuery(const geom::Vec3& point, size_t k,
 
 BackendStats PagedRTreeBackend::Stats() const {
   BackendStats stats;
-  if (tree_.has_value()) {
-    stats.index_pages = tree_->NumPages();
-    stats.metadata_bytes = tree_->tree().MemoryBytes();
-  }
+  stats.index_pages = tree_.NumPages();
+  stats.metadata_bytes = tree_.MemoryBytes();
   stats.io = IoTotals();
   return stats;
 }

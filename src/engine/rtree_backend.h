@@ -4,7 +4,6 @@
 #ifndef NEURODB_ENGINE_RTREE_BACKEND_H_
 #define NEURODB_ENGINE_RTREE_BACKEND_H_
 
-#include <optional>
 #include <vector>
 
 #include "engine/backend.h"
@@ -13,11 +12,11 @@
 namespace neurodb {
 namespace engine {
 
-/// Adapter wrapping rtree::PagedRTree: bulk load (STR, Hilbert, or dynamic
-/// insertion per RTreeOptions::build), one disk page per tree node, every
-/// visited node charged as one page fetch. Updates are merged over the tree
-/// at read time; Rebuild builds the tree again through the same build path
-/// over the next base generation rather than updating nodes in place.
+/// Adapter wrapping rtree::PagedRTree: an STR-packed tree at full fill, one
+/// disk page per tree node and no node kept in memory, every visited node
+/// charged as one page fetch. Updates are merged over the tree at read
+/// time; Rebuild (at Compact) packs a new tree over the next base
+/// generation rather than updating nodes in place.
 class PagedRTreeBackend : public SpatialBackend {
  public:
   explicit PagedRTreeBackend(rtree::RTreeOptions options = rtree::RTreeOptions())
@@ -27,8 +26,8 @@ class PagedRTreeBackend : public SpatialBackend {
 
   BackendStats Stats() const override;
 
-  /// The wrapped paged tree (tests and the compatibility shim).
-  const rtree::PagedRTree& tree() const { return *tree_; }
+  /// The wrapped paged tree (empty before Build and for an empty base).
+  const rtree::PagedRTree& tree() const { return tree_; }
 
   const rtree::RTreeOptions& options() const { return options_; }
 
@@ -45,7 +44,7 @@ class PagedRTreeBackend : public SpatialBackend {
 
  private:
   rtree::RTreeOptions options_;
-  std::optional<rtree::PagedRTree> tree_;
+  rtree::PagedRTree tree_;
 };
 
 }  // namespace engine

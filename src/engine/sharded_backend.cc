@@ -20,9 +20,7 @@ Status ShardedOptions::Validate() const {
   if (num_shards > 256) {
     return Status::InvalidArgument("ShardedOptions: num_shards > 256");
   }
-  if (inner_index == ShardIndexKind::kRTree) {
-    return inner_rtree.Validate();
-  }
+  if (inner_index == ShardIndexKind::kRTree) return Status::OK();
   return inner.Validate();
 }
 
@@ -161,7 +159,7 @@ Status ShardedBackend::BuildBase(const geom::ElementVec& elements) {
 
 std::unique_ptr<SpatialBackend> ShardedBackend::MakeInner() const {
   if (options_.inner_index == ShardIndexKind::kRTree) {
-    return std::make_unique<PagedRTreeBackend>(options_.inner_rtree);
+    return std::make_unique<PagedRTreeBackend>();
   }
   return std::make_unique<GridBackend>(options_.inner);
 }

@@ -71,10 +71,9 @@ struct ShardedOptions {
   size_t num_shards = 4;
   /// Which index each shard hosts.
   ShardIndexKind inner_index = ShardIndexKind::kGrid;
-  /// Inner grid configuration (used when inner_index == kGrid).
+  /// Inner grid configuration (used when inner_index == kGrid; R-tree
+  /// shards use the default RTreeOptions).
   GridOptions inner;
-  /// Inner R-tree configuration (used when inner_index == kRTree).
-  rtree::RTreeOptions inner_rtree;
   /// Shard-assignment key.
   ShardAssignment assignment = ShardAssignment::kMedian;
 

@@ -15,7 +15,7 @@ Status FlatOptions::Validate() const {
   if (elems_per_page == 0) {
     return Status::InvalidArgument("FlatOptions: elems_per_page == 0");
   }
-  return seed_tree.Validate();
+  return Status::OK();
 }
 
 Result<FlatIndex> FlatIndex::Build(const ElementVec& elements,
@@ -40,7 +40,7 @@ Result<FlatIndex> FlatIndex::Build(const ElementVec& elements,
   // Seed tree over the page MBRs. Element ids are page indexes.
   NEURODB_ASSIGN_OR_RETURN(
       index.seed_tree_,
-      rtree::RTree::BulkLoadPages(index.page_bounds_, options.seed_tree));
+      rtree::RTree::BulkLoadPages(index.page_bounds_));
 
   // Neighborhood graph: pages whose MBRs intersect. Found via the seed
   // tree (P * log P instead of P^2 pair tests).

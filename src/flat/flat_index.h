@@ -56,8 +56,6 @@ struct FlatOptions {
   size_t elems_per_page = 253;
   /// Physical pack order of the crawl pages.
   storage::PackOrder pack = storage::PackOrder::kHilbert;
-  /// Seed tree fanout.
-  rtree::RTreeOptions seed_tree;
   /// Guarantee completeness on sparse / disconnected data (see header).
   bool rescue = true;
 

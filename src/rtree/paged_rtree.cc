@@ -1,6 +1,5 @@
 #include "rtree/paged_rtree.h"
 
-#include <cmath>
 #include <queue>
 
 namespace neurodb {
@@ -10,15 +9,15 @@ using geom::Aabb;
 using geom::ElementId;
 using geom::SpatialElement;
 
-Result<PagedRTree> PagedRTree::Build(RTree tree, storage::PageStore* store) {
+Result<PagedRTree> PagedRTree::Build(const RTree& tree,
+                                     storage::PageStore* store) {
   if (store == nullptr) {
     return Status::InvalidArgument("PagedRTree::Build: null store");
   }
-  PagedRTree paged(std::move(tree));
-  const RTree& t = paged.tree_;
-  paged.node_pages_.resize(t.NumNodes(), storage::kInvalidPageId);
-  for (size_t id = 0; id < t.NumNodes(); ++id) {
-    const RTree::Node& n = t.node(static_cast<int32_t>(id));
+  PagedRTree paged;
+  paged.node_pages_.resize(tree.NumNodes(), storage::kInvalidPageId);
+  for (size_t id = 0; id < tree.NumNodes(); ++id) {
+    const RTree::Node& n = tree.node(static_cast<int32_t>(id));
     storage::PageId page = store->Allocate();
     std::vector<SpatialElement> payload;
     if (n.IsLeaf()) {
@@ -26,13 +25,23 @@ Result<PagedRTree> PagedRTree::Build(RTree tree, storage::PageStore* store) {
     } else {
       payload.reserve(n.children.size());
       for (int32_t c : n.children) {
-        payload.emplace_back(static_cast<ElementId>(c), t.node(c).bounds);
+        payload.emplace_back(static_cast<ElementId>(c), tree.node(c).bounds);
       }
     }
     NEURODB_RETURN_NOT_OK(store->Write(page, std::move(payload)));
     paged.node_pages_[id] = page;
   }
+  paged.root_ = tree.root();
+  if (paged.root_ != -1) paged.root_bounds_ = tree.node(paged.root_).bounds;
+  paged.height_ = tree.Height();
+  paged.size_ = tree.size();
+  paged.levels_ = tree.LevelProfile();
   return paged;
+}
+
+size_t PagedRTree::MemoryBytes() const {
+  return node_pages_.capacity() * sizeof(storage::PageId) +
+         levels_.capacity() * sizeof(LevelStats);
 }
 
 Status PagedRTree::RangeQuery(const Aabb& box, geom::ResultVisitor& visitor,
@@ -41,20 +50,24 @@ Status PagedRTree::RangeQuery(const Aabb& box, geom::ResultVisitor& visitor,
   if (pool == nullptr) {
     return Status::InvalidArgument("PagedRTree::RangeQuery: null pool");
   }
-  if (tree_.root() == -1) return Status::OK();
+  if (root_ == -1) return Status::OK();
 
-  std::vector<int32_t> stack = {tree_.root()};
+  // A node's level is its parent's minus one: the walk carries it down from
+  // the root, since the fetched page holds only the node's entries.
+  struct Visit {
+    int32_t node;
+    int32_t level;
+  };
+  std::vector<Visit> stack = {{root_, height_ - 1}};
   while (!stack.empty()) {
-    int32_t id = stack.back();
+    Visit v = stack.back();
     stack.pop_back();
-    const RTree::Node& n = tree_.node(id);
-    // Fetching the node's page is what the disk-resident index would do.
-    auto page = pool->Fetch(node_pages_[id],
+    auto page = pool->Fetch(node_pages_[v.node],
                             stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
-    if (stats != nullptr) stats->CountNode(n.level);
+    if (stats != nullptr) stats->CountNode(v.level);
 
-    if (n.IsLeaf()) {
+    if (v.level == 0) {
       for (const auto& e : (*page)->elements) {
         if (stats != nullptr) ++stats->entries_tested;
         if (e.bounds.Intersects(box)) {
@@ -66,7 +79,7 @@ Status PagedRTree::RangeQuery(const Aabb& box, geom::ResultVisitor& visitor,
       for (const auto& branch : (*page)->elements) {
         if (stats != nullptr) ++stats->entries_tested;
         if (branch.bounds.Intersects(box)) {
-          stack.push_back(static_cast<int32_t>(branch.id));
+          stack.push_back({static_cast<int32_t>(branch.id), v.level - 1});
         }
       }
     }
@@ -88,17 +101,17 @@ Status PagedRTree::Knn(const geom::Vec3& p, size_t k,
     return Status::InvalidArgument("PagedRTree::Knn: non-finite query point");
   }
   hits->clear();
-  if (k == 0 || tree_.root() == -1) return Status::OK();
+  if (k == 0 || root_ == -1) return Status::OK();
 
   struct Frontier {
     double dist;
     int32_t node;
+    int32_t level;
     bool operator>(const Frontier& o) const { return dist > o.dist; }
   };
   std::priority_queue<Frontier, std::vector<Frontier>, std::greater<Frontier>>
       frontier;
-  frontier.push({geom::KnnDistance(p, tree_.node(tree_.root()).bounds),
-                 tree_.root()});
+  frontier.push({geom::KnnDistance(p, root_bounds_), root_, height_ - 1});
 
   geom::KnnAccumulator acc(k);
   while (!frontier.empty()) {
@@ -108,13 +121,12 @@ Status PagedRTree::Knn(const geom::Vec3& p, size_t k,
     // equal-distance element with a smaller id.
     if (acc.Full() && top.dist > acc.WorstDistance()) break;
 
-    const RTree::Node& n = tree_.node(top.node);
     auto page = pool->Fetch(node_pages_[top.node],
                             stats != nullptr ? &stats->pool : nullptr);
     if (!page.ok()) return page.status();
-    if (stats != nullptr) stats->CountNode(n.level);
+    if (stats != nullptr) stats->CountNode(top.level);
 
-    if (n.IsLeaf()) {
+    if (top.level == 0) {
       for (const auto& e : (*page)->elements) {
         if (stats != nullptr) ++stats->entries_tested;
         acc.Offer(e.id, geom::KnnDistance(p, e.bounds));
@@ -124,7 +136,7 @@ Status PagedRTree::Knn(const geom::Vec3& p, size_t k,
         if (stats != nullptr) ++stats->entries_tested;
         double dist = geom::KnnDistance(p, branch.bounds);
         if (acc.Full() && dist > acc.WorstDistance()) continue;
-        frontier.push({dist, static_cast<int32_t>(branch.id)});
+        frontier.push({dist, static_cast<int32_t>(branch.id), top.level - 1});
       }
     }
   }

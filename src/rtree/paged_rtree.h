@@ -1,9 +1,15 @@
-// NeuroDB — PagedRTree: an RTree whose nodes live on simulated disk pages.
+// NeuroDB — PagedRTree: an R-tree whose nodes live only on simulated disk
+// pages.
 //
 // The demo compares FLAT and the R-tree by "disk pages retrieved" (paper
-// Figure 3). PagedRTree maps every tree node onto one page of a PageStore;
-// query traversal fetches each visited node through a BufferPool, so page
-// counts and modeled time come out of the same machinery FLAT uses.
+// Figure 3). PagedRTree writes every node of an STR-packed RTree onto one
+// page of a PageStore and then keeps no node in memory: a query fetches each
+// node it visits through a BufferPool and reads the node's entries from the
+// fetched page, so page counts and modeled time come out of the same
+// machinery FLAT uses. What stays in memory is the page table, the root's
+// id and bounds, the height, the element count and the level profile
+// computed at build (as brepdb's RTree keeps a root id and per-level node
+// counts over its storage manager).
 
 #ifndef NEURODB_RTREE_PAGED_RTREE_H_
 #define NEURODB_RTREE_PAGED_RTREE_H_
@@ -21,14 +27,17 @@
 namespace neurodb {
 namespace rtree {
 
-/// Disk-resident view of an RTree.
+/// Disk-resident R-tree.
 class PagedRTree {
  public:
   /// Materialize `tree` into `store`: one page per node. Leaf pages hold the
   /// data entries; internal pages hold one (child-node-id, child-bounds)
   /// element per child, mirroring the branch-entry layout of a disk R-tree.
-  static Result<PagedRTree> Build(RTree tree, storage::PageStore* store);
+  /// The paged tree keeps no reference to `tree`.
+  static Result<PagedRTree> Build(const RTree& tree, storage::PageStore* store);
 
+  /// An empty tree: queries read nothing.
+  PagedRTree() = default;
   PagedRTree(PagedRTree&&) = default;
   PagedRTree& operator=(PagedRTree&&) = default;
 
@@ -54,20 +63,29 @@ class PagedRTree {
              std::vector<geom::KnnHit>* hits,
              QueryStats* stats = nullptr) const;
 
-  /// The in-memory structure (geometry of nodes; used by tests).
-  const RTree& tree() const { return tree_; }
+  /// Number of stored elements.
+  size_t size() const { return size_; }
 
-  /// Page id backing a node.
-  storage::PageId NodePage(int32_t node_id) const { return node_pages_[node_id]; }
+  /// Height in levels (1 for a single leaf root; 0 for an empty tree).
+  int Height() const { return height_; }
 
-  /// Pages occupied by the whole index.
+  /// Pages occupied by the whole index (one per node).
   size_t NumPages() const { return node_pages_.size(); }
 
- private:
-  explicit PagedRTree(RTree tree) : tree_(std::move(tree)) {}
+  /// The tree's per-level structure (RTree::LevelProfile), computed at
+  /// build: index 0 = leaf level, empty for an empty tree.
+  const std::vector<LevelStats>& LevelProfile() const { return levels_; }
 
-  RTree tree_;
+  /// Main-memory footprint in bytes: the page table and the level profile.
+  size_t MemoryBytes() const;
+
+ private:
   std::vector<storage::PageId> node_pages_;  // indexed by node id
+  int32_t root_ = -1;
+  geom::Aabb root_bounds_;
+  int height_ = 0;
+  size_t size_ = 0;
+  std::vector<LevelStats> levels_;
 };
 
 }  // namespace rtree

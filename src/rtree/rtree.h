@@ -1,21 +1,17 @@
-// NeuroDB — RTree: in-memory R-tree over 3-D bounding boxes.
+// NeuroDB — RTree: static in-memory R-tree over 3-D bounding boxes.
 //
 // This is the baseline index of the paper ("Many indexes have been developed
 // in the past to execute spatial range queries [...] they fail to do so on
 // dense datasets", Section 2) and a building block of FLAT (seed index) and
 // TOUCH/S3 (hierarchical partitioning / synchronized traversal).
 //
-// Supported construction paths:
-//   * dynamic insertion with Guttman-quadratic or R*-style node splits,
-//   * STR bulk loading (Leutenegger et al., ICDE'97 — the loader FLAT uses),
-//   * Hilbert-sort bulk loading.
-//
-// Deletion is intentionally out of scope: the paper's workloads are
-// build-once / analyze-many scientific models (see README "Scope").
+// Trees are built once by Sort-Tile-Recursive packing (Leutenegger et al.,
+// ICDE'97) at full fill and never modified: the engine's updates go to its
+// delta, and Compact packs a new tree over the next base.
 //
 // The node array is public (root(), node()) so that other components can
-// layer behaviour on the same structure: PagedRTree charges page I/O per
-// node visit, and the S3 spatial join traverses two trees in lockstep.
+// layer behaviour on the same structure: PagedRTree writes one page per
+// node, and the S3 spatial join traverses two trees in lockstep.
 
 #ifndef NEURODB_RTREE_RTREE_H_
 #define NEURODB_RTREE_RTREE_H_
@@ -35,60 +31,19 @@
 namespace neurodb {
 namespace rtree {
 
-/// Node-split algorithm used on overflow during dynamic insertion.
-enum class SplitAlgorithm {
-  /// Guttman's quadratic split (SIGMOD'84).
-  kQuadratic,
-  /// R*-tree split (Beckmann et al., SIGMOD'90): choose the split axis by
-  /// minimum margin sum, then the distribution by minimum overlap.
-  kRStar,
-};
-
-/// Construction path used by RTree::Build (and the paged backend's
-/// Build/Compact rebuilds).
-enum class BuildAlgorithm {
-  /// Sort-Tile-Recursive packing (Leutenegger et al., ICDE'97).
-  kStrBulk,
-  /// Hilbert-curve sort of element centers, packed into runs.
-  kHilbertBulk,
-  /// One-at-a-time insertion through the configured split algorithm.
-  kDynamicInsert,
-};
-
 /// Tuning knobs for RTree.
 struct RTreeOptions {
-  /// Maximum entries (or children) per node. 102 entries ≈ one 4 KiB page
-  /// of 40-byte branch entries; the default 64 mirrors common configs.
+  /// Maximum children per internal node (and entries per leaf unless
+  /// leaf_capacity is set). 102 entries ≈ one 4 KiB page of 40-byte branch
+  /// entries; the default 64 mirrors common configs.
   size_t max_entries = 64;
-  /// Minimum fill on split; must be <= max_entries / 2.
-  size_t min_entries = 26;
   /// Capacity of leaf nodes; 0 means "same as max_entries". TOUCH uses
   /// large data leaves under a narrower internal fanout.
   size_t leaf_capacity = 0;
-  SplitAlgorithm split = SplitAlgorithm::kRStar;
-  /// Construction path taken by Build() (the paged backend routes its
-  /// Build / Compact rebuilds through this).
-  BuildAlgorithm build = BuildAlgorithm::kStrBulk;
-  /// Bulk-load pack fraction in (0, 1]: each packed node receives
-  /// round(fill_factor * capacity) entries (clamped to [min_entries,
-  /// capacity]). 1.0 reproduces the historical fully-packed layout;
-  /// lower values leave headroom for subsequent dynamic inserts.
-  double fill_factor = 1.0;
-  /// R* forced reinsertion (Beckmann et al. §4.3): on the first overflow
-  /// per level per insert, instead of splitting, evict this fraction of
-  /// the node's entries (the ones farthest from the node center) and
-  /// re-insert them closest-first. 0 disables. Only active with
-  /// SplitAlgorithm::kRStar.
-  double reinsert_factor = 0.3;
 
   size_t LeafCapacity() const {
     return leaf_capacity == 0 ? max_entries : leaf_capacity;
   }
-
-  /// Entries packed per leaf / internal node by the bulk loaders after
-  /// applying fill_factor.
-  size_t PackedLeafCapacity() const;
-  size_t PackedFanout() const;
 
   Status Validate() const;
 };
@@ -144,14 +99,14 @@ struct QueryStats {
 using PageScan = std::function<Status(const geom::SpatialElement& entry,
                                       geom::KnnAccumulator* acc)>;
 
-/// In-memory R-tree. Move-only (owns its node arena).
+/// Static in-memory R-tree, built by STR packing. Move-only (owns its node
+/// arena).
 class RTree {
  public:
   /// Tree node. Leaves (level 0) hold data entries; internal nodes hold
   /// child node ids. `bounds` always covers the full subtree.
   struct Node {
     geom::Aabb bounds;
-    int32_t parent = -1;
     int32_t level = 0;  // 0 = leaf
     std::vector<int32_t> children;           // internal nodes
     std::vector<geom::SpatialElement> entries;  // leaf nodes
@@ -159,6 +114,7 @@ class RTree {
     bool IsLeaf() const { return level == 0; }
   };
 
+  /// An empty tree.
   explicit RTree(RTreeOptions options = RTreeOptions());
 
   RTree(const RTree&) = delete;
@@ -171,30 +127,13 @@ class RTree {
   static Result<RTree> BulkLoadStr(const geom::ElementVec& elements,
                                    RTreeOptions options = RTreeOptions());
 
-  /// Bulk load by Hilbert-sorting element centers and packing runs.
-  static Result<RTree> BulkLoadHilbert(const geom::ElementVec& elements,
-                                       RTreeOptions options = RTreeOptions());
-
-  /// STR bulk load over page MBRs: entry i has id i and bounds
-  /// page_bounds[i] (FLAT's seed tree, the grid's page tree).
-  static Result<RTree> BulkLoadPages(const std::vector<geom::Aabb>& page_bounds,
-                                     RTreeOptions options = RTreeOptions());
-
-  /// Build through the path selected by options.build (STR bulk, Hilbert
-  /// bulk, or repeated dynamic insertion).
-  static Result<RTree> Build(const geom::ElementVec& elements,
-                             RTreeOptions options = RTreeOptions());
-
-  /// Insert one element (dynamic path; splits per options.split).
-  Status Insert(const geom::SpatialElement& element);
+  /// STR bulk load over page MBRs at the default fanout: entry i has id i
+  /// and bounds page_bounds[i] (FLAT's seed tree, the grid's page tree).
+  static Result<RTree> BulkLoadPages(const std::vector<geom::Aabb>& page_bounds);
 
   /// Collect ids of all elements whose bounds intersect `box`.
   void RangeQuery(const geom::Aabb& box, std::vector<geom::ElementId>* out,
                   QueryStats* stats = nullptr) const;
-
-  /// Collect full elements whose bounds intersect `box`.
-  void RangeQueryElements(const geom::Aabb& box, geom::ElementVec* out,
-                          QueryStats* stats = nullptr) const;
 
   /// Find *one* element intersecting `box` (FLAT's seed lookup). Returns
   /// false if the range is empty. Uses a best-first descent that prefers
@@ -229,8 +168,7 @@ class RTree {
   size_t MemoryBytes() const;
 
   /// Verify structural invariants (parent MBR containment, fanout bounds,
-  /// uniform leaf depth, parent back-pointers, element count). Used by the
-  /// property tests.
+  /// uniform leaf depth, element count). Used by the property tests.
   Status CheckInvariants() const;
 
   /// Per-level structure stats, index 0 = leaf level. Empty for an empty
@@ -244,16 +182,8 @@ class RTree {
 
  private:
   int32_t NewNode(int level);
-  void RecomputeBounds(int32_t node_id);
-  int32_t ChooseSubtree(const geom::Aabb& box, int target_level) const;
-  void SplitNode(int32_t node_id);
-  void AdjustUpward(int32_t node_id);
-  // Overflow treatment: forced reinsertion on the first overflow per level
-  // per public Insert (R*), falling back to SplitNode.
-  void HandleOverflow(int32_t node_id);
-  void ForcedReinsert(int32_t node_id);
 
-  // Packs `boxed` runs into parent nodes until a single root remains.
+  // Packs `leaves` into parent nodes until a single root remains.
   static RTree PackLevels(std::vector<Node> leaves, RTreeOptions options,
                           size_t element_count);
 
@@ -261,8 +191,6 @@ class RTree {
   std::vector<Node> nodes_;
   int32_t root_ = -1;
   size_t size_ = 0;
-  // Levels already granted a forced reinsertion during the current Insert.
-  std::vector<char> reinserted_levels_;
 };
 
 }  // namespace rtree

@@ -83,7 +83,6 @@ Result<JoinResult> S3Join(const JoinInput& a, const JoinInput& b,
 
   rtree::RTreeOptions tree_options;
   tree_options.max_entries = options.s3_fanout;
-  tree_options.min_entries = std::max<size_t>(1, options.s3_fanout * 2 / 5);
 
   // Trees store positions (0..n-1) as entry ids; output maps to real ids.
   geom::ElementVec elems_a;

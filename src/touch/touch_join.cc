@@ -256,10 +256,6 @@ Result<JoinResult> TouchJoin(const JoinInput& a, const JoinInput& b,
   Timer build;
   rtree::RTreeOptions tree_options;
   tree_options.max_entries = options.touch_fanout;
-  // min_entries only gates dynamic splits (unused by bulk loading) but must
-  // satisfy RTreeOptions validation against both capacities.
-  tree_options.min_entries = std::max<size_t>(
-      1, std::min(options.touch_fanout, options.touch_leaf) * 2 / 5);
   tree_options.leaf_capacity = options.touch_leaf;
 
   geom::ElementVec elems_a;

@@ -170,10 +170,9 @@ TEST_F(DiffHarnessFixture, SubSeedRegeneratesExactQuery) {
 }
 
 // Index-variant rotation: the same seeded Range/Knn workload, zero
-// divergences tolerated, through engines whose R-tree and sharded backends
-// are configured with the new construction paths — Hilbert bulk loading,
-// partial fill factors, R* forced reinsertion, and Hilbert-assigned shards
-// hosting inner R-trees — over skewed element clouds (Gaussian clusters /
+// divergences tolerated, through engines whose sharded backend is configured
+// with Hilbert-assigned shards, hosting inner R-trees in one variant and
+// grids in the other, over skewed element clouds (Gaussian clusters /
 // power-law density) instead of the fixture's circuit. FLAT is always part
 // of the kAll parity set, so every variant is checked byte-identical to
 // the FLAT ground truth as well as brute force. CI runs 1000 queries per
@@ -186,22 +185,7 @@ struct IndexVariant {
 std::vector<IndexVariant> IndexVariants() {
   std::vector<IndexVariant> out;
   {
-    IndexVariant v{"HilbertBulkFill80", {}};
-    v.options.rtree.build = rtree::BuildAlgorithm::kHilbertBulk;
-    v.options.rtree.fill_factor = 0.8;
-    out.push_back(v);
-  }
-  {
-    IndexVariant v{"RStarReinsertInsert", {}};
-    v.options.rtree.build = rtree::BuildAlgorithm::kDynamicInsert;
-    v.options.rtree.split = rtree::SplitAlgorithm::kRStar;
-    v.options.rtree.reinsert_factor = 0.3;
-    out.push_back(v);
-  }
-  {
-    IndexVariant v{"StrBulkFill70ShardedHilbertRTree", {}};
-    v.options.rtree.build = rtree::BuildAlgorithm::kStrBulk;
-    v.options.rtree.fill_factor = 0.7;
+    IndexVariant v{"ShardedHilbertRTree", {}};
     v.options.sharded.assignment = engine::ShardAssignment::kHilbert;
     v.options.sharded.inner_index = engine::ShardIndexKind::kRTree;
     out.push_back(v);
@@ -226,8 +210,8 @@ TEST_P(IndexVariantDiffTest, BuildVariantWorkloadHasNoDivergence) {
       std::max<uint64_t>(1, EnvOr("NEURODB_DIFF_THREADS", 1));
   engine::QueryEngine db(options);
 
-  // Skewed clouds, not the circuit: the distributions the new build paths
-  // exist for, alternated across variants.
+  // Skewed clouds, not the circuit: the distributions Hilbert-assigned
+  // shards exist for, alternated across variants.
   const Aabb domain(Vec3(0, 0, 0), Vec3(200, 200, 200));
   geom::ElementVec elements =
       GetParam() % 2 == 0

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/toolkit.h"
 #include "neuro/circuit_generator.h"
@@ -43,7 +44,6 @@ class EngineFixture : public ::testing::Test {
     EngineOptions options;
     options.flat.elems_per_page = 64;
     options.rtree.max_entries = 64;
-    options.rtree.min_entries = 26;
     db_ = std::make_unique<QueryEngine>(options);
     ASSERT_TRUE(db_->LoadCircuit(circuit_).ok());
   }
@@ -166,7 +166,6 @@ TEST_F(EngineFixture, RangeRequestAllReproducesCompareRangeQuery) {
   core::ToolkitOptions toolkit_options;
   toolkit_options.flat.elems_per_page = 64;
   toolkit_options.rtree.max_entries = 64;
-  toolkit_options.rtree.min_entries = 26;
   core::NeuroToolkit tk(toolkit_options);
   ASSERT_TRUE(tk.LoadCircuit(circuit_).ok());
   auto legacy = tk.CompareRangeQuery(box);
@@ -830,6 +829,35 @@ TEST(EngineValidationTest, RejectsEmptyCircuitAndDoubleLoad) {
   EXPECT_TRUE(db.LoadCircuit(MakeCircuit(5, 1)).IsAlreadyExists());
 }
 
+// A NaN or infinite coordinate in the birth set is rejected before any
+// backend builds (the packers sort by box center), and the engine stays
+// unloaded: a clean load then succeeds and answers exactly.
+TEST(EngineValidationTest, RejectsNonFiniteElementBounds) {
+  const Aabb domain(Vec3(0, 0, 0), Vec3(200, 200, 200));
+  const geom::ElementVec clean =
+      neuro::UniformSegments(500, domain, 6.0f, 2.0f, 0.5f, 9).Elements();
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    geom::ElementVec elements = clean;
+    elements[123].bounds.max.y = bad;
+    QueryEngine db;
+    EXPECT_EQ(db.LoadElements(elements).code(), StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_FALSE(db.loaded());
+    ASSERT_TRUE(db.LoadElements(clean).ok());
+
+    RangeRequest request;
+    request.box = db.domain();
+    request.backend = BackendChoice::kAll;
+    CollectingVisitor out;
+    auto report = db.Execute(request, out);
+    ASSERT_TRUE(report.ok());
+    EXPECT_TRUE(report->results_match);
+    EXPECT_EQ(SortedIds(out).size(), clean.size());
+  }
+}
+
 TEST(EngineValidationTest, RequestsBeforeLoadFail) {
   QueryEngine db;
   RangeRequest range;
@@ -906,6 +934,15 @@ TEST_F(EngineFixture, BackendStatsReportFootprint) {
     EXPECT_GT(stats.index_pages, 0u) << db_->backend(i).name();
     EXPECT_GT(stats.metadata_bytes, 0u) << db_->backend(i).name();
   }
+  // The R-tree keeps its nodes only in its pages: what it holds in memory
+  // is its page table and its level profile.
+  const rtree::PagedRTree& tree = db_->paged_rtree();
+  const BackendStats stats = db_->rtree_backend()->Stats();
+  ASSERT_GT(tree.Height(), 1);
+  EXPECT_EQ(stats.index_pages, tree.NumPages());
+  EXPECT_LE(stats.metadata_bytes,
+            tree.NumPages() * sizeof(storage::PageId) +
+                tree.LevelProfile().size() * sizeof(rtree::LevelStats));
 }
 
 }  // namespace

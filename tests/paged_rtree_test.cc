@@ -35,7 +35,7 @@ TEST(PagedRTreeTest, BuildAllocatesOnePagePerNode) {
   size_t nodes = tree->NumNodes();
 
   storage::PageStore store;
-  auto paged = PagedRTree::Build(std::move(tree).value(), &store);
+  auto paged = PagedRTree::Build(*tree, &store);
   ASSERT_TRUE(paged.ok());
   EXPECT_EQ(paged->NumPages(), nodes);
   EXPECT_EQ(store.NumPages(), nodes);
@@ -44,31 +44,73 @@ TEST(PagedRTreeTest, BuildAllocatesOnePagePerNode) {
 TEST(PagedRTreeTest, NullStoreFails) {
   auto tree = RTree::BulkLoadStr(RandomElements(10, 2));
   ASSERT_TRUE(tree.ok());
-  EXPECT_FALSE(PagedRTree::Build(std::move(tree).value(), nullptr).ok());
+  EXPECT_FALSE(PagedRTree::Build(*tree, nullptr).ok());
 }
 
+// The paged walk reads every node from its page and carries the node's level
+// down from the root; a second in-memory tree packed from the same elements
+// is the reference for what it must visit.
 TEST(PagedRTreeTest, QueryMatchesInMemoryTree) {
   ElementVec elements = RandomElements(2000, 3);
-  auto tree = RTree::BulkLoadStr(elements);
-  ASSERT_TRUE(tree.ok());
+  RTreeOptions options;
+  options.max_entries = 8;  // four levels over 2000 elements
+  auto built = RTree::BulkLoadStr(elements, options);
+  ASSERT_TRUE(built.ok());
   storage::PageStore store;
-  auto paged = PagedRTree::Build(std::move(tree).value(), &store);
+  auto paged = PagedRTree::Build(*built, &store);
   ASSERT_TRUE(paged.ok());
+  *built = RTree();  // drop the packed tree: the paged one keeps no link
+  auto reference = RTree::BulkLoadStr(elements, options);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_GE(reference->Height(), 4);
 
-  storage::BufferPool pool(&store, 10000);
+  EXPECT_EQ(paged->size(), reference->size());
+  EXPECT_EQ(paged->Height(), reference->Height());
+  EXPECT_EQ(paged->NumPages(), reference->NumNodes());
+  std::vector<LevelStats> want = reference->LevelProfile();
+  ASSERT_EQ(paged->LevelProfile().size(), want.size());
+  for (size_t l = 0; l < want.size(); ++l) {
+    const LevelStats& got = paged->LevelProfile()[l];
+    EXPECT_EQ(got.nodes, want[l].nodes) << "level " << l;
+    EXPECT_EQ(got.entries, want[l].entries) << "level " << l;
+    EXPECT_EQ(got.capacity, want[l].capacity) << "level " << l;
+    EXPECT_EQ(got.sum_face_area, want[l].sum_face_area) << "level " << l;
+    EXPECT_EQ(got.overlap_volume, want[l].overlap_volume) << "level " << l;
+  }
+
+  // A pool smaller than the tree, so the walks miss and evict as well.
+  storage::BufferPool pool(&store, 16);
   Pcg32 rng(4);
-  for (int q = 0; q < 30; ++q) {
-    Aabb box = Aabb::Cube(Vec3(static_cast<float>(rng.Uniform(0, 100)),
-                               static_cast<float>(rng.Uniform(0, 100)),
-                               static_cast<float>(rng.Uniform(0, 100))),
-                          static_cast<float>(rng.Uniform(2, 30)));
-    std::vector<ElementId> via_pages;
-    ASSERT_TRUE(paged->RangeQuery(box, &via_pages, &pool).ok());
-    std::vector<ElementId> via_memory;
-    paged->tree().RangeQuery(box, &via_memory);
-    std::sort(via_pages.begin(), via_pages.end());
-    std::sort(via_memory.begin(), via_memory.end());
-    ASSERT_EQ(via_pages, via_memory);
+  for (int q = 0; q < 60; ++q) {
+    Aabb box = Aabb::Cube(Vec3(static_cast<float>(rng.Uniform(-10, 110)),
+                               static_cast<float>(rng.Uniform(-10, 110)),
+                               static_cast<float>(rng.Uniform(-10, 110))),
+                          static_cast<float>(rng.Uniform(1, 40)));
+    QueryStats via_pages;
+    std::vector<ElementId> page_ids;
+    ASSERT_TRUE(paged->RangeQuery(box, &page_ids, &pool, &via_pages).ok());
+    QueryStats via_memory;
+    std::vector<ElementId> memory_ids;
+    reference->RangeQuery(box, &memory_ids, &via_memory);
+    ASSERT_EQ(page_ids, memory_ids) << "query " << q;
+    ASSERT_EQ(via_pages.nodes_per_level, via_memory.nodes_per_level)
+        << "query " << q;
+    ASSERT_EQ(via_pages.entries_tested, via_memory.entries_tested)
+        << "query " << q;
+    ASSERT_EQ(via_pages.nodes_visited, via_pages.pool.accesses());
+
+    const Vec3 p(static_cast<float>(rng.Uniform(-10, 110)),
+                 static_cast<float>(rng.Uniform(-10, 110)),
+                 static_cast<float>(rng.Uniform(-10, 110)));
+    const size_t k = 1 + rng.NextBounded(40);
+    QueryStats knn_stats;
+    std::vector<geom::KnnHit> hits;
+    ASSERT_TRUE(paged->Knn(p, k, &pool, &hits, &knn_stats).ok());
+    ASSERT_EQ(hits, geom::BruteForceKnn(elements, p, k)) << "query " << q;
+    ASSERT_EQ(knn_stats.nodes_visited, knn_stats.pool.accesses());
+    ASSERT_EQ(knn_stats.nodes_per_level.size(),
+              static_cast<size_t>(reference->Height()));
+    ASSERT_EQ(knn_stats.nodes_per_level.back(), 1u);  // the root, once
   }
 }
 
@@ -76,11 +118,10 @@ TEST(PagedRTreeTest, ColdQueryChargesOnePageFetchPerVisitedNode) {
   ElementVec elements = RandomElements(3000, 5);
   RTreeOptions options;
   options.max_entries = 16;
-  options.min_entries = 6;
   auto tree = RTree::BulkLoadStr(elements, options);
   ASSERT_TRUE(tree.ok());
   storage::PageStore store;
-  auto paged = PagedRTree::Build(std::move(tree).value(), &store);
+  auto paged = PagedRTree::Build(*tree, &store);
   ASSERT_TRUE(paged.ok());
 
   SimClock clock;
@@ -116,7 +157,7 @@ TEST(PagedRTreeTest, NullPoolFails) {
   auto tree = RTree::BulkLoadStr(RandomElements(10, 6));
   ASSERT_TRUE(tree.ok());
   storage::PageStore store;
-  auto paged = PagedRTree::Build(std::move(tree).value(), &store);
+  auto paged = PagedRTree::Build(*tree, &store);
   ASSERT_TRUE(paged.ok());
   std::vector<ElementId> out;
   EXPECT_FALSE(
@@ -127,7 +168,7 @@ TEST(PagedRTreeTest, EmptyTreeQueriesAreNoOps) {
   auto tree = RTree::BulkLoadStr({});
   ASSERT_TRUE(tree.ok());
   storage::PageStore store;
-  auto paged = PagedRTree::Build(std::move(tree).value(), &store);
+  auto paged = PagedRTree::Build(*tree, &store);
   ASSERT_TRUE(paged.ok());
   storage::BufferPool pool(&store, 10);
   std::vector<ElementId> out;

@@ -1,8 +1,7 @@
-// Property tests: for every construction path (dynamic insertion with both
-// split algorithms — R* with and without forced reinsertion — plus STR and
-// Hilbert bulk loading at full and partial fill factors) and across seeds
-// and dataset shapes, the R-tree must (a) satisfy its structural invariants
-// and (b) answer range queries exactly like brute force.
+// Property tests: across seeds, dataset shapes and leaf capacities (the
+// default, and a wide TOUCH-like leaf under a narrow fanout), the
+// STR-packed R-tree must (a) satisfy its structural invariants and (b)
+// answer range queries and seed lookups exactly like brute force.
 
 #include <gtest/gtest.h>
 
@@ -20,36 +19,6 @@ using geom::Aabb;
 using geom::ElementId;
 using geom::ElementVec;
 using geom::Vec3;
-
-enum class BuildKind {
-  kInsertQuadratic,
-  kInsertRStar,          // R* split, no forced reinsertion
-  kInsertRStarReinsert,  // R* split + 30% forced reinsertion on overflow
-  kBulkStr,
-  kBulkHilbert,
-  kBulkStrFill75,      // STR packing at a partial fill factor
-  kBulkHilbertFill75,  // Hilbert packing at a partial fill factor
-};
-
-std::string BuildKindName(BuildKind k) {
-  switch (k) {
-    case BuildKind::kInsertQuadratic:
-      return "InsertQuadratic";
-    case BuildKind::kInsertRStar:
-      return "InsertRStar";
-    case BuildKind::kInsertRStarReinsert:
-      return "InsertRStarReinsert";
-    case BuildKind::kBulkStr:
-      return "BulkStr";
-    case BuildKind::kBulkHilbert:
-      return "BulkHilbert";
-    case BuildKind::kBulkStrFill75:
-      return "BulkStrFill75";
-    case BuildKind::kBulkHilbertFill75:
-      return "BulkHilbertFill75";
-  }
-  return "Unknown";
-}
 
 enum class DataShape { kUniform, kClustered, kSkewedLine };
 
@@ -119,61 +88,25 @@ std::vector<ElementId> BruteForce(const ElementVec& elements,
   return out;
 }
 
-using Param = std::tuple<BuildKind, DataShape, uint64_t>;
+// (shape, seed, leaf_capacity); leaf_capacity 0 means max_entries.
+using Param = std::tuple<DataShape, uint64_t, size_t>;
+
+RTreeOptions OptionsFor(size_t leaf_capacity) {
+  RTreeOptions options;
+  options.max_entries = 12;
+  options.leaf_capacity = leaf_capacity;
+  return options;
+}
 
 class RTreeEquivalenceTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(RTreeEquivalenceTest, InvariantsHoldAndQueriesMatchBruteForce) {
-  auto [kind, shape, seed] = GetParam();
+  auto [shape, seed, leaf_capacity] = GetParam();
   const size_t n = 900;
   ElementVec elements = MakeData(shape, n, seed);
-
-  RTreeOptions options;
-  options.max_entries = 12;
-  options.min_entries = 5;
-
-  RTree tree{options};
-  switch (kind) {
-    case BuildKind::kInsertQuadratic:
-    case BuildKind::kInsertRStar:
-    case BuildKind::kInsertRStarReinsert: {
-      options.split = kind == BuildKind::kInsertQuadratic
-                          ? SplitAlgorithm::kQuadratic
-                          : SplitAlgorithm::kRStar;
-      // Pin the reinsertion knob so the two R* variants are genuinely
-      // distinct paths (the default is non-zero).
-      options.reinsert_factor =
-          kind == BuildKind::kInsertRStarReinsert ? 0.3 : 0.0;
-      tree = RTree{options};
-      for (const auto& e : elements) {
-        ASSERT_TRUE(tree.Insert(e).ok());
-      }
-      break;
-    }
-    case BuildKind::kBulkStr: {
-      auto built = RTree::BulkLoadStr(elements, options);
-      ASSERT_TRUE(built.ok());
-      tree = std::move(built).value();
-      break;
-    }
-    case BuildKind::kBulkHilbert: {
-      auto built = RTree::BulkLoadHilbert(elements, options);
-      ASSERT_TRUE(built.ok());
-      tree = std::move(built).value();
-      break;
-    }
-    case BuildKind::kBulkStrFill75:
-    case BuildKind::kBulkHilbertFill75: {
-      options.build = kind == BuildKind::kBulkStrFill75
-                          ? BuildAlgorithm::kStrBulk
-                          : BuildAlgorithm::kHilbertBulk;
-      options.fill_factor = 0.75;
-      auto built = RTree::Build(elements, options);
-      ASSERT_TRUE(built.ok());
-      tree = std::move(built).value();
-      break;
-    }
-  }
+  auto built = RTree::BulkLoadStr(elements, OptionsFor(leaf_capacity));
+  ASSERT_TRUE(built.ok());
+  const RTree& tree = *built;
 
   ASSERT_EQ(tree.size(), n);
   Status invariants = tree.CheckInvariants();
@@ -189,17 +122,15 @@ TEST_P(RTreeEquivalenceTest, InvariantsHoldAndQueriesMatchBruteForce) {
     tree.RangeQuery(box, &got);
     std::sort(got.begin(), got.end());
     ASSERT_EQ(got, BruteForce(elements, box))
-        << BuildKindName(kind) << "/" << DataShapeName(shape) << " query " << q;
+        << DataShapeName(shape) << " leaf " << leaf_capacity << " query "
+        << q;
   }
 }
 
 TEST_P(RTreeEquivalenceTest, FindAnySucceedsIffRangeNonEmpty) {
-  auto [kind, shape, seed] = GetParam();
-  if (kind != BuildKind::kBulkStr) {
-    GTEST_SKIP() << "seed-lookup property only exercised on the bulk tree";
-  }
+  auto [shape, seed, leaf_capacity] = GetParam();
   ElementVec elements = MakeData(shape, 700, seed);
-  auto tree = RTree::BulkLoadStr(elements);
+  auto tree = RTree::BulkLoadStr(elements, OptionsFor(leaf_capacity));
   ASSERT_TRUE(tree.ok());
   Pcg32 rng(seed ^ 0xabcd);
   for (int q = 0; q < 40; ++q) {
@@ -219,56 +150,18 @@ TEST_P(RTreeEquivalenceTest, FindAnySucceedsIffRangeNonEmpty) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, RTreeEquivalenceTest,
-    ::testing::Combine(::testing::Values(BuildKind::kInsertQuadratic,
-                                         BuildKind::kInsertRStar,
-                                         BuildKind::kInsertRStarReinsert,
-                                         BuildKind::kBulkStr,
-                                         BuildKind::kBulkHilbert,
-                                         BuildKind::kBulkStrFill75,
-                                         BuildKind::kBulkHilbertFill75),
-                       ::testing::Values(DataShape::kUniform,
+    ::testing::Combine(::testing::Values(DataShape::kUniform,
                                          DataShape::kClustered,
                                          DataShape::kSkewedLine),
-                       ::testing::Values(1u, 2u, 3u)),
+                       ::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(size_t{0}, size_t{64})),
     [](const auto& info) {
-      return BuildKindName(std::get<0>(info.param)) +
-             DataShapeName(std::get<1>(info.param)) + "Seed" +
-             std::to_string(std::get<2>(info.param));
+      const size_t leaf = std::get<2>(info.param);
+      return DataShapeName(std::get<0>(info.param)) + "Seed" +
+             std::to_string(std::get<1>(info.param)) +
+             (leaf == 0 ? std::string("DefaultLeaf")
+                        : "Leaf" + std::to_string(leaf));
     });
-
-// Mixed workload: bulk load, then keep inserting — the tree must stay
-// consistent through repeated splits on top of a packed structure.
-TEST(RTreeMixedTest, BulkThenInsertStaysConsistent) {
-  ElementVec initial = MakeData(DataShape::kUniform, 500, 50);
-  RTreeOptions options;
-  options.max_entries = 10;
-  options.min_entries = 4;
-  auto built = RTree::BulkLoadStr(initial, options);
-  ASSERT_TRUE(built.ok());
-  RTree tree = std::move(built).value();
-
-  ElementVec extra = MakeData(DataShape::kClustered, 500, 51);
-  ElementVec all = initial;
-  for (auto e : extra) {
-    e.id += 10000;
-    ASSERT_TRUE(tree.Insert(e).ok());
-    all.push_back(e);
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  ASSERT_EQ(tree.size(), 1000u);
-
-  Pcg32 rng(52);
-  for (int q = 0; q < 25; ++q) {
-    Aabb box = Aabb::Cube(Vec3(static_cast<float>(rng.Uniform(0, 100)),
-                               static_cast<float>(rng.Uniform(0, 100)),
-                               static_cast<float>(rng.Uniform(0, 100))),
-                          static_cast<float>(rng.Uniform(2, 30)));
-    std::vector<ElementId> got;
-    tree.RangeQuery(box, &got);
-    std::sort(got.begin(), got.end());
-    ASSERT_EQ(got, BruteForce(all, box));
-  }
-}
 
 }  // namespace
 }  // namespace rtree

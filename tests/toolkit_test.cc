@@ -30,7 +30,6 @@ class ToolkitFixture : public ::testing::Test {
     ToolkitOptions options;
     options.flat.elems_per_page = 64;
     options.rtree.max_entries = 64;
-    options.rtree.min_entries = 26;
     tk_ = std::make_unique<NeuroToolkit>(options);
     ASSERT_TRUE(tk_->LoadCircuit(circuit_).ok());
   }

@@ -285,8 +285,6 @@ size_t RootBucketSize(const JoinInput& a, const JoinInput& b,
                       const JoinOptions& options) {
   rtree::RTreeOptions tree_options;
   tree_options.max_entries = options.touch_fanout;
-  tree_options.min_entries = std::max<size_t>(
-      1, std::min(options.touch_fanout, options.touch_leaf) * 2 / 5);
   tree_options.leaf_capacity = options.touch_leaf;
   geom::ElementVec elements;
   for (uint32_t i = 0; i < a.size(); ++i) elements.emplace_back(i, a.boxes[i]);

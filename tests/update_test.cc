@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -171,9 +172,24 @@ TEST(UpdateTest, ValidatesBatchesAtomically) {
   EXPECT_EQ(Apply(db.get(), {Erase(999'999)}).code(), StatusCode::kNotFound);
   EXPECT_EQ(Apply(db.get(), {Move(999'999, Aabb::Cube(Vec3(), 1))}).code(),
             StatusCode::kNotFound);
-  // Invalid bounds.
+  // Invalid bounds: empty, or with a NaN or infinite coordinate on any
+  // axis, which would reach the packers' center sort at the next Compact.
   EXPECT_EQ(Apply(db.get(), {Insert(500'000, Aabb())}).code(),
             StatusCode::kInvalidArgument);
+  for (float bad : {std::numeric_limits<float>::quiet_NaN(),
+                    std::numeric_limits<float>::infinity(),
+                    -std::numeric_limits<float>::infinity()}) {
+    for (int slot = 0; slot < 6; ++slot) {
+      Aabb box = Aabb::Cube(Vec3(10, 10, 10), 2);
+      (slot < 3 ? box.min : box.max)[slot % 3] = bad;
+      EXPECT_EQ(Apply(db.get(), {Insert(500'000, box)}).code(),
+                StatusCode::kInvalidArgument)
+          << bad << " at slot " << slot;
+      EXPECT_EQ(Apply(db.get(), {Move(elements[3].id, box)}).code(),
+                StatusCode::kInvalidArgument)
+          << bad << " at slot " << slot;
+    }
+  }
 
   // A batch with one bad op applies nothing — and intra-batch dependencies
   // (insert then move of the same id) validate correctly.

@@ -220,10 +220,10 @@ int DumpTree(const std::string& dir) {
                  opened.status().ToString().c_str());
     return 1;
   }
-  const rtree::RTree& tree = (*opened)->rtree_backend()->tree().tree();
-  auto profile = tree.LevelProfile();
+  const rtree::PagedRTree& tree = (*opened)->rtree_backend()->tree();
+  const std::vector<rtree::LevelStats>& profile = tree.LevelProfile();
   std::printf("%s: R-tree  elements=%zu nodes=%zu height=%d\n", dir.c_str(),
-              tree.size(), tree.NumNodes(), tree.Height());
+              tree.size(), tree.NumPages(), tree.Height());
   if (profile.empty()) {
     std::printf("  (empty tree)\n");
     return 0;
