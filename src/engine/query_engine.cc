@@ -15,10 +15,26 @@ using geom::ElementId;
 
 namespace {
 
-// Element bounds must be finite: every packer sorts by box center, and a NaN
-// key breaks std::sort's ordering contract.
-bool IsFiniteBox(const Aabb& box) {
-  return geom::IsFinitePoint(box.min) && geom::IsFinitePoint(box.max);
+// Runs fn(backend) for every backend at once: one exec::ParallelExecutor
+// lane per backend, on a pool of min(hardware threads, backends) threads
+// started for this call. A pool worker (CompactAsync) runs the lanes
+// inline in registration order, the nesting rule of exec::ThreadPool. Every
+// lane runs, and the first failure in registration order is returned.
+// Builds share no mutable state: each backend writes only its own stores,
+// and every layout is the same for any lane count.
+Status ForEachBackendConcurrently(
+    const std::vector<std::unique_ptr<SpatialBackend>>& backends,
+    const std::function<Status(SpatialBackend&)>& fn) {
+  const size_t n = backends.size();
+  const size_t threads = std::min(exec::HardwareThreads(), n);
+  std::unique_ptr<exec::ThreadPool> pool;
+  if (threads > 1 && !exec::ThreadPool::InWorker()) {
+    pool = std::make_unique<exec::ThreadPool>(threads);
+  }
+  return exec::ParallelExecutor(pool.get())
+      .Run(exec::PartitionLanes(n, n), [&](const exec::LaneRange& lane) {
+        return fn(*backends[lane.begin]);
+      });
 }
 
 }  // namespace
@@ -185,8 +201,10 @@ Status QueryEngine::LoadElements(geom::ElementVec elements) {
 }
 
 Status QueryEngine::FinishLoad(geom::ElementVec elements) {
+  // Element bounds must be finite: every packer sorts by box center, and a
+  // NaN key breaks std::sort's ordering contract.
   for (const auto& e : elements) {
-    if (!IsFiniteBox(e.bounds)) {
+    if (!geom::IsFiniteBox(e.bounds)) {
       return Status::InvalidArgument("QueryEngine: element " +
                                      std::to_string(e.id) +
                                      " has a non-finite bound");
@@ -222,12 +240,14 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
   domain_ = Aabb();
   for (const auto& e : elements) domain_.Extend(e.bounds);
 
-  // Backends build from the caller's order: the packers break ties by
-  // input position, so the id-sorted copy would move page layouts.
-  for (auto& backend : backends_) {
-    NEURODB_RETURN_NOT_OK(backend->Build(elements));
-    backend->AttachLiveSet(&live_);
-  }
+  // Backends build from the caller's order (the packers break ties by
+  // input position, so the id-sorted copy would move page layouts), all at
+  // once.
+  NEURODB_RETURN_NOT_OK(ForEachBackendConcurrently(
+      backends_, [&elements](SpatialBackend& backend) {
+        return backend.Build(elements);
+      }));
+  for (auto& backend : backends_) backend->AttachLiveSet(&live_);
   elements = geom::ElementVec();  // only the id-sorted copy stays
   live_.Reset(std::make_shared<const geom::ElementVec>(std::move(by_id)), 0);
 
@@ -295,7 +315,7 @@ Status QueryEngine::ValidateBatchLocked(
   for (const UpdateRequest& update : updates) {
     switch (update.kind) {
       case UpdateKind::kInsert:
-        if (!update.bounds.IsValid() || !IsFiniteBox(update.bounds)) {
+        if (!update.bounds.IsValid() || !geom::IsFiniteBox(update.bounds)) {
           return Status::InvalidArgument(
               "QueryEngine::ApplyUpdates: insert with invalid bounds");
         }
@@ -313,7 +333,7 @@ Status QueryEngine::ValidateBatchLocked(
         local[update.id] = false;
         break;
       case UpdateKind::kMove:
-        if (!update.bounds.IsValid() || !IsFiniteBox(update.bounds)) {
+        if (!update.bounds.IsValid() || !geom::IsFiniteBox(update.bounds)) {
           return Status::InvalidArgument(
               "QueryEngine::ApplyUpdates: move with invalid bounds");
         }
@@ -587,22 +607,26 @@ Status QueryEngine::Compact() {
       // this lock shared, so they are either fully before or fully after.
       std::unique_lock<std::shared_mutex> exclusive(compact_mu_);
       if (live_.DeltaSize() > 0) {
-        // The next base generation, computed once for every backend.
+        // The next base generation, computed once; every backend rebuilds
+        // over it, all at once.
         auto next_base =
             std::make_shared<const geom::ElementVec>(live_.NextBase());
-        for (auto& backend : backends_) {
-          Status rebuilt = backend->Rebuild(*next_base);
-          if (!rebuilt.ok()) {
-            // Earlier backends index the new generation, this one a
-            // half-built layout: no answer can be trusted any more.
-            corrupted_.store(true, std::memory_order_release);
-            return Status::Internal(
-                std::string("QueryEngine::Compact: backend '") +
-                backend->name() +
-                "' failed mid-rebuild, engine state is inconsistent — "
-                "discard this engine (" +
-                rebuilt.ToString() + ")");
-          }
+        Status rebuilt = ForEachBackendConcurrently(
+            backends_, [&next_base](SpatialBackend& backend) -> Status {
+              Status status = backend.Rebuild(*next_base);
+              if (status.ok()) return status;
+              return Status::Internal(
+                  std::string("QueryEngine::Compact: backend '") +
+                  backend.name() +
+                  "' failed mid-rebuild, engine state is inconsistent — "
+                  "discard this engine (" +
+                  status.ToString() + ")");
+            });
+        if (!rebuilt.ok()) {
+          // The other backends index the new generation, this one a
+          // half-built layout: no answer can be trusted any more.
+          corrupted_.store(true, std::memory_order_release);
+          return rebuilt;
         }
         live_.Reset(std::move(next_base), next);
       } else {

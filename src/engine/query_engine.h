@@ -93,8 +93,10 @@ struct EngineOptions {
   /// multi-store backend the budget is split across its per-shard pools.
   size_t pool_pages = 4096;
   /// Worker threads for concurrent ExecuteBatch lanes and intra-query
-  /// shard fan-out. 1 (the default) keeps every path serial; > 1 starts an
-  /// exec::ThreadPool at LoadCircuit.
+  /// shard fan-out. 1 (the default) keeps both serial; > 1 starts an
+  /// exec::ThreadPool at LoadCircuit. Index builds (load, recovery,
+  /// Compact) do not read it: each runs one lane per backend on a pool of
+  /// its own.
   size_t num_threads = 1;
   /// Evaluated boxes the engine-level result cache keeps for
   /// CachePolicy::kDelta requests (and each batch lane's private cache).
@@ -418,12 +420,13 @@ class QueryEngine {
       std::vector<UpdateRequest> updates);
 
   /// Fold the delta into the next base generation, computed once, and
-  /// rebuild every backend in place over it (same PageStore objects, fresh
-  /// pages); evict the engine's warm pools (the physical layout changed;
-  /// cached result boxes stay — answers are unchanged) and advance the
-  /// epoch. A backend that fails to rebuild (a page-store write error)
-  /// leaves the backends inconsistent: the engine is poisoned and every
-  /// later call fails. Readers are excluded for the
+  /// rebuild every backend in place over it, all backends at once (same
+  /// PageStore objects, fresh pages); evict the engine's warm pools (the
+  /// physical layout changed; cached result boxes stay — answers are
+  /// unchanged) and advance the epoch. A backend that fails to rebuild (a
+  /// page-store write error) leaves the backends inconsistent: the engine
+  /// is poisoned and every later call fails, and the first failure in
+  /// registration order is returned. Readers are excluded for the
   /// rebuild itself (an exclusive lock held only across Compact); sessions
   /// opened before a Compact *survive* it — their pools re-fetch lazily
   /// through the store-epoch check (storage::BufferPool::store_epoch).
@@ -637,9 +640,10 @@ class QueryEngine {
   /// query pool could starve the batch lanes a Compact is waiting out.
   exec::ThreadPool* MutationPool();
   /// The shared tail of LoadCircuit/LoadElements: build every backend over
-  /// `elements` (in the caller's order), install their id-sorted copy as
-  /// the LiveSet's base, start the worker pool, create the persistent pool
-  /// manager and result cache.
+  /// `elements` (in the caller's order, all backends at once, after the
+  /// input is validated), install their id-sorted copy as the LiveSet's
+  /// base, start the worker pool, create the persistent pool manager and
+  /// result cache.
   Status FinishLoad(geom::ElementVec elements);
   /// The (epoch, delta version) pair a range or kNN request reads, resolved
   /// once before its first backend runs: the LiveSet's newest pair for

@@ -1,5 +1,8 @@
 #include "exec/thread_pool.h"
 
+#include <algorithm>
+#include <exception>
+
 namespace neurodb {
 namespace exec {
 
@@ -12,12 +15,27 @@ bool& InWorkerFlag() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  size_t n = num_threads == 0 ? 1 : num_threads;
+size_t HardwareThreads() {
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
+ThreadPool::ThreadPool(size_t num_threads, const ThreadStarter& start) {
+  const size_t n = num_threads == 0 ? 1 : num_threads;
   workers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    std::function<void()> loop = [this] { WorkerLoop(); };
+    try {
+      workers_.push_back(start ? start(std::move(loop))
+                               : std::thread(std::move(loop)));
+    } catch (const std::exception&) {
+      // Unwinding now would destroy the joinable workers already started,
+      // which ends the process. Keep them instead.
+      break;
+    }
   }
+  // With no worker nothing would drain the queue: Submit runs tasks inline,
+  // as it does during shutdown. (No worker reads the flag yet.)
+  if (workers_.empty()) stopping_ = true;
 }
 
 ThreadPool::~ThreadPool() {

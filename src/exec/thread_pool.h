@@ -31,14 +31,25 @@
 namespace neurodb {
 namespace exec {
 
+/// Hardware threads of the host, at least 1: the size of the per-call
+/// pools of TOUCH joins and of the engine's concurrent index builds.
+size_t HardwareThreads();
+
 /// Fixed-size thread pool. Threads start in the constructor and run until
 /// destruction; the destructor is graceful — every task already queued is
 /// completed before the workers join, so no future obtained from Submit is
 /// ever abandoned.
 class ThreadPool {
  public:
-  /// Start `num_threads` workers (0 is clamped to 1).
-  explicit ThreadPool(size_t num_threads);
+  /// Starts one worker thread running `loop`, or throws when no thread can
+  /// start (as std::thread's constructor does). The default starts a
+  /// std::thread; tests substitute one that fails.
+  using ThreadStarter = std::function<std::thread(std::function<void()>)>;
+
+  /// Start `num_threads` workers (0 is clamped to 1). A failed start ends
+  /// the starting: the pool keeps the workers that started, and a pool
+  /// with none runs every Submit inline, as it does during shutdown.
+  explicit ThreadPool(size_t num_threads, const ThreadStarter& start = {});
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -46,6 +57,7 @@ class ThreadPool {
   /// Drains the queue, then joins every worker.
   ~ThreadPool();
 
+  /// Workers running: fewer than asked for when a start failed.
   size_t num_threads() const { return workers_.size(); }
 
   /// Tasks queued but not yet picked up by a worker (snapshot; for tests

@@ -95,6 +95,13 @@ inline bool IsFinitePoint(const Vec3& p) {
   return std::isfinite(p.x) && std::isfinite(p.y) && std::isfinite(p.z);
 }
 
+/// True if both corners of `box` are finite (element and join-input
+/// validation: the packers sort by box center, and a NaN key breaks
+/// std::sort's ordering contract).
+inline bool IsFiniteBox(const Aabb& box) {
+  return IsFinitePoint(box.min) && IsFinitePoint(box.max);
+}
+
 /// Brute-force reference: the k best hits over `elements` under the shared
 /// order. The ground truth the property tests and the differential harness
 /// compare every backend against.

@@ -147,23 +147,19 @@ class FaultInjectingFile : public File {
 
   Status WriteAt(uint64_t offset, const void* buf, size_t n) override {
     if (!matched_) return base_->WriteAt(offset, buf, n);
-    if (plan_->Crashed()) return Crash("WriteAt");
-    plan_->writes_seen.fetch_add(1, std::memory_order_relaxed);
-    int64_t budget = plan_->write_budget.load(std::memory_order_relaxed);
-    if (budget >= 0) {
-      if (budget == 0) {
-        // The crashing write: persist only the torn prefix, then die.
-        plan_->crashed.store(true, std::memory_order_relaxed);
-        size_t tear = plan_->tear_bytes < n ? plan_->tear_bytes : 0;
-        if (tear > 0) {
-          Status s = base_->WriteAt(offset, buf, tear);
-          if (!s.ok()) return s;
-        }
-        return Crash("WriteAt");
-      }
-      plan_->write_budget.store(budget - 1, std::memory_order_relaxed);
+    const FaultPlan::Admission admission = plan_->Admit();
+    if (admission == FaultPlan::Admission::kWrite) {
+      return base_->WriteAt(offset, buf, n);
     }
-    return base_->WriteAt(offset, buf, n);
+    if (admission == FaultPlan::Admission::kCrash) {
+      // The crashing write: persist only the torn prefix, then die.
+      size_t tear = plan_->tear_bytes < n ? plan_->tear_bytes : 0;
+      if (tear > 0) {
+        Status s = base_->WriteAt(offset, buf, tear);
+        if (!s.ok()) return s;
+      }
+    }
+    return Crash("WriteAt");
   }
 
   Status Sync() override {
@@ -191,6 +187,20 @@ class FaultInjectingFile : public File {
 
 }  // namespace
 
+FaultPlan::Admission FaultPlan::Admit() {
+  if (Crashed()) return Admission::kCrashed;
+  writes_seen.fetch_add(1, std::memory_order_relaxed);
+  int64_t budget = write_budget.load(std::memory_order_relaxed);
+  while (budget > 0 &&
+         !write_budget.compare_exchange_weak(budget, budget - 1,
+                                             std::memory_order_relaxed)) {
+  }
+  if (budget != 0) return Admission::kWrite;  // a unit claimed, or no budget
+  return crashed.exchange(true, std::memory_order_relaxed)
+             ? Admission::kCrashed
+             : Admission::kCrash;
+}
+
 FileSystem* DefaultFileSystem() {
   static PosixFileSystem* fs = new PosixFileSystem();
   return fs;
@@ -201,20 +211,9 @@ Status FaultInjectingFileSystem::Rename(const std::string& from,
   bool matched = plan_->path_filter.empty() ||
                  from.find(plan_->path_filter) != std::string::npos ||
                  to.find(plan_->path_filter) != std::string::npos;
-  if (matched) {
-    if (plan_->Crashed()) {
-      return Status::IOError("fault injection: crashed before Rename");
-    }
-    plan_->writes_seen.fetch_add(1, std::memory_order_relaxed);
-    int64_t budget = plan_->write_budget.load(std::memory_order_relaxed);
-    if (budget >= 0) {
-      if (budget == 0) {
-        // The crashing op: a rename is atomic, so nothing of it survives.
-        plan_->crashed.store(true, std::memory_order_relaxed);
-        return Status::IOError("fault injection: crashed before Rename");
-      }
-      plan_->write_budget.store(budget - 1, std::memory_order_relaxed);
-    }
+  // A rename is atomic, so nothing of the crashing one survives.
+  if (matched && plan_->Admit() != FaultPlan::Admission::kWrite) {
+    return Status::IOError("fault injection: crashed before Rename");
   }
   return base_->Rename(from, to);
 }

@@ -98,6 +98,16 @@ struct FaultPlan {
   std::atomic<uint64_t> writes_seen{0};
 
   bool Crashed() const { return crashed.load(std::memory_order_relaxed); }
+
+  /// What one matching write (or rename) may do.
+  enum class Admission { kWrite, kCrash, kCrashed };
+  /// Decides a matching write. Each unit of budget is claimed by a
+  /// compare-exchange, so writers that race never share one: exactly
+  /// `budget` writes get kWrite, exactly one (the first to find the budget
+  /// spent) gets kCrash, and every later one gets kCrashed. Without a
+  /// budget every write gets kWrite.
+  Admission Admit();
+
   void Reset(int64_t budget) {
     write_budget.store(budget, std::memory_order_relaxed);
     crashed.store(false, std::memory_order_relaxed);

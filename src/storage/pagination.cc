@@ -45,14 +45,27 @@ std::vector<uint32_t> StrOrder(const geom::ElementVec& elements,
       std::max<size_t>(1, static_cast<size_t>(std::ceil(
                               std::cbrt(static_cast<double>(num_groups)))));
 
-  auto center = [&](uint32_t idx, int axis) {
-    return elements[idx].bounds.Center()[axis];
+  // Every sort runs over contiguous (center coordinate, index) pairs and
+  // compares the coordinate alone. std::sort then sees the same comparison
+  // outcomes at the same positions as a sort of bare indices that read each
+  // center from `elements`, so the order is the same; but a comparison
+  // never leaves the pair array, and each center coordinate is gathered
+  // once per sort instead of twice per comparison.
+  struct Keyed {
+    float key;
+    uint32_t index;
+  };
+  std::vector<Keyed> keyed(n);
+  for (uint32_t i = 0; i < n; ++i) keyed[i].index = i;
+  auto sort_by = [&](size_t begin, size_t end, int axis) {
+    for (size_t i = begin; i < end; ++i) {
+      keyed[i].key = elements[keyed[i].index].bounds.Center()[axis];
+    }
+    std::sort(keyed.begin() + begin, keyed.begin() + end,
+              [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
   };
 
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return center(a, 0) < center(b, 0);
-  });
-
+  sort_by(0, n, 0);
   // Slab and run sizes must be multiples of group_size (Leutenegger et al.:
   // a slab holds s^2 tiles, a run s tiles). The consumer cuts groups every
   // group_size elements of the final order — if runs were not aligned, a
@@ -62,16 +75,12 @@ std::vector<uint32_t> StrOrder(const geom::ElementVec& elements,
   const size_t run = s * group_size;       // elements per y-run
   for (size_t x0 = 0; x0 < n; x0 += slab) {
     size_t x1 = std::min(n, x0 + slab);
-    std::sort(order.begin() + x0, order.begin() + x1,
-              [&](uint32_t a, uint32_t b) { return center(a, 1) < center(b, 1); });
+    sort_by(x0, x1, 1);
     for (size_t y0 = x0; y0 < x1; y0 += run) {
-      size_t y1 = std::min(x1, y0 + run);
-      std::sort(order.begin() + y0, order.begin() + y1,
-                [&](uint32_t a, uint32_t b) {
-                  return center(a, 2) < center(b, 2);
-                });
+      sort_by(y0, std::min(x1, y0 + run), 2);
     }
   }
+  for (size_t i = 0; i < n; ++i) order[i] = keyed[i].index;
   return order;
 }
 

@@ -1,5 +1,9 @@
 #include "touch/spatial_join.h"
 
+#include <cmath>
+
+#include "geom/knn.h"
+
 namespace neurodb {
 namespace touch {
 
@@ -31,17 +35,30 @@ Status JoinInput::Validate() const {
   if (!segments.empty() && segments.size() != boxes.size()) {
     return Status::InvalidArgument("JoinInput: segments size mismatch");
   }
+  // Every method sorts by box coordinates, and a NaN key breaks std::sort's
+  // ordering contract.
   for (const auto& b : boxes) {
     if (b.IsEmpty()) {
       return Status::InvalidArgument("JoinInput: empty bounding box");
+    }
+    if (!geom::IsFiniteBox(b)) {
+      return Status::InvalidArgument("JoinInput: non-finite bounding box");
+    }
+  }
+  for (const auto& s : segments) {
+    if (!geom::IsFinitePoint(s.a) || !geom::IsFinitePoint(s.b) ||
+        !std::isfinite(s.radius)) {
+      return Status::InvalidArgument("JoinInput: non-finite segment");
     }
   }
   return Status::OK();
 }
 
 Status JoinOptions::Validate() const {
-  if (!(epsilon >= 0.0f)) {
-    return Status::InvalidArgument("JoinOptions: epsilon must be >= 0");
+  // An infinite epsilon would make every pair match.
+  if (!(epsilon >= 0.0f) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument(
+        "JoinOptions: epsilon must be finite and >= 0");
   }
   if (touch_fanout < 2) {
     return Status::InvalidArgument("JoinOptions: touch_fanout must be >= 2");

@@ -27,7 +27,6 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <thread>
 
 #include "common/stats.h"
 #include "exec/parallel_executor.h"
@@ -111,16 +110,12 @@ void AddCounters(const JoinStats& from, JoinStats* to) {
   to->filtered += from.filtered;
 }
 
-size_t HardwareThreads() {
-  return std::max<size_t>(1, std::thread::hardware_concurrency());
-}
-
 /// Lanes for `items` work items: one per hardware thread, at most one per
 /// item, and a single inline lane when the caller is itself a pool worker
 /// (the nesting rule of exec::ThreadPool).
 size_t TeamSize(size_t items) {
   if (exec::ThreadPool::InWorker()) return std::min<size_t>(1, items);
-  return std::min(HardwareThreads(), items);
+  return std::min(exec::HardwareThreads(), items);
 }
 
 /// Runs body(item, lane) for every item in [0, items) on `team` lanes that
@@ -130,7 +125,7 @@ template <typename Body>
 Status ForEachItem(size_t items, size_t team,
                    std::unique_ptr<exec::ThreadPool>* pool, const Body& body) {
   if (team > 1 && *pool == nullptr) {
-    *pool = std::make_unique<exec::ThreadPool>(HardwareThreads());
+    *pool = std::make_unique<exec::ThreadPool>(exec::HardwareThreads());
   }
   std::atomic<size_t> cursor{0};
   return exec::ParallelExecutor(pool->get())

@@ -116,6 +116,66 @@ TEST(HilbertTest, RoundTripRandomFullWidth) {
   }
 }
 
+// The encoder as first written: Skilling's transform with a branch per axis
+// per level, then a bit-by-bit interleave. HilbertEncode must return the
+// same index for every point — FLAT's pages and the Hilbert shards are cut
+// from these keys.
+uint64_t ReferenceHilbertEncode(uint32_t xi, uint32_t yi, uint32_t zi,
+                                int bits) {
+  uint32_t x[3] = {xi, yi, zi};
+  uint32_t m = 1u << (bits - 1);
+  for (uint32_t q = m; q > 1; q >>= 1) {
+    uint32_t p = q - 1;
+    for (int i = 0; i < 3; ++i) {
+      if (x[i] & q) {
+        x[0] ^= p;
+      } else {
+        uint32_t t = (x[0] ^ x[i]) & p;
+        x[0] ^= t;
+        x[i] ^= t;
+      }
+    }
+  }
+  for (int i = 1; i < 3; ++i) x[i] ^= x[i - 1];
+  uint32_t t = 0;
+  for (uint32_t q = m; q > 1; q >>= 1) {
+    if (x[2] & q) t ^= q - 1;
+  }
+  for (int i = 0; i < 3; ++i) x[i] ^= t;
+  uint64_t index = 0;
+  for (int bit = bits - 1; bit >= 0; --bit) {
+    for (int i = 0; i < 3; ++i) {
+      index = (index << 1) | ((x[i] >> bit) & 1u);
+    }
+  }
+  return index;
+}
+
+TEST(HilbertTest, MatchesReferenceEncoderOnEveryPointOfSmallCube) {
+  const int bits = 6;
+  const uint32_t n = 1u << bits;
+  for (uint32_t x = 0; x < n; ++x) {
+    for (uint32_t y = 0; y < n; ++y) {
+      for (uint32_t z = 0; z < n; ++z) {
+        ASSERT_EQ(HilbertEncode(x, y, z, bits),
+                  ReferenceHilbertEncode(x, y, z, bits))
+            << x << "," << y << "," << z;
+      }
+    }
+  }
+}
+
+TEST(HilbertTest, MatchesReferenceEncoderOnRandomFullWidthPoints) {
+  Pcg32 rng(21);
+  for (int i = 0; i < 100000; ++i) {
+    uint32_t x = rng.NextU32() & 0x1fffff;
+    uint32_t y = rng.NextU32() & 0x1fffff;
+    uint32_t z = rng.NextU32() & 0x1fffff;
+    ASSERT_EQ(HilbertEncode(x, y, z), ReferenceHilbertEncode(x, y, z, 21))
+        << x << "," << y << "," << z;
+  }
+}
+
 TEST(HilbertMapperTest, ClampsOutOfDomainPoints) {
   Aabb domain(Vec3(0, 0, 0), Vec3(10, 10, 10));
   HilbertMapper mapper(domain, 8);

@@ -1,10 +1,14 @@
 // On-disk format tests: PageFile commit/reopen semantics, header
 // validation, free-block reuse, DiskPageStore parity with the in-memory
-// PageStore, and the PageStore epoch/move guarantees recovery depends on.
+// PageStore, the PageStore epoch/move guarantees recovery depends on, and
+// the fault plan's write budget under concurrent writers.
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,6 +56,65 @@ std::vector<SpatialElement> MakeElements(size_t n, uint64_t first_id = 0) {
                      Aabb(Vec3(f, f, f), Vec3(f + 1, f + 1, f + 1)));
   }
   return out;
+}
+
+// ---------------------------------------------------------------------------
+// FaultInjectingFileSystem
+// ---------------------------------------------------------------------------
+
+// Four writers race on their own .pages files under one plan, as the
+// backends do when they build at once. Each unit of budget admits exactly
+// one write, and exactly one write crashes: the torn one, whose prefix is
+// the only partial write that reaches a file.
+TEST(FaultPlanTest, ConcurrentWritersShareTheBudgetExactly) {
+  constexpr int kWriters = 4;
+  constexpr int kWritesPerWriter = 1000;
+  constexpr int64_t kBudget = 3000;
+  constexpr size_t kBytes = 16;
+  constexpr size_t kTear = 5;
+  const std::vector<char> payload(kBytes, 'x');
+  for (int round = 0; round < 5; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    TempDir dir;
+    FaultPlan plan;
+    plan.path_filter = ".pages";
+    plan.tear_bytes = kTear;
+    FaultInjectingFileSystem fs(DefaultFileSystem(), &plan);
+    std::vector<std::unique_ptr<File>> files;
+    for (int w = 0; w < kWriters; ++w) {
+      auto file = fs.Open(dir.File("w" + std::to_string(w) + ".pages"),
+                          /*truncate=*/true);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      files.push_back(std::move(*file));
+    }
+
+    plan.Reset(kBudget);
+    std::atomic<int64_t> written{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w) {
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kWritesPerWriter; ++i) {
+          if (files[w]->WriteAt(i * kBytes, payload.data(), kBytes).ok()) {
+            ++written;
+          }
+        }
+      });
+    }
+    for (auto& t : writers) t.join();
+    EXPECT_EQ(written.load(), kBudget);
+    EXPECT_TRUE(plan.Crashed());
+
+    size_t landed = 0;
+    for (const auto& file : files) {
+      auto size = file->Size();
+      ASSERT_TRUE(size.ok());
+      std::vector<char> bytes(*size);
+      auto read = file->ReadAt(0, bytes.data(), bytes.size());
+      ASSERT_TRUE(read.ok());
+      for (char c : bytes) landed += c == 'x';
+    }
+    EXPECT_EQ(landed, static_cast<size_t>(kBudget) * kBytes + kTear);
+  }
 }
 
 // ---------------------------------------------------------------------------

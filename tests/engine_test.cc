@@ -945,6 +945,98 @@ TEST_F(EngineFixture, BackendStatsReportFootprint) {
                 tree.LevelProfile().size() * sizeof(rtree::LevelStats));
 }
 
+// --------------------------------------------------------------------------
+// Concurrent index builds
+// --------------------------------------------------------------------------
+
+// One page as a layout comparison sees it: its element ids in page order
+// and its bounds.
+struct PageImage {
+  std::vector<ElementId> ids;
+  Aabb bounds;
+
+  bool operator==(const PageImage& o) const {
+    return ids == o.ids && bounds == o.bounds;
+  }
+};
+
+// Every page of every store of `backend` (one list per store, shards in
+// shard order), in page-id order.
+std::vector<std::vector<PageImage>> Pages(SpatialBackend* backend) {
+  std::vector<std::vector<PageImage>> stores;
+  for (storage::PageStore* store : backend->Stores()) {
+    std::vector<PageImage>& pages = stores.emplace_back();
+    for (storage::PageId id = 0; id < store->NumPages(); ++id) {
+      auto page = store->Read(id);
+      EXPECT_TRUE(page.ok()) << page.status().ToString();
+      if (!page.ok()) return stores;
+      PageImage& image = pages.emplace_back();
+      for (const auto& e : (*page)->elements) image.ids.push_back(e.id);
+      image.bounds = (*page)->Bounds();
+    }
+  }
+  return stores;
+}
+
+// The engine builds its backends at once, one lane each. Every layout must
+// equal that of the same backend built alone on this thread from the same
+// input: after LoadCircuit, and after a Compact that rebuilt all four over
+// the next base generation.
+TEST(ConcurrentBuildTest, EveryBackendMatchesItsSerialBuild) {
+  const neuro::Circuit circuit = MakeCircuit(30, 77);
+  EngineOptions options;
+  options.flat.elems_per_page = 64;
+  options.rtree.max_entries = 16;
+  QueryEngine db(options);
+  ASSERT_TRUE(db.LoadCircuit(circuit).ok());
+  std::vector<SpatialBackend*> built = {db.flat_backend(), db.rtree_backend(),
+                                        db.grid_backend(),
+                                        db.sharded_backend()};
+  std::vector<std::unique_ptr<SpatialBackend>> alone;
+  alone.push_back(std::make_unique<FlatBackend>(options.flat));
+  alone.push_back(std::make_unique<PagedRTreeBackend>(options.rtree));
+  alone.push_back(std::make_unique<GridBackend>(options.grid));
+  alone.push_back(std::make_unique<ShardedBackend>(options.sharded));
+  ASSERT_EQ(db.NumBackends(), alone.size());
+
+  const geom::ElementVec elements = circuit.FlattenSegments().Elements();
+  for (size_t b = 0; b < alone.size(); ++b) {
+    ASSERT_TRUE(alone[b]->Build(elements).ok());
+    EXPECT_EQ(Pages(built[b]), Pages(alone[b].get()))
+        << alone[b]->name() << " after LoadCircuit";
+  }
+  EXPECT_GT(db.sharded_backend()->Stores().size(), 1u);
+
+  // Erase every 7th element, move every 11th and insert 500 new ones.
+  std::vector<UpdateRequest> updates;
+  for (size_t i = 0; i < elements.size(); i += 7) {
+    updates.push_back({UpdateKind::kErase, elements[i].id, Aabb()});
+  }
+  for (size_t i = 3; i < elements.size(); i += 11) {
+    if (i % 7 == 0) continue;
+    Aabb moved = elements[i].bounds;
+    moved.min = moved.min + Vec3(5, -3, 2);
+    moved.max = moved.max + Vec3(5, -3, 2);
+    updates.push_back({UpdateKind::kMove, elements[i].id, moved});
+  }
+  ElementId next_id = 0;
+  for (const auto& e : elements) next_id = std::max(next_id, e.id + 1);
+  for (int i = 0; i < 500; ++i) {
+    const float f = static_cast<float>(i % 50);
+    updates.push_back({UpdateKind::kInsert, next_id + i,
+                       Aabb::Cube(Vec3(f * 7, f * 11, f * 13), 2.0f)});
+  }
+  ASSERT_TRUE(db.ApplyUpdates(updates).ok());
+  ASSERT_TRUE(db.Compact().ok());
+
+  const std::shared_ptr<const geom::ElementVec> next = db.live_set().base();
+  for (size_t b = 0; b < alone.size(); ++b) {
+    ASSERT_TRUE(alone[b]->Rebuild(*next).ok());
+    EXPECT_EQ(Pages(built[b]), Pages(alone[b].get()))
+        << alone[b]->name() << " after Compact";
+  }
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace neurodb

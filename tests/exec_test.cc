@@ -16,6 +16,7 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -48,6 +49,63 @@ TEST(ThreadPoolTest, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 1u);
   EXPECT_EQ(pool.Submit([] { return 7; }).get(), 7);
+}
+
+// A thread starter that throws from its `fail_from`-th call on, as
+// std::thread's constructor does when the system has no thread to give.
+// (Never test this by exhausting the machine's threads.)
+ThreadPool::ThreadStarter FailingFrom(size_t fail_from, size_t* calls) {
+  return [fail_from, calls](std::function<void()> loop) {
+    if (++*calls >= fail_from) {
+      throw std::system_error(
+          std::make_error_code(std::errc::resource_unavailable_try_again));
+    }
+    return std::thread(std::move(loop));
+  };
+}
+
+TEST(ThreadPoolTest, KeepsTheWorkersThatStartedWhenAStartFails) {
+  size_t calls = 0;
+  ThreadPool pool(4, FailingFrom(3, &calls));
+  EXPECT_EQ(calls, 3u);  // the failure ends the starting
+  EXPECT_EQ(pool.num_threads(), 2u);
+
+  std::vector<std::future<int>> futures;
+  for (int i = 0; i < 64; ++i) {
+    futures.push_back(pool.Submit([i] { return i * i; }));
+  }
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(futures[i].get(), i * i);
+
+  auto lanes = PartitionLanes(8, 8);
+  std::vector<int> ran(lanes.size(), 0);
+  Status status = ParallelExecutor(&pool).Run(
+      lanes, [&](const LaneRange& lane) {
+        ran[lane.lane] = 1;
+        return lane.lane == 5 ? Status::Internal("five") : Status::OK();
+      });
+  EXPECT_EQ(status.ToString(), Status::Internal("five").ToString());
+  EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 8);
+}
+
+TEST(ThreadPoolTest, APoolWhoseFirstStartFailsRunsTasksInline) {
+  size_t calls = 0;
+  ThreadPool pool(4, FailingFrom(1, &calls));
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_EQ(pool.Submit([] { return std::this_thread::get_id(); }).get(),
+            caller);
+
+  auto lanes = PartitionLanes(4, 4);
+  std::vector<size_t> order;
+  ASSERT_TRUE(ParallelExecutor(&pool)
+                  .Run(lanes,
+                       [&](const LaneRange& lane) {
+                         order.push_back(lane.lane);
+                         return Status::OK();
+                       })
+                  .ok());
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3}));
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedTasks) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <numeric>
 #include <set>
 
 #include "common/rng.h"
@@ -161,6 +163,73 @@ TEST(StrOrderTest, HandlesEdgeCases) {
   EXPECT_EQ(StrOrder(one, 10).size(), 1u);
   ElementVec few = RandomElements(5, 2);
   EXPECT_EQ(StrOrder(few, 0).size(), 5u);  // degenerate group size
+}
+
+// StrOrder as first written: three index sorts whose comparator reads each
+// element's center from `elements`. StrOrder must return the same
+// permutation — the R-tree's leaves and every level above them are cut
+// from it.
+std::vector<uint32_t> ReferenceStrOrder(const ElementVec& elements,
+                                        size_t group_size) {
+  const size_t n = elements.size();
+  std::vector<uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  if (n == 0 || group_size == 0) return order;
+  const size_t num_groups = (n + group_size - 1) / group_size;
+  const size_t s =
+      std::max<size_t>(1, static_cast<size_t>(std::ceil(
+                              std::cbrt(static_cast<double>(num_groups)))));
+  auto by = [&](int axis) {
+    return [&elements, axis](uint32_t a, uint32_t b) {
+      return elements[a].bounds.Center()[axis] <
+             elements[b].bounds.Center()[axis];
+    };
+  };
+  std::sort(order.begin(), order.end(), by(0));
+  const size_t slab = s * s * group_size;
+  const size_t run = s * group_size;
+  for (size_t x0 = 0; x0 < n; x0 += slab) {
+    size_t x1 = std::min(n, x0 + slab);
+    std::sort(order.begin() + x0, order.begin() + x1, by(1));
+    for (size_t y0 = x0; y0 < x1; y0 += run) {
+      std::sort(order.begin() + y0, order.begin() + std::min(x1, y0 + run),
+                by(2));
+    }
+  }
+  return order;
+}
+
+// A cloud where every third element takes the center of an earlier one,
+// with an extent of its own: ties on every axis, which is where a sort that
+// compares differently would order differently. Coordinates and half
+// extents lie on a quarter-micron grid, so every center is exact.
+ElementVec TiedElements(size_t n, uint64_t seed) {
+  Pcg32 rng(seed);
+  auto quarters = [&rng](uint32_t count) {
+    return static_cast<float>(rng.NextBounded(count)) * 0.25f;
+  };
+  ElementVec out;
+  for (size_t i = 0; i < n; ++i) {
+    Vec3 c(quarters(400), quarters(400), quarters(400));
+    if (i % 3 == 2) {
+      c = out[rng.NextBounded(static_cast<uint32_t>(out.size()))]
+              .bounds.Center();
+    }
+    const float half = 0.25f + quarters(8);
+    out.emplace_back(i, Aabb(c - Vec3(half, half, half),
+                             c + Vec3(half, half, half)));
+  }
+  return out;
+}
+
+TEST(StrOrderTest, MatchesReferenceIndexSortOnTiedClouds) {
+  for (uint64_t seed : {7u, 8u, 9u}) {
+    ElementVec elements = TiedElements(6000, seed);
+    for (size_t group : {1u, 8u, 64u, 253u}) {
+      EXPECT_EQ(StrOrder(elements, group), ReferenceStrOrder(elements, group))
+          << "seed " << seed << ", group size " << group;
+    }
+  }
 }
 
 }  // namespace

@@ -469,7 +469,9 @@ TEST(RecoveryMatrixTest, KillInsideCoalescedGroupAppendWithWriterRace) {
 TEST(RecoveryTest, FailedCompactRebuildPoisonsTheEngine) {
   TempDir dir;
   storage::FaultPlan plan;
-  plan.path_filter = "Grid.pages";  // FLAT and the R-tree rebuild first
+  // Only the grid's page file fails; the other backends rebuild beside it
+  // and finish on the new generation.
+  plan.path_filter = "Grid.pages";
   storage::FaultInjectingFileSystem fs(storage::DefaultFileSystem(), &plan);
 
   auto batches = ScriptedBatches();
@@ -481,7 +483,11 @@ TEST(RecoveryTest, FailedCompactRebuildPoisonsTheEngine) {
 
   // The grid's first page write of the rebuild fails.
   plan.Reset(0);
-  ASSERT_FALSE(db->Compact().ok());
+  Status compacted = db->Compact();
+  ASSERT_FALSE(compacted.ok());
+  EXPECT_NE(compacted.ToString().find("backend 'Grid' failed mid-rebuild"),
+            std::string::npos)
+      << compacted.ToString();
   ASSERT_TRUE(plan.Crashed());
   // The device works again; the engine must still refuse.
   plan.Reset(-1);
@@ -500,6 +506,33 @@ TEST(RecoveryTest, FailedCompactRebuildPoisonsTheEngine) {
   EXPECT_FALSE(
       db->ApplyUpdates(std::span<const UpdateRequest>(batches[1])).ok());
   EXPECT_FALSE(db->Compact().ok());
+}
+
+// When every page file fails at once, every backend's rebuild fails, in
+// whatever order the lanes reach the device. Compact reports the first
+// failure in registration order, FLAT's, and still poisons the engine.
+TEST(RecoveryTest, CompactReportsTheFirstFailedRebuildInRegistrationOrder) {
+  auto batches = ScriptedBatches();
+  for (int run = 0; run < 3; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    TempDir dir;
+    storage::FaultPlan plan;
+    plan.path_filter = ".pages";
+    storage::FaultInjectingFileSystem fs(storage::DefaultFileSystem(), &plan);
+    auto db =
+        std::make_unique<QueryEngine>(DurableOptions(dir.Sub("data"), &fs));
+    ASSERT_TRUE(db->LoadElements(MakeGrid(48)).ok());
+    ASSERT_TRUE(
+        db->ApplyUpdates(std::span<const UpdateRequest>(batches[0])).ok());
+
+    plan.Reset(0);
+    Status compacted = db->Compact();
+    EXPECT_NE(compacted.ToString().find("backend 'FLAT' failed mid-rebuild"),
+              std::string::npos)
+        << compacted.ToString();
+    plan.Reset(-1);
+    EXPECT_FALSE(db->Compact().ok());
+  }
 }
 
 TEST(RecoveryTest, CrashDuringCheckpointRollsBackToPreviousBaseAndWal) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "neuro/workload.h"
 #include "rtree/rtree.h"
@@ -119,6 +120,36 @@ TEST_P(JoinMethodTest, StatsArePopulated) {
   EXPECT_GT(result->stats.total_ns, 0u);
   EXPECT_GT(result->stats.peak_bytes, 0u);
   EXPECT_EQ(result->stats.results, result->pairs.size());
+}
+
+// A NaN coordinate makes no box empty, so an emptiness check alone lets it
+// through to the methods' sorts as a NaN key; an infinite epsilon would make
+// every pair match.
+TEST_P(JoinMethodTest, RejectsNonFiniteInputs) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  JoinOptions options;
+  options.epsilon = 1.0f;
+  auto rejected = [&](const JoinInput& a, const JoinInput& b) {
+    return RunJoin(GetParam(), a, b, options).status().IsInvalidArgument();
+  };
+
+  geom::ElementVec nan_box = {{1, Aabb(Vec3(0, nan, 0), Vec3(1, 1, 1))}};
+  EXPECT_TRUE(rejected(JoinInput::FromElements(nan_box), TinyB()));
+  geom::ElementVec inf_box = {{2, Aabb(Vec3(0, 0, 0), Vec3(1, 1, inf))}};
+  EXPECT_TRUE(rejected(TinyA(), JoinInput::FromElements(inf_box)));
+
+  // Finite boxes over segments that are not: an endpoint, then a radius.
+  const Segment good(Vec3(0, 0, 0), Vec3(1, 0, 0), 0.1f);
+  for (const Segment& bad : {Segment(Vec3(0, 0, 0), Vec3(nan, 0, 0), 0.1f),
+                             Segment(Vec3(0, 0, 0), Vec3(1, 0, 0), inf)}) {
+    JoinInput in = JoinInput::FromSegments({good}, {3});
+    in.segments[0] = bad;
+    EXPECT_TRUE(rejected(in, JoinInput::FromSegments({good}, {4})));
+  }
+
+  options.epsilon = inf;
+  EXPECT_TRUE(rejected(TinyA(), TinyB()));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, JoinMethodTest,
