@@ -31,6 +31,18 @@ Result<geom::ElementVec> LiveSet::SortById(geom::ElementVec elements) {
   return elements;
 }
 
+Result<bool> LiveSet::AscendingById(const geom::ElementVec& elements) {
+  bool ascending = true;
+  for (size_t i = 1; i < elements.size(); ++i) {
+    if (elements[i - 1].id == elements[i].id) {
+      return Status::InvalidArgument("LiveSet: duplicate element id " +
+                                     std::to_string(elements[i].id));
+    }
+    ascending = ascending && elements[i - 1].id < elements[i].id;
+  }
+  return ascending;
+}
+
 void LiveSet::Reset(std::shared_ptr<const geom::ElementVec> base,
                     storage::Epoch epoch) {
   pending_.Clear();

@@ -49,6 +49,11 @@ class LiveSet {
   /// kept in. InvalidArgument when two elements share an id.
   static Result<geom::ElementVec> SortById(geom::ElementVec elements);
 
+  /// Whether every id in `elements` is greater than the one before it, so
+  /// that the list is a base generation as it stands. One in-order scan;
+  /// InvalidArgument when two neighbours share an id.
+  static Result<bool> AscendingById(const geom::ElementVec& elements);
+
   /// Install `base` (ascending by id) as the base generation at `epoch`:
   /// the pending delta empties and the ring restarts at (epoch, empty
   /// delta), so older epochs resolve no more.

@@ -233,10 +233,16 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
     NEURODB_RETURN_NOT_OK(durability_->LogLoad(0, elements));
   }
 
-  // The LiveSet keeps the one id-sorted copy; duplicate ids fail the load
-  // before any backend builds.
-  NEURODB_ASSIGN_OR_RETURN(geom::ElementVec by_id,
-                           LiveSet::SortById(elements));
+  // The LiveSet keeps the one id-sorted copy. A load already in id order
+  // (every LoadCircuit, and Open over an id-ordered base.ndb) is adopted
+  // after the builds; any other is sorted into a copy first. Duplicate ids
+  // fail the load before any backend builds.
+  NEURODB_ASSIGN_OR_RETURN(const bool ascending,
+                           LiveSet::AscendingById(elements));
+  geom::ElementVec by_id;
+  if (!ascending) {
+    NEURODB_ASSIGN_OR_RETURN(by_id, LiveSet::SortById(elements));
+  }
   domain_ = Aabb();
   for (const auto& e : elements) domain_.Extend(e.bounds);
 
@@ -248,7 +254,12 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
         return backend.Build(elements);
       }));
   for (auto& backend : backends_) backend->AttachLiveSet(&live_);
-  elements = geom::ElementVec();  // only the id-sorted copy stays
+  // Only the id-sorted copy stays.
+  if (ascending) {
+    by_id = std::move(elements);
+  } else {
+    elements = geom::ElementVec();
+  }
   live_.Reset(std::make_shared<const geom::ElementVec>(std::move(by_id)), 0);
 
   // Worker pool for batch lanes and shard fan-out.

@@ -179,12 +179,17 @@ Result<scout::StepRecord> Session::RunStep(
   // data. Loads within the budget finish before the next query.
   const int prefetch_span = trace != nullptr ? trace->Begin("prefetch") : -1;
   const uint64_t prefetch_start_ns = wall.ElapsedNanos();
-  step.prefetched = prefetcher_->AfterQuery(prefetch_box, ids, budget_);
+  step.prefetched =
+      prefetcher_->AfterQuery(prefetch_box, ids, budget_, trace.get(),
+                              prefetch_span);
   step.candidates = prefetcher_->CandidateCount();
   if (cache_ != nullptr) {
     size_t remaining =
         budget_ > step.prefetched ? budget_ - step.prefetched : 0;
+    const int prepopulate_span =
+        trace != nullptr ? trace->Begin("prepopulate", prefetch_span) : -1;
     step.prefetched += PrepopulateCache(remaining);
+    if (trace != nullptr) trace->End(prepopulate_span);
   }
   const uint64_t prefetch_us =
       (wall.ElapsedNanos() - prefetch_start_ns) / 1000;

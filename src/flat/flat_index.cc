@@ -1,6 +1,7 @@
 #include "flat/flat_index.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 
 namespace neurodb {
@@ -10,6 +11,17 @@ using geom::Aabb;
 using geom::ElementId;
 using geom::ElementVec;
 using geom::SpatialElement;
+
+namespace {
+
+/// Aabb::Intersects without a branch per comparison: the seed-tree walk
+/// tests many boxes whose outcomes do not follow a pattern.
+bool Overlaps(const Aabb& a, const Aabb& b) {
+  return (a.min.x <= b.max.x) & (b.min.x <= a.max.x) & (a.min.y <= b.max.y) &
+         (b.min.y <= a.max.y) & (a.min.z <= b.max.z) & (b.min.z <= a.max.z);
+}
+
+}  // namespace
 
 Status FlatOptions::Validate() const {
   if (elems_per_page == 0) {
@@ -208,13 +220,82 @@ Status FlatIndex::Knn(const geom::Vec3& p, size_t k, storage::BufferPool* pool,
 }
 
 std::vector<uint32_t> FlatIndex::PagesInRange(const Aabb& box) const {
-  std::vector<ElementId> hits;
-  seed_tree_.RangeQuery(box, &hits);
-  std::vector<uint32_t> out;
-  out.reserve(hits.size());
-  for (ElementId h : hits) out.push_back(static_cast<uint32_t>(h));
-  std::sort(out.begin(), out.end());
-  return out;
+  std::vector<std::vector<uint32_t>> pages;
+  PagesInRanges(std::span<const Aabb>(&box, 1), &pages);
+  return std::move(pages[0]);
+}
+
+void FlatIndex::PagesInRanges(std::span<const Aabb> boxes,
+                              std::vector<std::vector<uint32_t>>* pages) const {
+  pages->resize(boxes.size());
+  for (std::vector<uint32_t>& list : *pages) list.clear();
+  if (seed_tree_.root() == -1) return;
+
+  // A node reached by the boxes in `mask` (bit b: boxes[first + b]) passes
+  // on to each child the boxes that intersect it; a leaf entry records its
+  // page with the boxes that intersect its MBR.
+  struct Visit {
+    int32_t node;
+    uint64_t mask;
+  };
+  struct Hit {
+    uint32_t page;
+    uint64_t mask;
+  };
+  std::vector<Visit> stack;
+  std::vector<Hit> hits;
+  for (size_t first = 0; first < boxes.size(); first += 64) {
+    const std::span<const Aabb> group =
+        boxes.subspan(first, std::min<size_t>(64, boxes.size() - first));
+    // The boxes of `mask` that intersect `bounds`, after one test against
+    // `reach`, a box around all their corners: whatever intersects one of
+    // them (even an inverted one) intersects it.
+    auto overlap = [&group](const Aabb& bounds, uint64_t mask,
+                            const Aabb& reach) {
+      if (!Overlaps(bounds, reach)) return uint64_t{0};
+      uint64_t out = 0;
+      for (uint64_t m = mask; m != 0; m &= m - 1) {
+        const int b = std::countr_zero(m);
+        out |= uint64_t{Overlaps(bounds, group[b])} << b;
+      }
+      return out;
+    };
+    const uint64_t everyone =
+        group.size() == 64 ? ~uint64_t{0} : (uint64_t{1} << group.size()) - 1;
+    stack.assign(1, Visit{seed_tree_.root(), everyone});
+    hits.clear();
+    while (!stack.empty()) {
+      const Visit visit = stack.back();
+      stack.pop_back();
+      const rtree::RTree::Node& node = seed_tree_.node(visit.node);
+      Aabb reach;
+      for (uint64_t m = visit.mask; m != 0; m &= m - 1) {
+        const Aabb& box = group[std::countr_zero(m)];
+        reach.Extend(box.min);
+        reach.Extend(box.max);
+      }
+      if (node.IsLeaf()) {
+        for (const SpatialElement& e : node.entries) {
+          const uint64_t mask = overlap(e.bounds, visit.mask, reach);
+          if (mask != 0) hits.push_back(Hit{static_cast<uint32_t>(e.id), mask});
+        }
+      } else {
+        for (int32_t child : node.children) {
+          const uint64_t mask =
+              overlap(seed_tree_.node(child).bounds, visit.mask, reach);
+          if (mask != 0) stack.push_back(Visit{child, mask});
+        }
+      }
+    }
+    // Each page appears once; in page order, it joins every box's list.
+    std::sort(hits.begin(), hits.end(),
+              [](const Hit& l, const Hit& r) { return l.page < r.page; });
+    for (const Hit& hit : hits) {
+      for (uint64_t m = hit.mask; m != 0; m &= m - 1) {
+        (*pages)[first + std::countr_zero(m)].push_back(hit.page);
+      }
+    }
+  }
 }
 
 size_t FlatIndex::MetadataBytes() const {

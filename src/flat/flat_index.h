@@ -34,6 +34,7 @@
 #define NEURODB_FLAT_FLAT_INDEX_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -131,10 +132,17 @@ class FlatIndex {
              std::vector<geom::KnnHit>* hits,
              FlatQueryStats* stats = nullptr) const;
 
-  /// Pages (as indexes into page order) whose MBR intersects `box`.
-  /// Memory-only (seed tree); used by SCOUT to translate predicted query
-  /// boxes into page prefetches.
+  /// Pages (as indexes into page order) whose MBR intersects `box`,
+  /// ascending. Memory-only (seed tree).
   std::vector<uint32_t> PagesInRange(const geom::Aabb& box) const;
+
+  /// PagesInRange of every box in `boxes`, from one pass over the seed
+  /// tree per 64 boxes: each node is tested against the union of the boxes
+  /// that reach it before the boxes one by one. (*pages)[i] is cleared and
+  /// filled with box i's pages, ascending. The prefetchers translate a
+  /// step's predicted boxes into page prefetches this way.
+  void PagesInRanges(std::span<const geom::Aabb> boxes,
+                     std::vector<std::vector<uint32_t>>* pages) const;
 
   size_t NumPages() const { return page_ids_.size(); }
   storage::PageId PageAt(uint32_t index) const { return page_ids_[index]; }

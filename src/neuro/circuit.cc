@@ -3,6 +3,39 @@
 namespace neurodb {
 namespace neuro {
 
+void SegmentResolver::AddDataset(const SegmentDataset& dataset) {
+  const size_t rows = segments_.size() + dataset.size();
+  segments_.insert(segments_.end(), dataset.segments.begin(),
+                   dataset.segments.end());
+  if (3 * rows > 2 * slots_.size()) {
+    // Grow to the smallest power of two that keeps the table at most two
+    // thirds full, and re-place every row.
+    size_t capacity = 16;
+    int bits = 4;
+    while (3 * rows > 2 * capacity) {
+      capacity *= 2;
+      ++bits;
+    }
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(capacity, Slot{});
+    shift_ = 64 - bits;
+    for (const Slot& slot : old) {
+      if (slot.row != kEmpty) Place(slot.Id(), slot.row);
+    }
+  }
+  const uint32_t first = static_cast<uint32_t>(rows - dataset.size());
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    Place(dataset.ids[i], first + static_cast<uint32_t>(i));
+  }
+}
+
+void SegmentResolver::Place(geom::ElementId id, uint32_t row) {
+  size_t at = Home(id);
+  while (slots_[at].row != kEmpty) at = (at + 1) & (slots_.size() - 1);
+  slots_[at] = Slot{static_cast<uint32_t>(id), static_cast<uint32_t>(id >> 32),
+                    row};
+}
+
 uint32_t Circuit::AddNeuron(Morphology morphology) {
   uint32_t gid = static_cast<uint32_t>(neurons_.size());
   neurons_.push_back(Neuron{gid, std::move(morphology)});

@@ -9,7 +9,6 @@
 #define NEURODB_NEURO_CIRCUIT_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -54,33 +53,68 @@ struct SegmentDataset {
   }
 };
 
-/// Maps element ids back to their capsule geometry (needed by SCOUT's
-/// skeleton extraction and by exact join refinement).
+/// Maps element ids back to their capsule geometry (SCOUT's skeleton
+/// extraction). The segments are one column, in the order they were added;
+/// an open-addressing table with linear probing maps each id to its row, so
+/// a lookup costs about one cache miss for the slot and one for the row.
+/// Every id value is a key, 0 and UINT64_MAX included.
 class SegmentResolver {
  public:
   SegmentResolver() = default;
 
   /// Index a dataset; ids must be unique across all added datasets.
-  void AddDataset(const SegmentDataset& dataset) {
-    map_.reserve(map_.size() + dataset.size());
-    for (size_t i = 0; i < dataset.size(); ++i) {
-      map_.emplace(dataset.ids[i], dataset.segments[i]);
+  void AddDataset(const SegmentDataset& dataset);
+
+  /// The segment for `id`, or nullptr when no dataset holds it. The
+  /// pointer stays valid until the next AddDataset.
+  const geom::Segment* Lookup(geom::ElementId id) const {
+    if (slots_.empty()) return nullptr;
+    for (size_t at = Home(id);; at = (at + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[at];
+      if (slot.row == kEmpty) return nullptr;
+      if (slot.Id() == id) return &segments_[slot.row];
     }
   }
 
   /// Look up the segment for `id`.
   Result<geom::Segment> Find(geom::ElementId id) const {
-    auto it = map_.find(id);
-    if (it == map_.end()) {
+    const geom::Segment* segment = Lookup(id);
+    if (segment == nullptr) {
       return Status::NotFound("SegmentResolver: unknown element id");
     }
-    return it->second;
+    return *segment;
   }
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return segments_.size(); }
 
  private:
-  std::unordered_map<geom::ElementId, geom::Segment> map_;
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  /// One table slot: an id, split so that a slot takes 12 bytes, and its
+  /// row in segments_ (kEmpty: a free slot).
+  struct Slot {
+    uint32_t id_lo = 0;
+    uint32_t id_hi = 0;
+    uint32_t row = kEmpty;
+
+    geom::ElementId Id() const {
+      return (static_cast<geom::ElementId>(id_hi) << 32) | id_lo;
+    }
+  };
+
+  /// The id's first probe: Fibonacci hashing into the power-of-two table.
+  size_t Home(geom::ElementId id) const {
+    return static_cast<size_t>((id * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  /// Put row `row` (holding `id`) into the table.
+  void Place(geom::ElementId id, uint32_t row);
+
+  std::vector<geom::Segment> segments_;
+  /// At most two thirds full; empty until the first AddDataset.
+  std::vector<Slot> slots_;
+  /// 64 - log2(slots_.size()).
+  int shift_ = 64;
 };
 
 /// A placed neuron.

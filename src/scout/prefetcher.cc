@@ -1,6 +1,7 @@
 #include "scout/prefetcher.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 namespace neurodb {
@@ -46,20 +47,41 @@ size_t PrefetchPages(const PrefetchContext& ctx,
   return loaded;
 }
 
-/// Prefetch `box`'s pages within what is left of `budget` (`*loaded` pages
-/// are spent), and record the box, with the page list when one was
-/// computed, while `predicted` holds fewer than `max_predicted` boxes.
-void PredictBox(const PrefetchContext& ctx, const Aabb& box, size_t budget,
-                size_t max_predicted, size_t* loaded,
-                std::vector<PredictedBox>* predicted) {
-  PredictedBox prediction{box, std::nullopt};
-  if (*loaded < budget) {
-    prediction.pages = ctx.index->PagesInRange(box);
-    *loaded += PrefetchPages(ctx, *prediction.pages, budget - *loaded);
+/// Predict `boxes` in order: prefetch each box's pages within what is left
+/// of `budget`, and record the box, with its page list when one was
+/// computed, while `predicted` holds fewer than `max_predicted` boxes. The
+/// boxes come in groups of `group` (one exit's boxes), and once the budget
+/// is spent and `predicted` is full, no further group starts. A box gets
+/// its pages only while budget is left; the first such box computes the
+/// page lists of it and every box after it in one seed-tree pass
+/// (FlatIndex::PagesInRanges) into `pages`. Returns the pages loaded.
+size_t PredictBoxes(const PrefetchContext& ctx, const std::vector<Aabb>& boxes,
+                    size_t group, size_t budget, size_t max_predicted,
+                    std::vector<std::vector<uint32_t>>* pages,
+                    std::vector<PredictedBox>* predicted) {
+  size_t loaded = 0;
+  size_t paged_from = boxes.size();
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    if (i % group == 0 && loaded >= budget &&
+        predicted->size() >= max_predicted) {
+      break;
+    }
+    PredictedBox prediction{boxes[i], std::nullopt};
+    if (loaded < budget) {
+      if (paged_from == boxes.size()) {
+        paged_from = i;
+        ctx.index->PagesInRanges(std::span<const Aabb>(boxes).subspan(i),
+                                 pages);
+      }
+      const std::vector<uint32_t>& box_pages = (*pages)[i - paged_from];
+      loaded += PrefetchPages(ctx, box_pages, budget - loaded);
+      if (predicted->size() < max_predicted) prediction.pages = box_pages;
+    }
+    if (predicted->size() < max_predicted) {
+      predicted->push_back(std::move(prediction));
+    }
   }
-  if (predicted->size() < max_predicted) {
-    predicted->push_back(std::move(prediction));
-  }
+  return loaded;
 }
 
 // ---------------------------------------------------------------------------
@@ -67,8 +89,8 @@ void PredictBox(const PrefetchContext& ctx, const Aabb& box, size_t budget,
 class NonePrefetcher : public Prefetcher {
  public:
   const char* Name() const override { return "None"; }
-  size_t AfterQuery(const Aabb&, const std::vector<ElementId>&,
-                    size_t) override {
+  size_t AfterQuery(const Aabb&, const std::vector<ElementId>&, size_t,
+                    obs::Trace*, int) override {
     return 0;
   }
 };
@@ -85,7 +107,7 @@ class HilbertPrefetcher : public Prefetcher {
   const char* Name() const override { return "Hilbert"; }
 
   size_t AfterQuery(const Aabb& query, const std::vector<ElementId>&,
-                    size_t budget_pages) override {
+                    size_t budget_pages, obs::Trace*, int) override {
     std::vector<uint32_t> touched = ctx_.index->PagesInRange(query);
     if (touched.empty()) return 0;
     uint32_t lo = touched.front();
@@ -132,7 +154,10 @@ class ExtrapolationPrefetcher : public Prefetcher {
   }
 
   size_t AfterQuery(const Aabb& query, const std::vector<ElementId>&,
-                    size_t budget_pages) override {
+                    size_t budget_pages, obs::Trace* trace,
+                    int parent_span) override {
+    const int predict = trace != nullptr ? trace->Begin("predict", parent_span)
+                                         : -1;
     Vec3 center = query.Center();
     size_t loaded = 0;
     predicted_.clear();
@@ -140,13 +165,16 @@ class ExtrapolationPrefetcher : public Prefetcher {
       Vec3 delta = center - *prev_center_;
       float side = query.Extent().x;
       // One and two steps ahead along the motion vector.
+      boxes_.clear();
       for (int step = 1; step <= 2; ++step) {
-        PredictBox(ctx_,
-                   Aabb::Cube(center + delta * static_cast<float>(step), side),
-                   budget_pages, SIZE_MAX, &loaded, &predicted_);
+        boxes_.push_back(
+            Aabb::Cube(center + delta * static_cast<float>(step), side));
       }
+      loaded = PredictBoxes(ctx_, boxes_, boxes_.size(), budget_pages,
+                            SIZE_MAX, &pages_, &predicted_);
     }
     prev_center_ = center;
+    if (trace != nullptr) trace->End(predict);
     return loaded;
   }
 
@@ -154,6 +182,9 @@ class ExtrapolationPrefetcher : public Prefetcher {
   PrefetchContext ctx_;
   std::optional<Vec3> prev_center_;
   std::vector<PredictedBox> predicted_;
+  /// Scratch for PredictBoxes, kept across steps.
+  std::vector<Aabb> boxes_;
+  std::vector<std::vector<uint32_t>> pages_;
 };
 
 // ---------------------------------------------------------------------------
@@ -181,10 +212,13 @@ class ScoutPrefetcher : public Prefetcher {
   }
 
   size_t AfterQuery(const Aabb& query, const std::vector<ElementId>& result,
-                    size_t budget_pages) override {
+                    size_t budget_pages, obs::Trace* trace,
+                    int parent_span) override {
     // Clear up front: on any early exit PredictedBoxes() must report "no
     // prediction", not the previous step's stale boxes.
     predicted_.clear();
+    const int skeleton =
+        trace != nullptr ? trace->Begin("skeleton", parent_span) : -1;
     auto structures_or = ExtractStructures(result, *ctx_.resolver, query,
                                            options_.structure);
     if (structures_or.status().IsNotFound()) {
@@ -194,13 +228,16 @@ class ScoutPrefetcher : public Prefetcher {
       std::vector<ElementId> known;
       known.reserve(result.size());
       for (ElementId id : result) {
-        if (ctx_.resolver->Find(id).ok()) known.push_back(id);
+        if (ctx_.resolver->Lookup(id) != nullptr) known.push_back(id);
       }
       structures_or = ExtractStructures(known, *ctx_.resolver, query,
                                         options_.structure);
     }
+    if (trace != nullptr) trace->End(skeleton);
     if (!structures_or.ok()) return 0;
     std::vector<Structure>& structures = structures_or.value();
+    const int predict =
+        trace != nullptr ? trace->Begin("predict", parent_span) : -1;
 
     // Candidate pruning (paper Figure 5): the structure being followed must
     // appear in consecutive queries, so intersect the previous candidate
@@ -242,26 +279,26 @@ class ScoutPrefetcher : public Prefetcher {
     }
     prev_center_ = center;
 
-    size_t loaded = 0;
-    bool deep = options_.deep_lookahead && candidates.size() == 1;
+    // One box one step beyond each exit (with a single candidate, a second
+    // one two steps beyond), in candidate and exit order. Predictions are
+    // recorded independently of the page budget: a cached session can
+    // still cache an exhausted-budget (or zero-budget) prediction over
+    // already-resident pages for free.
+    const bool deep = options_.deep_lookahead && candidates.size() == 1;
+    boxes_.clear();
     for (const Structure* s : candidates) {
       for (const StructureExit& exit : s->exits) {
-        // Predictions are recorded independently of the page budget: a
-        // cached session can still cache an exhausted-budget (or
-        // zero-budget) prediction over already-resident pages for free.
-        if (loaded >= budget_pages && predicted_.size() >= kMaxPredicted) {
-          break;
-        }
-        PredictBox(ctx_, Aabb::Cube(exit.point + exit.direction * step, side),
-                   budget_pages, kMaxPredicted, &loaded, &predicted_);
+        boxes_.push_back(Aabb::Cube(exit.point + exit.direction * step, side));
         if (deep) {
-          PredictBox(
-              ctx_,
-              Aabb::Cube(exit.point + exit.direction * (2.0f * step), side),
-              budget_pages, kMaxPredicted, &loaded, &predicted_);
+          boxes_.push_back(
+              Aabb::Cube(exit.point + exit.direction * (2.0f * step), side));
         }
       }
     }
+    const size_t loaded = PredictBoxes(ctx_, boxes_, deep ? 2 : 1,
+                                       budget_pages, kMaxPredicted, &pages_,
+                                       &predicted_);
+    if (trace != nullptr) trace->End(predict);
     return loaded;
   }
 
@@ -276,6 +313,9 @@ class ScoutPrefetcher : public Prefetcher {
   std::optional<Vec3> prev_center_;
   size_t last_candidates_ = 0;
   std::vector<PredictedBox> predicted_;
+  /// Scratch for PredictBoxes, kept across steps.
+  std::vector<Aabb> boxes_;
+  std::vector<std::vector<uint32_t>> pages_;
 };
 
 }  // namespace

@@ -21,6 +21,7 @@
 #include "flat/flat_index.h"
 #include "geom/aabb.h"
 #include "neuro/circuit.h"
+#include "obs/trace.h"
 #include "scout/structure.h"
 #include "storage/buffer_pool.h"
 
@@ -78,9 +79,14 @@ class Prefetcher {
 
   /// Observe executed query `query` with result `result`; issue up to
   /// `budget_pages` pool prefetches. Returns pages actually prefetched.
+  /// With a `trace`, the work is recorded as child spans of `parent_span`:
+  /// `skeleton` (SCOUT's structure rebuild) and `predict` (SCOUT's
+  /// candidate pruning, and the box predictors' boxes and prefetches). A
+  /// null trace reads no clock.
   virtual size_t AfterQuery(const geom::Aabb& query,
                             const std::vector<geom::ElementId>& result,
-                            size_t budget_pages) = 0;
+                            size_t budget_pages, obs::Trace* trace = nullptr,
+                            int parent_span = 0) = 0;
 
   /// Number of candidate structures SCOUT is still tracking (paper Figure
   /// 5's shrinking candidate set); other methods report 0.

@@ -11,13 +11,18 @@
 // endpoint of the other); its *exits* are the points and outward directions
 // where the component's skeleton crosses the query boundary.
 //
-// Extraction sorts the 2n endpoints of an n-segment result by x and sweeps
-// them once: each endpoint is tested only against the endpoints after it
-// whose x gap is at most connect_tol, and each match joins two segments in
-// a union-find; a dense n-entry table then groups the components. The cost
-// is the O(n log n) sort plus one distance test per endpoint pair inside a
-// connect_tol-wide x slab: near linear for branch-like results, quadratic
-// only in the number of sections that meet at one hub.
+// Extraction reads each result's segment through the resolver's id → row
+// table and visits the results in id order. Neighbours in that order that
+// share an exact joint (one segment's end is the next one's start, as along
+// a section) are joined directly, and the joint enters the sweep once. The
+// remaining endpoints are sorted as 64-bit keys, x's order-preserving bits
+// above the endpoint's index, and swept once: each endpoint is tested only
+// against the endpoints after it whose x gap is at most connect_tol, and
+// each match joins two segments in a union-find. Components are counted,
+// then filled. The cost is the O(n log n) key sort plus one distance test
+// per endpoint pair inside a connect_tol-wide x slab: near linear for
+// branch-like results, quadratic only in the number of sections that meet
+// at one hub.
 
 #ifndef NEURODB_SCOUT_STRUCTURE_H_
 #define NEURODB_SCOUT_STRUCTURE_H_

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "neuro/circuit.h"
 #include "neuro/circuit_generator.h"
 #include "neuro/element_id.h"
@@ -96,6 +98,68 @@ TEST(SegmentResolverTest, FindsEveryFlattenedSegment) {
     EXPECT_EQ(seg->a, all.segments[i].a);
   }
   EXPECT_TRUE(resolver.Find(EncodeSegmentId(9999, 0, 0)).status().IsNotFound());
+}
+
+TEST(SegmentResolverTest, FindsEveryIdAcrossGrowingDatasets) {
+  // Datasets added one after another grow the table several times. Ids at
+  // both ends of the range, and ids that share a home slot, resolve too.
+  CircuitGenerator gen(SmallParams(12, 6));
+  auto circuit = gen.Generate();
+  ASSERT_TRUE(circuit.ok());
+  const SegmentDataset all = circuit->FlattenSegments();
+  ASSERT_GT(all.size(), 200u);
+
+  std::vector<SegmentDataset> parts(5);
+  for (size_t i = 0; i < all.size(); ++i) {
+    parts[std::min<size_t>(4, i * 7 / all.size())].Add(all.segments[i],
+                                                       all.ids[i]);
+  }
+  // The first neuron's first segment has id 0.
+  ASSERT_EQ(all.ids[0], 0u);
+  SegmentDataset extremes;
+  extremes.Add(geom::Segment(geom::Vec3(-1, -2, -3), geom::Vec3(0, 0, 0), 1),
+               UINT64_MAX);
+  parts.push_back(extremes);
+  // Ids whose product with the table's Fibonacci multiplier is a small
+  // number all start probing at the first slot, at every table size.
+  uint64_t inverse = 0x9E3779B97F4A7C15ull;
+  for (int i = 0; i < 5; ++i) inverse *= 2 - 0x9E3779B97F4A7C15ull * inverse;
+  SegmentDataset colliding;
+  for (uint64_t k = 1; k < 12; ++k) {
+    const float x = static_cast<float>(k);
+    colliding.Add(geom::Segment(geom::Vec3(x, 0, 0), geom::Vec3(x, 1, 0), x),
+                  k * inverse);
+  }
+  parts.push_back(colliding);
+
+  SegmentResolver resolver;
+  EXPECT_EQ(resolver.Lookup(0), nullptr);
+  size_t added = 0;
+  for (size_t j = 0; j < parts.size(); ++j) {
+    resolver.AddDataset(parts[j]);
+    added += parts[j].size();
+    EXPECT_EQ(resolver.size(), added);
+    // Every id added so far resolves to its own segment; no other does.
+    for (size_t p = 0; p < parts.size(); ++p) {
+      for (size_t i = 0; i < parts[p].size(); ++i) {
+        const geom::ElementId id = parts[p].ids[i];
+        const geom::Segment* got = resolver.Lookup(id);
+        ASSERT_EQ(got != nullptr, p <= j) << "id " << id << ", part " << j;
+        if (got == nullptr) continue;
+        EXPECT_EQ(got->a, parts[p].segments[i].a) << "id " << id;
+        EXPECT_EQ(got->b, parts[p].segments[i].b) << "id " << id;
+        EXPECT_EQ(got->radius, parts[p].segments[i].radius) << "id " << id;
+      }
+    }
+  }
+  EXPECT_EQ(resolver.Find(0)->b, all.segments[0].b);
+  EXPECT_EQ(resolver.Find(UINT64_MAX)->a, geom::Vec3(-1, -2, -3));
+  for (geom::ElementId absent :
+       {EncodeSegmentId(9999, 0, 0), EncodeSegmentId(0, 0, 999999),
+        UINT64_MAX - 1, 12 * inverse, uint64_t{1} << 59}) {
+    EXPECT_TRUE(resolver.Find(absent).status().IsNotFound()) << absent;
+    EXPECT_EQ(resolver.Lookup(absent), nullptr) << absent;
+  }
 }
 
 TEST(CircuitGeneratorTest, DeterministicForSameSeed) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 
 #include "core/toolkit.h"
@@ -832,6 +833,97 @@ TEST(EngineValidationTest, RejectsEmptyCircuitAndDoubleLoad) {
 // A NaN or infinite coordinate in the birth set is rejected before any
 // backend builds (the packers sort by box center), and the engine stays
 // unloaded: a clean load then succeeds and answers exactly.
+/// A grid backend that counts its base builds.
+class BuildCountingBackend : public GridBackend {
+ public:
+  explicit BuildCountingBackend(std::atomic<int>* builds) : builds_(builds) {}
+  const char* name() const override { return "BuildCounter"; }
+
+ protected:
+  Status BuildBase(const geom::ElementVec& elements) override {
+    ++*builds_;
+    return GridBackend::BuildBase(elements);
+  }
+
+ private:
+  std::atomic<int>* builds_;
+};
+
+void ExpectSameElements(const geom::ElementVec& got,
+                        const geom::ElementVec& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << i;
+    ASSERT_TRUE(got[i].bounds.min == want[i].bounds.min &&
+                got[i].bounds.max == want[i].bounds.max)
+        << i;
+  }
+}
+
+TEST(EngineValidationTest, DuplicateIdsFailTheLoadBeforeAnyBackendBuilds) {
+  const Aabb domain(Vec3(0, 0, 0), Vec3(200, 200, 200));
+  const geom::ElementVec clean =
+      neuro::UniformSegments(500, domain, 6.0f, 2.0f, 0.5f, 9).Elements();
+  ASSERT_TRUE(std::is_sorted(clean.begin(), clean.end(),
+                             [](const auto& l, const auto& r) {
+                               return l.id < r.id;
+                             }));
+  geom::ElementVec shuffled = clean;
+  std::reverse(shuffled.begin(), shuffled.end());
+  std::swap(shuffled[10], shuffled[300]);
+
+  std::vector<std::pair<std::string, geom::ElementVec>> inputs;
+  inputs.emplace_back("id order, equal neighbours", clean);
+  inputs.back().second[250].id = inputs.back().second[249].id;
+  inputs.emplace_back("unordered, equal neighbours", shuffled);
+  inputs.back().second[120].id = inputs.back().second[121].id;
+  inputs.emplace_back("unordered, duplicate apart", shuffled);
+  inputs.back().second[400].id = inputs.back().second[3].id;
+  for (const auto& [label, elements] : inputs) {
+    std::atomic<int> builds{0};
+    QueryEngine db;
+    ASSERT_TRUE(
+        db.RegisterBackend(std::make_unique<BuildCountingBackend>(&builds))
+            .ok());
+    EXPECT_EQ(db.LoadElements(elements).code(), StatusCode::kInvalidArgument)
+        << label;
+    EXPECT_EQ(builds.load(), 0) << label;
+    EXPECT_FALSE(db.loaded()) << label;
+  }
+}
+
+TEST(EngineValidationTest, AnIdOrderedLoadBecomesTheBaseAsItIs) {
+  const Aabb domain(Vec3(0, 0, 0), Vec3(200, 200, 200));
+  const geom::ElementVec clean =
+      neuro::UniformSegments(500, domain, 6.0f, 2.0f, 0.5f, 9).Elements();
+
+  // In id order: the live set adopts the caller's vector itself.
+  geom::ElementVec ordered = clean;
+  const geom::SpatialElement* buffer = ordered.data();
+  std::atomic<int> builds{0};
+  QueryEngine db;
+  ASSERT_TRUE(
+      db.RegisterBackend(std::make_unique<BuildCountingBackend>(&builds))
+          .ok());
+  ASSERT_TRUE(db.LoadElements(std::move(ordered)).ok());
+  EXPECT_EQ(builds.load(), 1);
+  EXPECT_EQ(db.live_set().base()->data(), buffer);
+  ExpectSameElements(*db.live_set().base(), clean);
+
+  // Out of order: the base is the sorted input.
+  geom::ElementVec reversed(clean.rbegin(), clean.rend());
+  QueryEngine sorted;
+  ASSERT_TRUE(sorted.LoadElements(reversed).ok());
+  ExpectSameElements(*sorted.live_set().base(), clean);
+
+  // Every circuit load is in id order.
+  const neuro::Circuit circuit = MakeCircuit(6, 31);
+  QueryEngine from_circuit;
+  ASSERT_TRUE(from_circuit.LoadCircuit(circuit).ok());
+  ExpectSameElements(*from_circuit.live_set().base(),
+                     circuit.FlattenSegments().Elements());
+}
+
 TEST(EngineValidationTest, RejectsNonFiniteElementBounds) {
   const Aabb domain(Vec3(0, 0, 0), Vec3(200, 200, 200));
   const geom::ElementVec clean =

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <span>
 
 #include "common/rng.h"
 #include "common/sim_clock.h"
@@ -226,6 +228,46 @@ TEST(FlatIndexTest, PagesInRangeMatchesPageBounds) {
   for (uint32_t i = 0; i < index->NumPages(); ++i) {
     bool listed = std::binary_search(pages.begin(), pages.end(), i);
     EXPECT_EQ(listed, index->PageBounds(i).Intersects(box)) << "page " << i;
+  }
+}
+
+TEST(FlatIndexTest, PagesInRangesMatchesPageBoundsPerBox) {
+  // One walk answers many boxes: lists per box, ascending, equal to a scan
+  // of the page bounds. Groups of more than 64 boxes take several passes;
+  // inverted, NaN, point and whole-domain boxes behave as in a scan.
+  ElementVec elements = UniformData(20000, 21);
+  storage::PageStore store;
+  FlatOptions options;
+  options.elems_per_page = 16;  // 1,250 pages: a seed tree two levels deep
+  auto index = FlatIndex::Build(elements, &store, options);
+  ASSERT_TRUE(index.ok());
+  ASSERT_GT(index->seed_tree().Height(), 1);
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Pcg32 rng(5);
+  std::vector<Aabb> boxes;
+  for (int i = 0; i < 150; ++i) {
+    const Vec3 c(static_cast<float>(rng.Uniform(-20, 120)),
+                 static_cast<float>(rng.Uniform(-20, 120)),
+                 static_cast<float>(rng.Uniform(-20, 120)));
+    boxes.push_back(Aabb::Cube(c, static_cast<float>(rng.Uniform(0, 40))));
+  }
+  boxes[7] = Aabb(Vec3(60, 10, 10), Vec3(40, 90, 90));  // inverted in x
+  boxes[70] = Aabb(Vec3(kNaN, 0, 0), Vec3(50, 50, 50));
+  boxes[71] = Aabb::FromPoint(Vec3(50, 50, 50));
+  boxes[140] = Aabb(Vec3(-1e9f, -1e9f, -1e9f), Vec3(1e9f, 1e9f, 1e9f));
+  for (size_t count : {size_t{0}, size_t{1}, size_t{64}, size_t{65},
+                       boxes.size()}) {
+    std::vector<std::vector<uint32_t>> pages(3, std::vector<uint32_t>{9});
+    index->PagesInRanges(std::span<const Aabb>(boxes).first(count), &pages);
+    ASSERT_EQ(pages.size(), count);
+    for (size_t b = 0; b < count; ++b) {
+      std::vector<uint32_t> want;
+      for (uint32_t i = 0; i < index->NumPages(); ++i) {
+        if (index->PageBounds(i).Intersects(boxes[b])) want.push_back(i);
+      }
+      EXPECT_EQ(pages[b], want) << count << " boxes, box " << b;
+      EXPECT_EQ(index->PagesInRange(boxes[b]), want) << "box " << b;
+    }
   }
 }
 

@@ -608,6 +608,77 @@ TEST(EngineObsTest, SessionStepsRecordMetricsAndTraces) {
   EXPECT_EQ(db.slow_log()->Entries().back().kind, "session.step");
 }
 
+// A traced step splits its think phase: the prefetch span's children are
+// SCOUT's skeleton, the prediction and (cached sessions only) the cache
+// prepopulation. Tracing changes nothing a step records.
+TEST(EngineObsTest, TracedStepsSplitTheThinkPhase) {
+  neuro::CircuitParams params;
+  params.num_neurons = 20;
+  params.seed = 2024;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  auto path = neuro::FollowBranchPath(*circuit, 1, 12.0f, 1);
+  ASSERT_TRUE(path.ok());
+  const std::vector<Aabb> queries = neuro::PathQueries(*path, 30.0f);
+  ASSERT_GT(queries.size(), 2u);
+
+  EngineOptions traced_options;
+  traced_options.session.trace_steps = true;
+  QueryEngine traced(traced_options);
+  QueryEngine plain;
+  ASSERT_TRUE(traced.LoadCircuit(*circuit).ok());
+  ASSERT_TRUE(plain.LoadCircuit(*circuit).ok());
+  for (scout::PrefetchMethod method :
+       {scout::PrefetchMethod::kScout, scout::PrefetchMethod::kNone}) {
+    for (CachePolicy cache : {CachePolicy::kDelta, CachePolicy::kCold}) {
+      SCOPED_TRACE(std::string(scout::PrefetchMethodName(method)) +
+                   (cache == CachePolicy::kDelta ? " cached" : " uncached"));
+      auto on = traced.OpenSession(method, cache);
+      auto off = plain.OpenSession(method, cache);
+      ASSERT_TRUE(on.ok());
+      ASSERT_TRUE(off.ok());
+      for (const Aabb& box : queries) {
+        std::vector<geom::ElementId> on_ids, off_ids;
+        geom::VectorVisitor on_visitor(&on_ids), off_visitor(&off_ids);
+        auto a = on->Step(box, on_visitor);
+        auto b = off->Step(box, off_visitor);
+        ASSERT_TRUE(a.ok());
+        ASSERT_TRUE(b.ok());
+        EXPECT_EQ(on_ids, off_ids);
+        EXPECT_EQ(a->stall_us, b->stall_us);
+        EXPECT_EQ(a->results, b->results);
+        EXPECT_EQ(a->prefetched, b->prefetched);
+        EXPECT_EQ(a->candidates, b->candidates);
+        EXPECT_EQ(a->pages_missed, b->pages_missed);
+        EXPECT_EQ(b->trace, nullptr);
+        ASSERT_NE(a->trace, nullptr);
+
+        const std::vector<obs::Span>& spans = a->trace->spans();
+        int prefetch = -1;
+        for (size_t i = 0; i < spans.size(); ++i) {
+          if (spans[i].name == "prefetch") prefetch = static_cast<int>(i);
+        }
+        ASSERT_GE(prefetch, 0);
+        uint64_t children_ns = 0;
+        std::vector<std::string> children;
+        for (const obs::Span& span : spans) {
+          if (span.parent != prefetch) continue;
+          children.push_back(span.name);
+          children_ns += span.duration_ns;
+          EXPECT_GE(span.start_ns, spans[prefetch].start_ns);
+        }
+        EXPECT_LE(children_ns, spans[prefetch].duration_ns);
+        std::vector<std::string> want;
+        if (method == scout::PrefetchMethod::kScout) {
+          want = {"skeleton", "predict"};
+        }
+        if (cache == CachePolicy::kDelta) want.push_back("prepopulate");
+        EXPECT_EQ(children, want);
+      }
+    }
+  }
+}
+
 TEST(EngineObsTest, ScoutStepsRecordTheirThinkTimeWork) {
   neuro::CircuitParams params;
   params.num_neurons = 20;

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <unordered_set>
+
 #include "flat/flat_index.h"
 #include "neuro/circuit_generator.h"
 #include "neuro/workload.h"
+#include "scout/structure.h"
 
 namespace neurodb {
 namespace scout {
@@ -166,38 +171,227 @@ TEST_F(SessionFixture, RunsAreIndependentAndRepeatable) {
   EXPECT_EQ(a->pages_missed, b->pages_missed);
 }
 
+/// Every page whose MBR intersects `box`, ascending: the page lists'
+/// oracle, independent of the seed tree.
+std::vector<uint32_t> PagesByBounds(const flat::FlatIndex& index,
+                                    const Aabb& box) {
+  std::vector<uint32_t> pages;
+  for (uint32_t i = 0; i < index.NumPages(); ++i) {
+    if (index.PageBounds(i).Intersects(box)) pages.push_back(i);
+  }
+  return pages;
+}
+
 // The box-predicting prefetchers hand each predicted box over with the
 // page list they computed to prefetch it, so a cached session need not
-// compute it again; a box predicted past the budget carries none.
+// compute it again; a box predicted past the budget carries none. Budgets
+// of 1 and 3 pages run out in the middle of a step, and SCOUT's deep
+// lookahead (two boxes per exit once one candidate is left) is on and off.
 TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
-  for (PrefetchMethod method :
-       {PrefetchMethod::kScout, PrefetchMethod::kExtrapolation}) {
-    SCOPED_TRACE(PrefetchMethodName(method));
-    for (size_t budget : {size_t{0}, size_t{4096}}) {
+  struct Config {
+    PrefetchMethod method;
+    bool deep;
+  };
+  for (const Config& config : {Config{PrefetchMethod::kScout, true},
+                               Config{PrefetchMethod::kScout, false},
+                               Config{PrefetchMethod::kExtrapolation, false}}) {
+    SCOPED_TRACE(std::string(PrefetchMethodName(config.method)) +
+                 (config.deep ? " deep" : ""));
+    for (size_t budget : {size_t{0}, size_t{1}, size_t{3}, size_t{4096}}) {
+      SCOPED_TRACE(budget);
       storage::BufferPool pool(&store_, 4096);
       PrefetchContext ctx;
       ctx.index = &*index_;
       ctx.pool = &pool;
       ctx.resolver = &resolver_;
-      auto prefetcher = MakePrefetcher(method, ctx);
+      ScoutOptions options;
+      options.deep_lookahead = config.deep;
+      auto prefetcher = MakePrefetcher(config.method, ctx, options);
       ASSERT_TRUE(prefetcher.ok());
-      size_t predicted = 0;
+      size_t predicted = 0, unpaged = 0, one_candidate = 0;
       for (const Aabb& query : queries_) {
         std::vector<geom::ElementId> ids;
         geom::VectorVisitor visitor(&ids);
         ASSERT_TRUE(index_->RangeQuery(query, &pool, visitor).ok());
-        (*prefetcher)->AfterQuery(query, ids, budget);
-        for (const PredictedBox& box : (*prefetcher)->PredictedBoxes()) {
+        const size_t loaded = (*prefetcher)->AfterQuery(query, ids, budget);
+        EXPECT_LE(loaded, budget);
+        if ((*prefetcher)->CandidateCount() == 1) ++one_candidate;
+        const std::vector<PredictedBox>& boxes =
+            (*prefetcher)->PredictedBoxes();
+        for (size_t b = 0; b < boxes.size(); ++b) {
           ++predicted;
           if (budget == 0) {
-            EXPECT_FALSE(box.pages.has_value());
+            EXPECT_FALSE(boxes[b].pages.has_value());
+          }
+          if (budget == 4096 || (budget > 0 && b == 0)) {
+            EXPECT_TRUE(boxes[b].pages.has_value());
+          }
+          if (boxes[b].pages.has_value()) {
+            EXPECT_EQ(*boxes[b].pages, PagesByBounds(*index_, boxes[b].box));
           } else {
-            ASSERT_TRUE(box.pages.has_value());
-            EXPECT_EQ(*box.pages, index_->PagesInRange(box.box));
+            ++unpaged;
           }
         }
       }
       EXPECT_GT(predicted, 0u);
+      if (config.method == PrefetchMethod::kScout) {
+        // SCOUT's small budgets run out mid-step on this path.
+        if (budget == 1 || budget == 3) {
+          EXPECT_GT(unpaged, 0u);
+        }
+        EXPECT_GT(one_candidate, 0u);
+      }
+    }
+  }
+}
+
+/// SCOUT's think step as it ran with one FlatIndex::PagesInRange per
+/// predicted box, kept as the reference for the batched page lookups: the
+/// same skeleton, pruning and boxes, each box's pages computed (here from
+/// the page bounds) right before its prefetch while budget is left.
+class PerExitScout {
+ public:
+  PerExitScout(const flat::FlatIndex* index, storage::BufferPool* pool,
+               const neuro::SegmentResolver* resolver, bool deep_lookahead)
+      : index_(index),
+        pool_(pool),
+        resolver_(resolver),
+        deep_lookahead_(deep_lookahead) {}
+
+  size_t AfterQuery(const Aabb& query,
+                    const std::vector<geom::ElementId>& result,
+                    size_t budget) {
+    predicted.clear();
+    auto structures = ExtractStructures(result, *resolver_, query);
+    if (!structures.ok()) return 0;
+    std::vector<const Structure*> candidates;
+    for (const Structure& s : *structures) {
+      if (!s.HasExit()) continue;
+      for (geom::ElementId e : s.elements) {
+        if (candidate_ids_.count(e) > 0) {
+          candidates.push_back(&s);
+          break;
+        }
+      }
+    }
+    if (candidates.empty()) {
+      for (const Structure& s : *structures) {
+        if (s.HasExit()) candidates.push_back(&s);
+      }
+    }
+    candidate_count = candidates.size();
+    candidate_ids_.clear();
+    for (const Structure* s : candidates) {
+      candidate_ids_.insert(s->elements.begin(), s->elements.end());
+    }
+    const Vec3 center = query.Center();
+    const float side = query.Extent().x;
+    float step = side * 0.5f;
+    if (prev_center_.has_value()) {
+      const double moved = geom::Distance(center, *prev_center_);
+      if (moved > 0.0) step = static_cast<float>(moved);
+    }
+    prev_center_ = center;
+
+    size_t loaded = 0;
+    const bool deep = deep_lookahead_ && candidates.size() == 1;
+    for (const Structure* s : candidates) {
+      for (const StructureExit& exit : s->exits) {
+        if (loaded >= budget && predicted.size() >= 4) break;
+        Predict(Aabb::Cube(exit.point + exit.direction * step, side), budget,
+                &loaded);
+        if (deep) {
+          Predict(Aabb::Cube(exit.point + exit.direction * (2.0f * step), side),
+                  budget, &loaded);
+        }
+      }
+    }
+    return loaded;
+  }
+
+  std::vector<PredictedBox> predicted;
+  size_t candidate_count = 0;
+
+ private:
+  void Predict(const Aabb& box, size_t budget, size_t* loaded) {
+    PredictedBox prediction{box, std::nullopt};
+    if (*loaded < budget) {
+      prediction.pages = PagesByBounds(*index_, box);
+      for (uint32_t page : *prediction.pages) {
+        if (*loaded >= budget) break;
+        const storage::PageId id = index_->PageAt(page);
+        if (pool_->Contains(id)) continue;
+        if (pool_->Prefetch(id).ok()) ++*loaded;
+      }
+    }
+    if (predicted.size() < 4) predicted.push_back(std::move(prediction));
+  }
+
+  const flat::FlatIndex* index_;
+  storage::BufferPool* pool_;
+  const neuro::SegmentResolver* resolver_;
+  bool deep_lookahead_;
+  std::unordered_set<geom::ElementId> candidate_ids_;
+  std::optional<Vec3> prev_center_;
+};
+
+// SCOUT predicts, prefetches and hands over exactly what the per-exit loop
+// did, step by step, whatever the budget and the pool size: the pools see
+// the same demand reads and must end every step in the same state.
+TEST_F(SessionFixture, ScoutMatchesThePerExitReference) {
+  auto branch = neuro::FollowBranchPath(circuit_, 5, 10.0f, 3);
+  ASSERT_TRUE(branch.ok());
+  std::vector<Aabb> queries = queries_;
+  for (const Aabb& box : neuro::PathQueries(*branch, 30.0f)) {
+    queries.push_back(box);
+  }
+  for (bool deep : {true, false}) {
+    for (size_t pool_pages : {size_t{12}, size_t{4096}}) {
+      for (size_t budget : {size_t{0}, size_t{1}, size_t{3}, size_t{4096}}) {
+        SCOPED_TRACE(std::to_string(budget) + " pages, pool " +
+                     std::to_string(pool_pages) + (deep ? ", deep" : ""));
+        storage::BufferPool pool(&store_, pool_pages);
+        storage::BufferPool reference_pool(&store_, pool_pages);
+        PrefetchContext ctx;
+        ctx.index = &*index_;
+        ctx.pool = &pool;
+        ctx.resolver = &resolver_;
+        ScoutOptions options;
+        options.deep_lookahead = deep;
+        auto scout = MakePrefetcher(PrefetchMethod::kScout, ctx, options);
+        ASSERT_TRUE(scout.ok());
+        PerExitScout reference(&*index_, &reference_pool, &resolver_, deep);
+        for (size_t q = 0; q < queries.size(); ++q) {
+          std::vector<geom::ElementId> ids, reference_ids;
+          geom::VectorVisitor visitor(&ids);
+          geom::VectorVisitor reference_visitor(&reference_ids);
+          ASSERT_TRUE(index_->RangeQuery(queries[q], &pool, visitor).ok());
+          ASSERT_TRUE(index_->RangeQuery(queries[q], &reference_pool,
+                                         reference_visitor)
+                          .ok());
+          ASSERT_EQ(ids, reference_ids);
+          EXPECT_EQ((*scout)->AfterQuery(queries[q], ids, budget),
+                    reference.AfterQuery(queries[q], ids, budget))
+              << "step " << q;
+          EXPECT_EQ((*scout)->CandidateCount(), reference.candidate_count);
+          const std::vector<PredictedBox>& got = (*scout)->PredictedBoxes();
+          ASSERT_EQ(got.size(), reference.predicted.size()) << "step " << q;
+          for (size_t b = 0; b < got.size(); ++b) {
+            EXPECT_TRUE(got[b].box.min == reference.predicted[b].box.min &&
+                        got[b].box.max == reference.predicted[b].box.max)
+                << "step " << q << ", box " << b;
+            EXPECT_EQ(got[b].pages, reference.predicted[b].pages)
+                << "step " << q << ", box " << b;
+          }
+          const storage::BufferPoolCounters counters = pool.Counters();
+          const storage::BufferPoolCounters want = reference_pool.Counters();
+          EXPECT_EQ(counters.prefetch_issued, want.prefetch_issued);
+          EXPECT_EQ(counters.prefetch_used, want.prefetch_used);
+          EXPECT_EQ(counters.hits, want.hits);
+          EXPECT_EQ(counters.misses, want.misses);
+          EXPECT_EQ(counters.evictions, want.evictions);
+        }
+      }
     }
   }
 }

@@ -8,6 +8,9 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "engine/query_engine.h"
+#include "neuro/circuit_generator.h"
+#include "neuro/workload.h"
 #include "scout/prefetcher.h"
 
 namespace neurodb {
@@ -201,6 +204,91 @@ std::vector<Structure> AllPairsStructures(
   return out;
 }
 
+/// Reference extraction for large inputs: the x-sort sweep as it ran
+/// before the joint rule, the key sort and the resolver's id table. It
+/// copies each segment out of the resolver, sorts all finite endpoints by x
+/// with a comparator and sweeps every x slab of width tol.
+std::vector<Structure> XSortSweepStructures(
+    const std::vector<ElementId>& ids, const neuro::SegmentResolver& resolver,
+    const Aabb& box, float tol) {
+  struct End {
+    Vec3 p;
+    uint32_t segment;
+  };
+  const size_t n = ids.size();
+  std::vector<Segment> segs(n);
+  std::vector<End> ends;
+  for (size_t i = 0; i < n; ++i) {
+    segs[i] = resolver.Find(ids[i]).value();
+    for (const Vec3& p : {segs[i].a, segs[i].b}) {
+      if (geom::IsFinitePoint(p)) {
+        ends.push_back(End{p, static_cast<uint32_t>(i)});
+      }
+    }
+  }
+  std::sort(ends.begin(), ends.end(),
+            [](const End& l, const End& r) { return l.p.x < r.p.x; });
+  const double tol2 = static_cast<double>(tol) * tol;
+  std::vector<uint32_t> parent(n);
+  for (uint32_t i = 0; i < n; ++i) parent[i] = i;
+  auto find = [&parent](uint32_t x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (size_t a = 0; a < ends.size(); ++a) {
+    for (size_t b = a + 1; b < ends.size(); ++b) {
+      const float gap = ends[b].p.x - ends[a].p.x;
+      if (static_cast<double>(gap) * gap > tol2) break;
+      if (ends[b].segment != ends[a].segment &&
+          geom::SquaredDistance(ends[a].p, ends[b].p) <= tol2) {
+        const uint32_t ra = find(ends[a].segment);
+        const uint32_t rb = find(ends[b].segment);
+        if (ra != rb) parent[rb] = ra;
+      }
+    }
+  }
+  std::vector<uint32_t> structure_of_root(n, UINT32_MAX);
+  std::vector<Structure> out;
+  for (uint32_t i = 0; i < n; ++i) {
+    uint32_t& slot = structure_of_root[find(i)];
+    if (slot == UINT32_MAX) {
+      slot = static_cast<uint32_t>(out.size());
+      out.emplace_back();
+    }
+    Structure& s = out[slot];
+    s.elements.push_back(ids[i]);
+    const bool a_in = box.Contains(segs[i].a);
+    if (a_in == box.Contains(segs[i].b)) continue;
+    const Vec3& inside = a_in ? segs[i].a : segs[i].b;
+    const Vec3& outside = a_in ? segs[i].b : segs[i].a;
+    Vec3 dir = ((outside - inside).Normalized() +
+                (outside - box.Center()).Normalized())
+                   .Normalized();
+    if (dir.SquaredNorm() > 0.0) s.exits.push_back(StructureExit{outside, dir});
+  }
+  for (Structure& s : out) std::sort(s.elements.begin(), s.elements.end());
+  return out;
+}
+
+/// Exact equality of two extractions: structures, members and exits.
+void ExpectSameStructures(const std::vector<Structure>& got,
+                          const std::vector<Structure>& want,
+                          const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t s = 0; s < want.size(); ++s) {
+    EXPECT_EQ(got[s].elements, want[s].elements)
+        << label << ", structure " << s;
+    ASSERT_EQ(got[s].exits.size(), want[s].exits.size())
+        << label << ", structure " << s;
+    for (size_t e = 0; e < want[s].exits.size(); ++e) {
+      EXPECT_TRUE(got[s].exits[e].point == want[s].exits[e].point)
+          << label << ", structure " << s << ", exit " << e;
+      EXPECT_TRUE(got[s].exits[e].direction == want[s].exits[e].direction)
+          << label << ", structure " << s << ", exit " << e;
+    }
+  }
+}
+
 /// A segment set, its resolver, and ExtractStructures checked against the
 /// reference over the ids in dataset order and in a shuffled order.
 class SweepFixture : public ::testing::Test {
@@ -230,28 +318,10 @@ class SweepFixture : public ::testing::Test {
       if (!got.ok()) return 0;
       const std::vector<Structure> want =
           AllPairsStructures(*ids, resolver, box, tol);
-      ExpectSame(*got, want, label + order);
+      ExpectSameStructures(*got, want, label + order);
       if (ids == &dataset_.ids) found = want.size();
     }
     return found;
-  }
-
-  static void ExpectSame(const std::vector<Structure>& got,
-                         const std::vector<Structure>& want,
-                         const std::string& label) {
-    ASSERT_EQ(got.size(), want.size()) << label;
-    for (size_t s = 0; s < want.size(); ++s) {
-      EXPECT_EQ(got[s].elements, want[s].elements)
-          << label << ", structure " << s;
-      ASSERT_EQ(got[s].exits.size(), want[s].exits.size())
-          << label << ", structure " << s;
-      for (size_t e = 0; e < want[s].exits.size(); ++e) {
-        EXPECT_TRUE(got[s].exits[e].point == want[s].exits[e].point)
-            << label << ", structure " << s << ", exit " << e;
-        EXPECT_TRUE(got[s].exits[e].direction == want[s].exits[e].direction)
-            << label << ", structure " << s << ", exit " << e;
-      }
-    }
   }
 
   neuro::SegmentDataset dataset_;
@@ -410,10 +480,181 @@ TEST_F(SweepFixture, NonFiniteCoordinatesMatchAllPairs) {
   }
 }
 
+TEST_F(SweepFixture, ChainsSharingExactJointsMatchAllPairs) {
+  // Sections as consecutive ids whose links share exact joints (the joint
+  // rule's case), some ending within tol of another chain's joint, some
+  // starting from another chain's tip; Check also runs them shuffled.
+  const Aabb box(Vec3(-9, -9, -9), Vec3(9, 9, 9));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 100) + 17);
+    std::vector<Vec3> tips;
+    for (int chain = 0; chain < 30; ++chain) {
+      Vec3 p = chain % 3 == 2 && !tips.empty()
+                   ? tips[rng.NextBounded(static_cast<uint32_t>(tips.size()))]
+                   : RandomPoint(rng, -12, 12);
+      for (int link = 0; link < 8; ++link) {
+        const Vec3 q = p + RandomDirection(rng) *
+                               static_cast<float>(rng.Uniform(0.2, 3.0));
+        Add(p, q);
+        p = q;
+      }
+      tips.push_back(p);
+    }
+    Check(box, tol, 21, "exact joints tol=" + std::to_string(tol));
+  }
+}
+
+TEST_F(SweepFixture, JointsAtSignedZerosMatchAllPairs) {
+  // -0.0 == +0.0, so a joint written with either sign is one point; chains
+  // through the origin mix the signs on every axis.
+  const float kZeros[] = {-0.0f, 0.0f};
+  const Aabb box(Vec3(-3, -3, -3), Vec3(3, 3, 3));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    for (int mask = 0; mask < 8; ++mask) {
+      const Vec3 end(kZeros[mask & 1], kZeros[(mask >> 1) & 1],
+                     kZeros[(mask >> 2) & 1]);
+      const Vec3 start(kZeros[~mask & 1], kZeros[(~mask >> 1) & 1],
+                       kZeros[(~mask >> 2) & 1]);
+      const float f = static_cast<float>(mask + 1);
+      Add(Vec3(-f, 0.5f * f, 1), end);
+      Add(start, Vec3(f, -0.5f * f, -1));
+    }
+    const size_t found = Check(box, tol, 4, "signed zeros");
+    EXPECT_EQ(found, 1u) << "tol=" << tol;
+  }
+}
+
+TEST_F(SweepFixture, NonFiniteSharedJointsDoNotConnect) {
+  // Consecutive ids whose joint is the same non-finite point: the joint is
+  // no point at all, so the two segments stay apart (inf == inf, and the
+  // joint rule must not take that for a shared point).
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const Aabb box(Vec3(-50, -50, -50), Vec3(50, 50, 50));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    size_t pairs = 0;
+    for (const Vec3& joint :
+         {Vec3(kInf, 0, 0), Vec3(0, -kInf, 0), Vec3(0, 0, kInf),
+          Vec3(kInf, kInf, -kInf), Vec3(kNaN, 0, 0), Vec3(1, 2, kNaN)}) {
+      const float y = 20.0f * static_cast<float>(pairs++) - 40.0f;
+      Add(Vec3(0, y, 0), joint);
+      Add(joint, Vec3(0, y, 4.0f * tol));
+    }
+    const size_t found = Check(box, tol, 8, "non-finite joints");
+    EXPECT_EQ(found, 2 * pairs) << "tol=" << tol;
+  }
+}
+
+TEST_F(SweepFixture, HubSharedByEverySegmentMatchesAllPairs) {
+  // Sixty segments start at one point, half of them as consecutive ids
+  // ending there first, plus a ring of loose tips around the hub.
+  const Vec3 hub(1.25f, -2.5f, 0.75f);
+  const Aabb box(Vec3(-6, -6, -6), Vec3(6, 6, 6));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 10) + 23);
+    for (int i = 0; i < 60; ++i) {
+      const Vec3 tip = hub + RandomDirection(rng) *
+                                 static_cast<float>(rng.Uniform(0.5, 9.0));
+      if (i % 2 == 0) {
+        Add(tip, hub);
+      } else {
+        Add(hub, tip);
+      }
+    }
+    for (int i = 0; i < 20; ++i) {
+      const Vec3 a = hub + RandomDirection(rng) *
+                               static_cast<float>(rng.Uniform(0.0, 2.0 * tol));
+      Add(a, a + RandomDirection(rng) * 3.0f);
+    }
+    const size_t found = Check(box, tol, 13, "hub tol=" + std::to_string(tol));
+    EXPECT_LE(found, 21u);
+  }
+}
+
+TEST_F(SweepFixture, DuplicateSegmentsMatchAllPairs) {
+  // The same segment under several ids, next to each other and apart, and
+  // reversed copies: duplicates connect through every shared endpoint.
+  const Aabb box(Vec3(-10, -10, -10), Vec3(10, 10, 10));
+  for (float tol : kTolerances) {
+    dataset_ = neuro::SegmentDataset();
+    Pcg32 rng(static_cast<uint64_t>(tol * 10) + 29);
+    std::vector<std::pair<Vec3, Vec3>> originals;
+    for (int i = 0; i < 40; ++i) {
+      const Vec3 a = RandomPoint(rng, -12, 12);
+      const Vec3 b = a + RandomDirection(rng) *
+                             static_cast<float>(rng.Uniform(0.5, 5.0));
+      originals.emplace_back(a, b);
+      Add(a, b);
+      if (i % 3 == 0) Add(a, b);
+      if (i % 5 == 0) Add(b, a);
+    }
+    for (const auto& [a, b] : originals) Add(a, b);
+    Check(box, tol, 31, "duplicates tol=" + std::to_string(tol));
+  }
+}
+
 TEST_F(SweepFixture, EmptyResultHasNoStructures) {
   for (float tol : kTolerances) {
     EXPECT_EQ(Check(Aabb::Cube(Vec3(0, 0, 0), 4), tol, 1, "empty"), 0u);
   }
+}
+
+// Every step of sessions over a 300-neuron column, with results in id order
+// (cached sessions) and in crawl order (uncached ones), against the x-sort
+// sweep: the joint rule fires on most of a cached step's section joints.
+TEST(ColumnStructureTest, SessionStepsMatchTheXSortSweep) {
+  neuro::CircuitParams params;
+  params.num_neurons = 300;
+  params.seed = 42;
+  params.layer_weights = {0.05f, 0.40f, 0.25f, 0.20f, 0.10f};
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  engine::QueryEngine db;
+  ASSERT_TRUE(db.LoadCircuit(*circuit).ok());
+
+  std::vector<std::vector<Aabb>> paths;
+  for (uint32_t gid : {3u, 77u, 151u, 240u}) {
+    auto path = neuro::FollowBranchPath(*circuit, gid, 10.0f, 0);
+    ASSERT_TRUE(path.ok());
+    paths.push_back(neuro::PathQueries(*path, 30.0f));
+  }
+  paths.push_back(neuro::PathQueries(
+      neuro::RandomWalkPath(circuit->Bounds(), 40, 10.0f, 5), 30.0f));
+
+  size_t steps = 0, structures = 0;
+  for (engine::CachePolicy policy :
+       {engine::CachePolicy::kDelta, engine::CachePolicy::kCold}) {
+    const std::string order =
+        policy == engine::CachePolicy::kDelta ? "id order" : "crawl order";
+    for (size_t p = 0; p < paths.size(); ++p) {
+      auto session = db.OpenSession(PrefetchMethod::kScout, policy);
+      ASSERT_TRUE(session.ok());
+      for (size_t i = 0; i < paths[p].size(); ++i) {
+        const Aabb& box = paths[p][i];
+        std::vector<ElementId> ids;
+        geom::VectorVisitor visitor(&ids);
+        ASSERT_TRUE(session->Step(box, visitor).ok());
+        for (float tol : {0.5f, 1.0f, 3.0f}) {
+          StructureOptions options;
+          options.connect_tol = tol;
+          auto got = ExtractStructures(ids, db.resolver(), box, options);
+          ASSERT_TRUE(got.ok());
+          ExpectSameStructures(
+              *got, XSortSweepStructures(ids, db.resolver(), box, tol),
+              order + ", path " + std::to_string(p) + ", step " +
+                  std::to_string(i) + ", tol " + std::to_string(tol));
+          structures += got->size();
+        }
+        ++steps;
+      }
+    }
+  }
+  EXPECT_GT(steps, 100u);
+  EXPECT_GT(structures, steps);
 }
 
 TEST(PrefetcherFactoryTest, ValidatesContext) {
