@@ -39,8 +39,8 @@ int main() {
     options.think_time_us = 400'000;
     options.cost.page_read_micros = 5000;
     options.scout.structure.connect_tol = tau;
-    scout::WalkthroughSession session(&*index, &store, &resolver, options);
-    auto result = session.Run(queries, scout::PrefetchMethod::kScout);
+    auto result = bench::Walkthrough(*index, &store, resolver, queries,
+                                     scout::PrefetchMethod::kScout, options);
     if (!result.ok()) return 1;
     table.AddRow(
         {TableWriter::Num(tau, 1), bench::UsToMs(result->total_stall_us),

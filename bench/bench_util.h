@@ -18,8 +18,14 @@
 #include <thread>
 #include <vector>
 
+#include "common/result.h"
+#include "engine/session.h"
+#include "flat/flat_index.h"
+#include "geom/aabb.h"
 #include "neuro/circuit.h"
 #include "neuro/circuit_generator.h"
+#include "scout/session.h"
+#include "storage/page_store.h"
 
 namespace neurodb {
 namespace bench {
@@ -40,6 +46,23 @@ inline neuro::Circuit MakeColumn(uint32_t neurons, uint64_t seed) {
     std::abort();
   }
   return std::move(circuit).value();
+}
+
+/// The paper-figure walkthrough: replay `queries` through a fresh
+/// engine::Session over a standalone FLAT index (cold pool, fresh clock)
+/// and return the session's summary.
+inline Result<scout::SessionResult> Walkthrough(
+    const flat::FlatIndex& index, storage::PageStore* store,
+    const neuro::SegmentResolver& resolver,
+    const std::vector<geom::Aabb>& queries, scout::PrefetchMethod method,
+    const scout::SessionOptions& options) {
+  NEURODB_ASSIGN_OR_RETURN(
+      engine::Session session,
+      engine::Session::Open(&index, store, &resolver, method, options));
+  for (const geom::Aabb& box : queries) {
+    NEURODB_RETURN_NOT_OK(session.Step(box).status());
+  }
+  return session.Summary();
 }
 
 /// Nanoseconds rendered as milliseconds with 2 decimals.

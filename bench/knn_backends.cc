@@ -3,13 +3,10 @@
 // grid's browse of its own page MBRs and the domain-sharded fan-out. Three
 // datasets: the cortical column (the paper's exhibit), a Gaussian-clustered
 // cloud and a power-law density cloud — skewed distributions where an
-// adaptive hierarchy should have the edge, and what the cost-based advisor
-// must discriminate. After measuring, the bench asks QueryEngine::Advise
-// for its pick on each dataset and records it next to the measured winner;
-// under NEURODB_BENCH_SMOKE=1 the skewed-dataset gates are enforced (FLAT,
-// reading only the pages within the k-th distance from a memory-resident
-// seed tree, beats the paged R-tree on pages AND modeled time; the advisor
-// picks the measured winner).
+// adaptive hierarchy should have the edge. Under NEURODB_BENCH_SMOKE=1 the
+// skewed-dataset gate is enforced: FLAT, reading only the pages within the
+// k-th distance from a memory-resident seed tree, beats the paged R-tree
+// on pages AND modeled time.
 
 #include <cstdio>
 #include <cstdlib>
@@ -86,11 +83,8 @@ int main() {
 
     TableWriter table(config.name + ": avg per query, by backend and k",
                       {"k", "method", "pages", "scanned", "time ms"});
-    // Measured pages/latency at the gate k, and summed over the whole k
-    // sweep (the engine's pages/query counters hold the sweep average —
-    // the advisor's measured ranking sees exactly that).
+    // Measured pages/latency at the gate k.
     std::map<engine::BackendChoice, Measured> at_gate_k;
-    std::map<engine::BackendChoice, Measured> sweep;
 
     for (size_t k : {size_t{1}, size_t{8}, size_t{64}, size_t{512}}) {
       for (auto choice :
@@ -117,8 +111,6 @@ int main() {
         }
         double n = static_cast<double>(anchors.size());
         if (k == gate_k) at_gate_k[choice] = {pages / n, time_us / n};
-        sweep[choice].pages += pages / n;
-        sweep[choice].time_us += time_us / n;
         table.AddRow({TableWriter::Int(k), method,
                       TableWriter::Num(pages / n, 1),
                       TableWriter::Num(scanned / n, 0),
@@ -133,44 +125,11 @@ int main() {
       }
     }
     table.Print();
-
-    // The advisor's pick for this dataset, from the structures the
-    // backends actually built (model-only; measured counters are reported
-    // alongside in the rationale).
-    engine::WorkloadProfile profile;
-    profile.range_weight = 0.0;
-    profile.knn_weight = 1.0;
-    profile.knn_k = gate_k;
-    profile.data_centered = 1.0;  // every anchor sits on an element
-    auto decision = db.Advise(profile);
-    if (!decision.ok()) {
-      std::fprintf(stderr, "%s: Advise failed: %s\n", config.name.c_str(),
-                   decision.status().ToString().c_str());
-      return 1;
-    }
-    engine::BackendChoice measured_winner = engine::BackendChoice::kFlat;
-    double best_pages = -1.0;
-    for (const auto& [choice, m] : sweep) {
-      if (best_pages < 0 || m.pages < best_pages) {
-        best_pages = m.pages;
-        measured_winner = choice;
-      }
-    }
-    const bool advisor_right = decision->backend == measured_winner;
-    std::printf("%s advisor pick: %s (measured winner by pages over the k "
-                "sweep: %.1f summed pages) — %s\n  %s\n\n",
-                config.name.c_str(), decision->backend_name.c_str(),
-                best_pages, advisor_right ? "agrees" : "DISAGREES",
-                decision->rationale.c_str());
-    emitter.AddRow(bench::JsonRow()
-                       .Str("dataset", config.name)
-                       .Str("advisor_pick", decision->backend_name)
-                       .Int("advisor_agrees", advisor_right ? 1 : 0)
-                       .Num("measured_best_pages", best_pages));
+    std::printf("\n");
 
     if (!config.skewed) continue;
-    // Gates on the skewed datasets: FLAT must beat the R-tree on pages AND
-    // modeled time, and the advisor must pick the measured winner.
+    // Gate on the skewed datasets: FLAT must beat the R-tree on pages AND
+    // modeled time.
     const Measured& flat = at_gate_k[engine::BackendChoice::kFlat];
     const Measured& rtree = at_gate_k[engine::BackendChoice::kRTree];
     if (!(flat.pages < rtree.pages && flat.time_us < rtree.time_us)) {
@@ -179,12 +138,6 @@ int main() {
                    "R-Tree (%.1f pages, %.0f us) at k=%zu\n",
                    config.name.c_str(), flat.pages, flat.time_us,
                    rtree.pages, rtree.time_us, gate_k);
-      ++failures;
-    }
-    if (!advisor_right) {
-      std::fprintf(stderr, "GATE[%s]: advisor picked %s, measured winner "
-                   "differs\n",
-                   config.name.c_str(), decision->backend_name.c_str());
       ++failures;
     }
     // Engine-side view of the run (the last dataset's snapshot is

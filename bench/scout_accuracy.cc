@@ -30,8 +30,6 @@ int main() {
   scout::SessionOptions session_options;
   session_options.think_time_us = 400'000;
   session_options.cost.page_read_micros = 5000;
-  scout::WalkthroughSession session(&*index, &store, &resolver,
-                                    session_options);
 
   auto path = neuro::FollowBranchPath(circuit, 2, 18.0f, 1);
   if (!path.ok()) return 1;
@@ -43,7 +41,8 @@ int main() {
        "hit rate"});
 
   for (auto method : scout::AllPrefetchMethods()) {
-    auto result = session.Run(queries, method);
+    auto result = bench::Walkthrough(*index, &store, resolver, queries,
+                                     method, session_options);
     if (!result.ok()) return 1;
     table.AddRow({scout::PrefetchMethodName(method),
                   TableWriter::Int(result->prefetch_issued),

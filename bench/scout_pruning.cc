@@ -25,9 +25,6 @@ int main() {
   auto index = flat::FlatIndex::Build(dataset.Elements(), &store);
   if (!index.ok()) return 1;
 
-  scout::WalkthroughSession session(&*index, &store, &resolver,
-                                    scout::SessionOptions{});
-
   TableWriter table("E5: SCOUT candidate structures per step",
                     {"path", "step", "candidates", "prefetched", "stall ms"});
 
@@ -35,7 +32,9 @@ int main() {
     auto path = neuro::FollowBranchPath(circuit, gid, 18.0f, 1);
     if (!path.ok()) return 1;
     auto queries = neuro::PathQueries(*path, 30.0f);
-    auto result = session.Run(queries, scout::PrefetchMethod::kScout);
+    auto result = bench::Walkthrough(*index, &store, resolver, queries,
+                                     scout::PrefetchMethod::kScout,
+                                     scout::SessionOptions{});
     if (!result.ok()) return 1;
     size_t show = std::min<size_t>(result->steps.size(), 10);
     for (size_t i = 0; i < show; ++i) {

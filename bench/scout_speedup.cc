@@ -33,8 +33,6 @@ int main() {
   session_options.think_time_us = 400'000;
   session_options.cost.page_read_micros = 5000;
   session_options.cost.page_hit_micros = 10;
-  scout::WalkthroughSession session(&*index, &store, &resolver,
-                                    session_options);
 
   struct Workload {
     std::string name;
@@ -60,7 +58,9 @@ int main() {
     uint64_t none_stall = 0;
     uint64_t none_steady = 0;
     for (auto method : scout::AllPrefetchMethods()) {
-      auto result = session.Run(workload.queries, method);
+      auto result = bench::Walkthrough(*index, &store, resolver,
+                                       workload.queries, method,
+                                       session_options);
       if (!result.ok()) {
         std::fprintf(stderr, "run failed: %s\n",
                      result.status().ToString().c_str());

@@ -179,9 +179,6 @@ class SpatialBackend {
   virtual BackendStats Stats() const = 0;
 
   bool built() const { return built_; }
-  /// True when the base indexes no elements (an empty build, or a compact
-  /// after everything was erased).
-  bool base_empty() const { return base_empty_; }
 
   /// Replace this backend's page store(s) with ones made by `factory` —
   /// how a durable engine moves a backend onto disk-backed stores. Must be

@@ -65,16 +65,11 @@ class GridBackend : public SpatialBackend {
 
   BackendStats Stats() const override;
 
-  const GridOptions& options() const { return options_; }
   /// Cells per axis chosen at build time (x, y, z).
   const std::array<uint32_t, 3>& dims() const { return dims_; }
   size_t NumCells() const {
     return static_cast<size_t>(dims_[0]) * dims_[1] * dims_[2];
   }
-  /// Cell edge lengths chosen at build time (advisor cost model).
-  const geom::Vec3& cell_size() const { return cell_size_; }
-  /// Largest element half-extent per axis — the query widening margin.
-  const geom::Vec3& max_half_extent() const { return max_half_extent_; }
 
  protected:
   Status BuildBase(const geom::ElementVec& elements) override;

@@ -1,14 +1,13 @@
 // NeuroDB — engine::Session: an incremental exploration session handle.
 //
-// scout::WalkthroughSession replays a whole pre-recorded navigation path.
-// Interactive callers (the demo's 3-D explorer) instead need to issue one
-// range query at a time — where the scientist goes next depends on what the
-// previous query showed. A Session owns the session state the walkthrough
-// loop used to own privately — simulated clock, buffer pool, prefetcher —
-// and exposes it one Step(box) at a time. Between steps the prefetcher
-// warms the pool out of the modeled think time, exactly as in the replay
-// path, so a Step-by-Step run and a whole-path replay produce identical
-// statistics.
+// The demo's walkthrough (scout/session.h) issues one range query at a
+// time — where the scientist goes next depends on what the previous query
+// showed. A Session owns the walkthrough's state — simulated clock, buffer
+// pool, prefetcher — and exposes it one Step(box) at a time. Between steps
+// the prefetcher warms the pool out of the modeled think time. A whole
+// pre-recorded path is the same loop run to the end: WalkthroughRequest
+// steps a fresh session through it and returns Summary(), and the
+// paper-figure benches do the same over a standalone Session::Open.
 //
 // With SessionOptions::cache_results the session additionally keeps a
 // cache::ResultCache of its last evaluated boxes: an overlapping step is

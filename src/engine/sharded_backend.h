@@ -108,7 +108,6 @@ class ShardedBackend : public SpatialBackend {
 
   std::vector<storage::PageStore*> Stores() override;
 
-  const ShardedOptions& options() const { return options_; }
   size_t NumShards() const { return shards_.size(); }
   /// Bounding box of shard `i`'s base elements (empty when it has none).
   /// Cuts go through element centers; boxes extend beyond them.

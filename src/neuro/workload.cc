@@ -330,8 +330,7 @@ SegmentDataset ClusteredSegments(size_t n, const Aabb& domain, size_t clusters,
 namespace {
 
 // Clamp a point into `domain` so skewed clouds stay inside the circuit
-// bounding box (Gaussian tails would otherwise leak out and distort the
-// advisor's domain-volume denominator).
+// bounding box (Gaussian tails would otherwise leak out of it).
 Vec3 ClampInto(const Vec3& p, const Aabb& domain) {
   auto clamp1 = [](float v, float lo, float hi) {
     return v < lo ? lo : (v > hi ? hi : v);

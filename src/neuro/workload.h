@@ -187,7 +187,7 @@ SegmentDataset ClusteredSegments(size_t n, const geom::Aabb& domain,
                                  uint64_t seed);
 
 // ---------------------------------------------------------------------------
-// Skewed element clouds (backend-advisor discrimination workloads)
+// Skewed element clouds (backend comparison workloads)
 // ---------------------------------------------------------------------------
 
 /// `n` elements (ids 0..n-1) grouped around `clusters` Gaussian cluster

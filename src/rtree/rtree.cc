@@ -372,12 +372,6 @@ std::vector<LevelStats> RTree::LevelProfile() const {
     ++ls.nodes;
     boxes[n.level].push_back(n.bounds);
     ls.total_volume += n.bounds.Volume();
-    const Vec3 ext = n.bounds.Extent();
-    ls.sum_face_area += static_cast<double>(ext.x) * ext.y +
-                        static_cast<double>(ext.y) * ext.z +
-                        static_cast<double>(ext.z) * ext.x;
-    ls.sum_extent +=
-        static_cast<double>(ext.x) + static_cast<double>(ext.y) + ext.z;
     if (n.IsLeaf()) {
       ls.entries += n.entries.size();
     } else {

@@ -48,8 +48,9 @@ struct RTreeOptions {
   Status Validate() const;
 };
 
-/// Per-level structural profile (level 0 = leaves). Feeds the backend
-/// advisor's cost model, `ndb_inspect tree`, and the micro_rtree bench.
+/// Per-level structural profile (level 0 = leaves): node counts, fill and
+/// MBR volume and overlap, as `ndb_inspect tree` and the micro_rtree bench
+/// report them.
 struct LevelStats {
   int level = 0;
   size_t nodes = 0;
@@ -61,11 +62,6 @@ struct LevelStats {
   double mean_fill = 0.0;
   /// Σ node-MBR volume.
   double total_volume = 0.0;
-  /// Σ over nodes of (ex*ey + ey*ez + ez*ex) — the face-area term of the
-  /// Kamel–Faloutsos expected-node-access formula.
-  double sum_face_area = 0.0;
-  /// Σ over nodes of (ex + ey + ez).
-  double sum_extent = 0.0;
   /// Σ pairwise overlap volume between node MBRs at this level. Estimated
   /// from a deterministic sample when the level is large (see
   /// overlap_sampled).

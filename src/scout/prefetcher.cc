@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <unordered_set>
 
 namespace neurodb {
 namespace scout {
@@ -245,12 +244,8 @@ class ScoutPrefetcher : public Prefetcher {
     std::vector<const Structure*> candidates;
     if (!candidate_ids_.empty()) {
       for (const Structure& s : structures) {
-        if (!s.HasExit()) continue;
-        for (ElementId e : s.elements) {
-          if (candidate_ids_.count(e) > 0) {
-            candidates.push_back(&s);
-            break;
-          }
+        if (s.HasExit() && SharesAnId(s.elements, candidate_ids_)) {
+          candidates.push_back(&s);
         }
       }
     }
@@ -263,9 +258,16 @@ class ScoutPrefetcher : public Prefetcher {
     }
     last_candidates_ = candidates.size();
 
+    // The next step's candidate set: the candidates' ids, ascending. Each
+    // structure's ids are already sorted, so a single candidate (the
+    // steady state of following a branch) needs no sort.
     candidate_ids_.clear();
     for (const Structure* s : candidates) {
-      candidate_ids_.insert(s->elements.begin(), s->elements.end());
+      candidate_ids_.insert(candidate_ids_.end(), s->elements.begin(),
+                            s->elements.end());
+    }
+    if (candidates.size() > 1) {
+      std::sort(candidate_ids_.begin(), candidate_ids_.end());
     }
 
     // Predict the next query location(s) by extrapolating the candidate
@@ -307,9 +309,28 @@ class ScoutPrefetcher : public Prefetcher {
   /// speculative boxes would push real step history out of a small cache.
   static constexpr size_t kMaxPredicted = 4;
 
+  /// True when the ascending id lists `a` and `b` have an id in common:
+  /// each side skips ahead to the other's current id by binary search.
+  static bool SharesAnId(std::span<const ElementId> a,
+                         std::span<const ElementId> b) {
+    auto i = a.begin();
+    auto j = b.begin();
+    while (i != a.end() && j != b.end()) {
+      if (*i < *j) {
+        i = std::lower_bound(i, a.end(), *j);
+      } else if (*j < *i) {
+        j = std::lower_bound(j, b.end(), *i);
+      } else {
+        return true;
+      }
+    }
+    return false;
+  }
+
   PrefetchContext ctx_;
   ScoutOptions options_;
-  std::unordered_set<ElementId> candidate_ids_;
+  /// The previous step's candidate structures' ids, ascending.
+  std::vector<ElementId> candidate_ids_;
   std::optional<Vec3> prev_center_;
   size_t last_candidates_ = 0;
   std::vector<PredictedBox> predicted_;

@@ -1,13 +1,16 @@
-// NeuroDB — WalkthroughSession: the interactive exploration loop.
+// NeuroDB — the walkthrough's value types: session tuning, per-step rows
+// and the whole-session summary.
 //
-// Reproduces the demo's walkthrough (paper Section 3.2): a scientist issues
-// range queries in close succession along a path; between queries there is
+// The demo's walkthrough (paper Section 3.2): a scientist issues range
+// queries in close succession along a path; between queries there is
 // *think time* during which data is visualized and analyzed — and during
-// which a prefetcher may warm the buffer pool. Time is modeled on a
-// SimClock so the experiments are exact and portable (DESIGN.md Section 3):
-// each demand page miss costs DiskCostModel::page_read_micros of stall; a
-// prefetcher may load think_time/page_read pages per step for free (the
-// reads overlap the user's thinking).
+// which a prefetcher may warm the buffer pool. engine::Session runs that
+// loop one Step at a time (QueryEngine::OpenSession, or Session::Open over
+// any FLAT index). Time is modeled on a SimClock so the experiments are
+// exact and portable: each demand page miss costs
+// DiskCostModel::page_read_micros of stall; a prefetcher may load
+// think_time/page_read pages per step for free (the reads overlap the
+// user's thinking).
 
 #ifndef NEURODB_SCOUT_SESSION_H_
 #define NEURODB_SCOUT_SESSION_H_
@@ -17,14 +20,9 @@
 #include <memory>
 #include <vector>
 
-#include "common/result.h"
-#include "flat/flat_index.h"
-#include "geom/aabb.h"
-#include "neuro/circuit.h"
 #include "obs/trace.h"
 #include "scout/prefetcher.h"
-#include "storage/buffer_pool.h"
-#include "storage/page_store.h"
+#include "storage/page.h"
 
 namespace neurodb {
 namespace scout {
@@ -129,29 +127,6 @@ struct SessionResult {
     for (const StepRecord& step : steps) sum += step.delta_volume_fraction;
     return sum / static_cast<double>(steps.size());
   }
-};
-
-/// Runs query sequences against a FLAT-indexed model through a private
-/// buffer pool with a simulated clock.
-class WalkthroughSession {
- public:
-  /// `resolver` may be null if SCOUT is never requested.
-  WalkthroughSession(const flat::FlatIndex* index, storage::PageStore* store,
-                     const neuro::SegmentResolver* resolver,
-                     SessionOptions options = SessionOptions());
-
-  /// Execute the query sequence with the given prefetching method. Each run
-  /// starts with a cold pool and a fresh clock.
-  Result<SessionResult> Run(const std::vector<geom::Aabb>& queries,
-                            PrefetchMethod method);
-
-  const SessionOptions& options() const { return options_; }
-
- private:
-  const flat::FlatIndex* index_;
-  storage::PageStore* store_;
-  const neuro::SegmentResolver* resolver_;
-  SessionOptions options_;
 };
 
 }  // namespace scout

@@ -74,7 +74,7 @@ TEST(PagedRTreeTest, QueryMatchesInMemoryTree) {
     EXPECT_EQ(got.nodes, want[l].nodes) << "level " << l;
     EXPECT_EQ(got.entries, want[l].entries) << "level " << l;
     EXPECT_EQ(got.capacity, want[l].capacity) << "level " << l;
-    EXPECT_EQ(got.sum_face_area, want[l].sum_face_area) << "level " << l;
+    EXPECT_EQ(got.total_volume, want[l].total_volume) << "level " << l;
     EXPECT_EQ(got.overlap_volume, want[l].overlap_volume) << "level " << l;
   }
 

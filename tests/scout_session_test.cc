@@ -1,6 +1,7 @@
-// End-to-end walkthrough behaviour: accounting identities, prefetch
-// effectiveness on structure-following paths (SCOUT must beat no
-// prefetching and win on hit rate), and candidate pruning.
+// End-to-end walkthrough behaviour through engine::Session over a
+// standalone FLAT index: accounting identities, prefetch effectiveness on
+// structure-following paths (SCOUT must beat no prefetching and win on hit
+// rate), candidate pruning, and Session::Open's wiring checks.
 
 #include "scout/session.h"
 
@@ -10,6 +11,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "engine/session.h"
 #include "flat/flat_index.h"
 #include "neuro/circuit_generator.h"
 #include "neuro/workload.h"
@@ -57,6 +59,20 @@ class SessionFixture : public ::testing::Test {
     return o;
   }
 
+  /// Step a fresh session (cold pool, fresh clock) over the fixture's
+  /// index through `queries` and return its summary.
+  Result<SessionResult> Walk(const std::vector<Aabb>& queries,
+                             PrefetchMethod method,
+                             const SessionOptions& options) {
+    NEURODB_ASSIGN_OR_RETURN(
+        engine::Session session,
+        engine::Session::Open(&*index_, &store_, &resolver_, method, options));
+    for (const Aabb& box : queries) {
+      NEURODB_RETURN_NOT_OK(session.Step(box).status());
+    }
+    return session.Summary();
+  }
+
   neuro::Circuit circuit_;
   neuro::SegmentDataset dataset_;
   neuro::SegmentResolver resolver_;
@@ -66,8 +82,7 @@ class SessionFixture : public ::testing::Test {
 };
 
 TEST_F(SessionFixture, AccountingIdentitiesHold) {
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto result = session.Run(queries_, PrefetchMethod::kNone);
+  auto result = Walk(queries_, PrefetchMethod::kNone, DefaultOptions());
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->steps.size(), queries_.size());
 
@@ -89,9 +104,8 @@ TEST_F(SessionFixture, AccountingIdentitiesHold) {
 }
 
 TEST_F(SessionFixture, ScoutReducesStallVersusNone) {
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto none = session.Run(queries_, PrefetchMethod::kNone);
-  auto scout = session.Run(queries_, PrefetchMethod::kScout);
+  auto none = Walk(queries_, PrefetchMethod::kNone, DefaultOptions());
+  auto scout = Walk(queries_, PrefetchMethod::kScout, DefaultOptions());
   ASSERT_TRUE(none.ok());
   ASSERT_TRUE(scout.ok());
   EXPECT_GT(scout->prefetch_issued, 0u);
@@ -102,9 +116,8 @@ TEST_F(SessionFixture, ScoutReducesStallVersusNone) {
 }
 
 TEST_F(SessionFixture, ScoutBeatsBaselinesOnHitRate) {
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto hilbert = session.Run(queries_, PrefetchMethod::kHilbert);
-  auto scout = session.Run(queries_, PrefetchMethod::kScout);
+  auto hilbert = Walk(queries_, PrefetchMethod::kHilbert, DefaultOptions());
+  auto scout = Walk(queries_, PrefetchMethod::kScout, DefaultOptions());
   ASSERT_TRUE(hilbert.ok());
   ASSERT_TRUE(scout.ok());
   EXPECT_GE(scout->HitRate(), hilbert->HitRate());
@@ -113,8 +126,7 @@ TEST_F(SessionFixture, ScoutBeatsBaselinesOnHitRate) {
 TEST_F(SessionFixture, PrefetchBudgetIsHonoredPerStep) {
   SessionOptions options = DefaultOptions();
   options.think_time_us = 20'000;  // only 4 pages at 5 ms each
-  WalkthroughSession session(&*index_, &store_, &resolver_, options);
-  auto result = session.Run(queries_, PrefetchMethod::kScout);
+  auto result = Walk(queries_, PrefetchMethod::kScout, options);
   ASSERT_TRUE(result.ok());
   for (const auto& step : result->steps) {
     EXPECT_LE(step.prefetched, options.PrefetchBudget());
@@ -136,8 +148,7 @@ TEST_F(SessionFixture, PrefetchBudgetIsCappedAtPoolCapacity) {
   options.think_time_us = 10'000'000;  // 2000 pages at 5 ms each
   EXPECT_EQ(options.PrefetchBudget(), 8u);
 
-  WalkthroughSession session(&*index_, &store_, &resolver_, options);
-  auto result = session.Run(queries_, PrefetchMethod::kScout);
+  auto result = Walk(queries_, PrefetchMethod::kScout, options);
   ASSERT_TRUE(result.ok());
   for (const auto& step : result->steps) {
     EXPECT_LE(step.prefetched, options.pool_pages);
@@ -146,8 +157,7 @@ TEST_F(SessionFixture, PrefetchBudgetIsCappedAtPoolCapacity) {
 
 TEST_F(SessionFixture, ScoutCandidatesShrinkAlongThePath) {
   // Paper Figure 5: the candidate set narrows as the sequence continues.
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto result = session.Run(queries_, PrefetchMethod::kScout);
+  auto result = Walk(queries_, PrefetchMethod::kScout, DefaultOptions());
   ASSERT_TRUE(result.ok());
   ASSERT_GE(result->steps.size(), 3u);
   uint64_t first = result->steps.front().candidates;
@@ -161,9 +171,8 @@ TEST_F(SessionFixture, ScoutCandidatesShrinkAlongThePath) {
 }
 
 TEST_F(SessionFixture, RunsAreIndependentAndRepeatable) {
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto a = session.Run(queries_, PrefetchMethod::kExtrapolation);
-  auto b = session.Run(queries_, PrefetchMethod::kExtrapolation);
+  auto a = Walk(queries_, PrefetchMethod::kExtrapolation, DefaultOptions());
+  auto b = Walk(queries_, PrefetchMethod::kExtrapolation, DefaultOptions());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->total_stall_us, b->total_stall_us);
@@ -397,20 +406,31 @@ TEST_F(SessionFixture, ScoutMatchesThePerExitReference) {
 }
 
 TEST_F(SessionFixture, NullWiringFails) {
-  WalkthroughSession bad(nullptr, &store_, &resolver_, DefaultOptions());
-  EXPECT_FALSE(bad.Run(queries_, PrefetchMethod::kNone).ok());
+  EXPECT_TRUE(engine::Session::Open(nullptr, &store_, &resolver_,
+                                    PrefetchMethod::kNone, DefaultOptions())
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(engine::Session::Open(&*index_, nullptr, &resolver_,
+                                    PrefetchMethod::kNone, DefaultOptions())
+                  .status()
+                  .IsInvalidArgument());
 }
 
 TEST_F(SessionFixture, ScoutWithoutResolverFails) {
-  WalkthroughSession session(&*index_, &store_, nullptr, DefaultOptions());
-  EXPECT_FALSE(session.Run(queries_, PrefetchMethod::kScout).ok());
+  EXPECT_TRUE(engine::Session::Open(&*index_, &store_, nullptr,
+                                    PrefetchMethod::kScout, DefaultOptions())
+                  .status()
+                  .IsInvalidArgument());
   // Non-content-aware methods still work without a resolver.
-  EXPECT_TRUE(session.Run(queries_, PrefetchMethod::kHilbert).ok());
+  auto session = engine::Session::Open(&*index_, &store_, nullptr,
+                                       PrefetchMethod::kHilbert,
+                                       DefaultOptions());
+  ASSERT_TRUE(session.ok());
+  for (const Aabb& box : queries_) EXPECT_TRUE(session->Step(box).ok());
 }
 
 TEST_F(SessionFixture, EmptyQuerySequence) {
-  WalkthroughSession session(&*index_, &store_, &resolver_, DefaultOptions());
-  auto result = session.Run({}, PrefetchMethod::kScout);
+  auto result = Walk({}, PrefetchMethod::kScout, DefaultOptions());
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->steps.empty());
   EXPECT_EQ(result->total_time_us, 0u);
