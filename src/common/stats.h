@@ -28,9 +28,7 @@ class Timer {
             .count());
   }
 
-  double ElapsedMicros() const { return ElapsedNanos() / 1e3; }
   double ElapsedMillis() const { return ElapsedNanos() / 1e6; }
-  double ElapsedSeconds() const { return ElapsedNanos() / 1e9; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -292,18 +292,6 @@ Status DurabilityManager::LogLoad(
   return wal_->Append(epoch, EncodeLoadElements(elements));
 }
 
-Status DurabilityManager::CheckpointBase(const geom::ElementVec& live,
-                                         storage::Epoch epoch) {
-  auto stream = BeginCheckpoint();
-  NEURODB_RETURN_NOT_OK(stream.status());
-  for (const geom::SpatialElement& element : live) {
-    NEURODB_RETURN_NOT_OK((*stream)->Append(element));
-  }
-  NEURODB_RETURN_NOT_OK((*stream)->Finish());
-  // The caller's live set is everything — the whole log is covered.
-  return CommitCheckpoint(epoch, wal_->end_offset());
-}
-
 Result<std::unique_ptr<CheckpointStream>> DurabilityManager::BeginCheckpoint() {
   // Copy-on-write: Clear only *stages* the removal of the committed pages;
   // until CommitCheckpoint's Sync they stay on disk and a crash recovers

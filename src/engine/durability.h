@@ -255,13 +255,6 @@ class DurabilityManager {
   Status LogLoad(storage::Epoch epoch,
                  std::span<const geom::SpatialElement> elements);
 
-  /// Rewrite base.ndb as `live` (must be ascending by id), commit its
-  /// header at `epoch`, then truncate the WAL. Copy-on-write: a crash
-  /// before the header commit leaves the previous base + full WAL intact.
-  /// (Streams internally; the synchronous convenience over BeginCheckpoint
-  /// + CommitCheckpoint for callers that already hold the live set.)
-  Status CheckpointBase(const geom::ElementVec& live, storage::Epoch epoch);
-
   /// Start a streaming base rewrite: stages a full copy-on-write page set
   /// under the sequential-allocation hint. The previous committed base
   /// stays intact (and readable through recovery) until CommitCheckpoint.

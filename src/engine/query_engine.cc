@@ -132,7 +132,7 @@ void QueryEngine::InitMetrics() {
 
 QueryEngine::~QueryEngine() {
   // Join the mutation worker first: an in-flight ApplyUpdatesAsync/
-  // CompactAsync still touches backends, the pool manager and the WAL.
+  // CompactAsync still touches backends, the warm pools and the WAL.
   // Then the lane pool (sharded_ holds a raw pointer into it).
   mutation_pool_.reset();
   thread_pool_.reset();
@@ -268,16 +268,13 @@ Status QueryEngine::FinishLoad(geom::ElementVec elements) {
     sharded_->set_thread_pool(thread_pool_.get());
   }
 
-  // Persistent warm-path state: the pool manager owns one named pool set
-  // per backend (created eagerly so the sharded backend's per-shard pools
-  // exist from the first query) and the result cache serves kDelta. The
-  // cache requires the exact FLAT configuration: with rescue=false a
-  // kFlat delta answer could be incomplete, and one such insert would
-  // poison delta answers for every backend (the cache is
+  // Persistent warm-path state: one pool set per backend and the result
+  // cache behind kDelta. The cache requires the exact FLAT configuration:
+  // with rescue=false a kFlat delta answer could be incomplete, and one
+  // such insert would poison delta answers for every backend (the cache is
   // backend-agnostic) — so the approximate configuration disables it,
   // exactly as Session::Open does for session caches.
-  pool_manager_ = std::make_unique<storage::PoolManager>(options_.pool_pages);
-  warm_pools_ = BackendPools(pool_manager_.get());
+  warm_pools_ = MakePools();
   result_cache_ = std::make_unique<cache::ResultCache>(
       EffectiveResultCacheBoxes());
 
@@ -646,7 +643,9 @@ Status QueryEngine::Compact() {
       // The physical page layout is new; every warm pool caches the old
       // one. (Session pools re-fetch lazily through the store-epoch
       // check.)
-      pool_manager_->EvictAll();
+      for (storage::PoolSet& pools : warm_pools_) {
+        warm_pages_dropped_ += pools.EvictAll();
+      }
       epoch_.store(next, std::memory_order_release);
     }
     // Results are unchanged, so cached result boxes stay valid — only the
@@ -922,13 +921,23 @@ obs::MetricsSnapshot QueryEngine::MetricsSnapshot() {
     m->gauge("engine.backends")->Set(backends_.size());
     m->gauge("engine.live_elements")->Set(NumSegments());
     m->gauge("engine.delta_records")->Set(DeltaSize());
-    const storage::PoolManagerStats pool_stats = pool_manager_->Stats();
-    m->gauge("pool.pools")->Set(pool_stats.pools);
-    m->gauge("pool.pages_cached")->Set(pool_stats.pages_cached);
-    m->gauge("pool.hits")->Set(pool_stats.hits);
-    m->gauge("pool.misses")->Set(pool_stats.misses);
-    m->gauge("pool.evictions")->Set(pool_stats.evictions);
-    m->gauge("pool.latch_waits")->Set(pool_stats.latch_waits);
+    uint64_t pools = 0, pages_cached = 0, latch_waits = 0;
+    storage::PoolCounters demand;
+    for (const storage::PoolSet& set : warm_pools_) {
+      pools += set.size();
+      pages_cached += set.PagesCached();
+      for (size_t i = 0; i < set.size(); ++i) {
+        const storage::BufferPoolCounters c = set.pool(i)->Counters();
+        demand += c;
+        latch_waits += c.latch_waits;
+      }
+    }
+    m->gauge("pool.pools")->Set(pools);
+    m->gauge("pool.pages_cached")->Set(pages_cached);
+    m->gauge("pool.hits")->Set(demand.hits);
+    m->gauge("pool.misses")->Set(demand.misses);
+    m->gauge("pool.evictions")->Set(demand.evictions + warm_pages_dropped_);
+    m->gauge("pool.latch_waits")->Set(latch_waits);
     {
       std::lock_guard<std::mutex> cache_lock(cache_mu_);
       const cache::CacheStats& cache_stats = result_cache_->stats();
@@ -972,6 +981,16 @@ Status QueryEngine::RequireLoaded(const char* op) const {
   return Status::OK();
 }
 
+Status QueryEngine::RequireGeometry(const char* op) const {
+  if (resolver_.size() == 0) {
+    return Status::InvalidArgument(
+        std::string("QueryEngine::") + op +
+        ": no segment geometry — only LoadCircuit loads it (LoadElements "
+        "and Open keep bounds only)");
+  }
+  return Status::OK();
+}
+
 Result<DeltaSnapshot> QueryEngine::PinRead(storage::Epoch read_epoch) const {
   if (read_epoch == storage::kLatestEpoch) return live_.Latest();
   NEURODB_ASSIGN_OR_RETURN(std::shared_ptr<const DeltaIndex> delta,
@@ -979,26 +998,12 @@ Result<DeltaSnapshot> QueryEngine::PinRead(storage::Epoch read_epoch) const {
   return DeltaSnapshot{read_epoch, std::move(delta)};
 }
 
-std::vector<const SpatialBackend*> QueryEngine::Select(
-    BackendChoice choice) const {
-  std::vector<const SpatialBackend*> out;
-  switch (choice) {
-    case BackendChoice::kFlat:
-      out.push_back(flat_);
-      break;
-    case BackendChoice::kRTree:
-      out.push_back(rtree_);
-      break;
-    case BackendChoice::kGrid:
-      out.push_back(grid_);
-      break;
-    case BackendChoice::kSharded:
-      out.push_back(sharded_);
-      break;
-    case BackendChoice::kAll:
-      for (const auto& backend : backends_) out.push_back(backend.get());
-      break;
-  }
+std::vector<size_t> QueryEngine::Select(BackendChoice choice) const {
+  // The constructor registers the built-in backends first, in
+  // BackendChoice order.
+  if (choice != BackendChoice::kAll) return {static_cast<size_t>(choice)};
+  std::vector<size_t> out(backends_.size());
+  for (size_t b = 0; b < out.size(); ++b) out[b] = b;
   return out;
 }
 
@@ -1034,30 +1039,13 @@ Status QueryEngine::ValidateRequest(const KnnRequest& request,
   return Status::OK();
 }
 
-std::vector<storage::PoolSet*> QueryEngine::BackendPools(
-    storage::PoolManager* manager) const {
-  std::vector<storage::PoolSet*> pools;
+std::vector<storage::PoolSet> QueryEngine::MakePools() const {
+  std::vector<storage::PoolSet> pools;
   pools.reserve(backends_.size());
   for (const auto& backend : backends_) {
-    pools.push_back(manager->GetOrCreate(backend->name(), backend->Stores()));
+    pools.push_back(backend->MakePoolSet(options_.pool_pages));
   }
   return pools;
-}
-
-storage::PoolSet* QueryEngine::PoolFor(
-    const SpatialBackend* backend,
-    const std::vector<storage::PoolSet*>& pools) const {
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i].get() == backend) return pools[i];
-  }
-  return nullptr;
-}
-
-size_t QueryEngine::BackendIndex(const SpatialBackend* backend) const {
-  for (size_t i = 0; i < backends_.size(); ++i) {
-    if (backends_[i].get() == backend) return i;
-  }
-  return 0;
 }
 
 void QueryEngine::AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
@@ -1088,9 +1076,9 @@ void QueryEngine::AddPoolAndDiskSpans(obs::Trace* trace, int backend_span,
 
 Status QueryEngine::ExecuteOn(const RangeRequest& request,
                               ResultVisitor* visitor,
-                              const std::vector<storage::PoolSet*>& pools,
+                              std::span<storage::PoolSet> pools,
                               obs::Trace* trace, RangeReport* report) const {
-  std::vector<const SpatialBackend*> selected = Select(request.backend);
+  std::vector<size_t> selected = Select(request.backend);
   const bool parity_check = selected.size() > 1;
   std::vector<std::vector<ElementId>> id_sets;
 
@@ -1104,8 +1092,9 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
 
   report->rows.reserve(selected.size());
   for (size_t k = 0; k < selected.size(); ++k) {
-    const SpatialBackend* backend = selected[k];
-    storage::PoolSet* pool = PoolFor(backend, pools);
+    const size_t b = selected[k];
+    const SpatialBackend* backend = backends_[b].get();
+    storage::PoolSet* pool = &pools[b];
 
     RangeRow row;
     row.method = backend->name();
@@ -1138,7 +1127,7 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
     report->io += io_delta;
     report->pool += row.stats.pool;
     if (!backend_metrics_.empty()) {
-      const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
+      const BackendMetrics& bm = backend_metrics_[b];
       obs::Bump(bm.queries);
       obs::Add(bm.pages_read, row.stats.pages_read);
       obs::Add(bm.results, row.stats.results);
@@ -1166,9 +1155,9 @@ Status QueryEngine::ExecuteOn(const RangeRequest& request,
 }
 
 Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
-                                 const std::vector<storage::PoolSet*>& pools,
+                                 std::span<storage::PoolSet> pools,
                                  obs::Trace* trace, KnnReport* report) const {
-  std::vector<const SpatialBackend*> selected = Select(request.backend);
+  std::vector<size_t> selected = Select(request.backend);
   const bool parity_check = selected.size() > 1;
   NEURODB_ASSIGN_OR_RETURN(const DeltaSnapshot pinned,
                            PinRead(request.read_epoch));
@@ -1176,8 +1165,9 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
 
   report->rows.reserve(selected.size());
   for (size_t k = 0; k < selected.size(); ++k) {
-    const SpatialBackend* backend = selected[k];
-    storage::PoolSet* pool = PoolFor(backend, pools);
+    const size_t b = selected[k];
+    const SpatialBackend* backend = backends_[b].get();
+    storage::PoolSet* pool = &pools[b];
 
     RangeRow row;
     row.method = backend->name();
@@ -1197,7 +1187,7 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
     report->io += io_delta;
     report->pool += row.stats.pool;
     if (!backend_metrics_.empty()) {
-      const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
+      const BackendMetrics& bm = backend_metrics_[b];
       obs::Bump(bm.queries);
       obs::Add(bm.pages_read, row.stats.pages_read);
       obs::Add(bm.results, hits.size());
@@ -1223,27 +1213,28 @@ Status QueryEngine::ExecuteKnnOn(const KnnRequest& request,
   return Status::OK();
 }
 
-const SpatialBackend* QueryEngine::DeltaBackend(
+std::optional<size_t> QueryEngine::DeltaBackend(
     const RangeRequest& request, const cache::ResultCache* cache) const {
   if (request.cache != CachePolicy::kDelta || cache == nullptr ||
       !cache->enabled()) {
-    return nullptr;
+    return std::nullopt;
   }
   // Cached entries are only valid at the cache's live epoch — a request
   // explicitly pinned elsewhere must really execute.
-  if (request.read_epoch != storage::kLatestEpoch) return nullptr;
-  std::vector<const SpatialBackend*> selected = Select(request.backend);
-  return selected.size() == 1 ? selected[0] : nullptr;
+  if (request.read_epoch != storage::kLatestEpoch) return std::nullopt;
+  std::vector<size_t> selected = Select(request.backend);
+  if (selected.size() != 1) return std::nullopt;
+  return selected[0];
 }
 
-Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
-                                   const SpatialBackend* backend,
+Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request, size_t b,
                                    ResultVisitor* visitor,
-                                   const std::vector<storage::PoolSet*>& pools,
+                                   std::span<storage::PoolSet> pools,
                                    cache::ResultCache* cache,
                                    obs::Trace* trace,
                                    RangeReport* report) const {
-  storage::PoolSet* pool = PoolFor(backend, pools);
+  const SpatialBackend* backend = backends_[b].get();
+  storage::PoolSet* pool = &pools[b];
 
   RangeRow row;
   row.method = backend->name();
@@ -1290,7 +1281,7 @@ Status QueryEngine::ExecuteDeltaOn(const RangeRequest& request,
   report->io += io_delta;
   report->pool += row.stats.pool;
   if (!backend_metrics_.empty()) {
-    const BackendMetrics& bm = backend_metrics_[BackendIndex(backend)];
+    const BackendMetrics& bm = backend_metrics_[b];
     obs::Bump(bm.queries);
     obs::Add(bm.pages_read, row.stats.pages_read);
     obs::Add(bm.results, row.stats.results);
@@ -1381,17 +1372,17 @@ Result<RangeReport> QueryEngine::Execute(const RangeRequest& request,
   RangeReport report;
   if (request.cache == CachePolicy::kCold) {
     // Cold: a fresh pool per backend, as the paper's per-query cost model.
-    storage::PoolManager local(options_.pool_pages);
-    NEURODB_RETURN_NOT_OK(ExecuteOn(request, &visitor, BackendPools(&local),
-                                    trace.get(), &report));
-  } else if (const SpatialBackend* backend =
+    std::vector<storage::PoolSet> cold = MakePools();
+    NEURODB_RETURN_NOT_OK(
+        ExecuteOn(request, &visitor, cold, trace.get(), &report));
+  } else if (const std::optional<size_t> b =
                  DeltaBackend(request, result_cache_.get())) {
     // The result cache is shared mutable state: the plan must see it
     // unchanged until this request's answer is cached.
     std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(request, backend, &visitor,
-                                         warm_pools_, result_cache_.get(),
-                                         trace.get(), &report));
+    NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(request, *b, &visitor, warm_pools_,
+                                         result_cache_.get(), trace.get(),
+                                         &report));
   } else {
     // Warm: the persistent pools latch themselves, so warm readers overlap;
     // the report's tallies count this request's fetches alone.
@@ -1419,9 +1410,8 @@ Result<KnnReport> QueryEngine::Execute(const KnnRequest& request) {
 
   KnnReport report;
   if (request.cache == CachePolicy::kCold) {
-    storage::PoolManager local(options_.pool_pages);
-    NEURODB_RETURN_NOT_OK(
-        ExecuteKnnOn(request, BackendPools(&local), trace.get(), &report));
+    std::vector<storage::PoolSet> cold = MakePools();
+    NEURODB_RETURN_NOT_OK(ExecuteKnnOn(request, cold, trace.get(), &report));
   } else {
     NEURODB_RETURN_NOT_OK(
         ExecuteKnnOn(request, warm_pools_, trace.get(), &report));
@@ -1435,8 +1425,8 @@ Result<KnnReport> QueryEngine::Execute(const KnnRequest& request) {
 
 Status QueryEngine::ExecuteBatchSlice(
     std::span<const QueryRequest> requests, size_t begin, size_t end,
-    storage::PoolManager* manager, const std::vector<storage::PoolSet*>& pools,
-    cache::ResultCache* cache, std::mutex* cache_mu,
+    std::span<storage::PoolSet> pools, cache::ResultCache* cache,
+    std::mutex* cache_mu, std::atomic<uint64_t>* dropped_pages,
     std::vector<QueryReport>* reports, BatchStats* stats) const {
   auto lock_cache = [cache_mu] {
     return cache_mu != nullptr ? std::unique_lock<std::mutex>(*cache_mu)
@@ -1457,9 +1447,9 @@ Status QueryEngine::ExecuteBatchSlice(
     CachePolicy policy =
         std::visit([](const auto& r) { return r.cache; }, request);
     if (policy == CachePolicy::kCold) {
-      // Through the manager, not the raw pools: its eviction statistics
-      // must account for the cold reset of the (persistent) warm state.
-      manager->EvictAll();
+      uint64_t dropped = 0;
+      for (storage::PoolSet& set : pools) dropped += set.EvictAll();
+      if (dropped_pages != nullptr) *dropped_pages += dropped;
       if (cache != nullptr) {
         std::unique_lock<std::mutex> cache_lock = lock_cache();
         cache->Clear();
@@ -1470,9 +1460,9 @@ Status QueryEngine::ExecuteBatchSlice(
       std::shared_ptr<obs::Trace> trace = MaybeTrace(range->trace, "range");
       Timer wall;
       RangeReport report;
-      if (const SpatialBackend* backend = DeltaBackend(*range, cache)) {
+      if (const std::optional<size_t> b = DeltaBackend(*range, cache)) {
         std::unique_lock<std::mutex> cache_lock = lock_cache();
-        NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(*range, backend, nullptr, pools,
+        NEURODB_RETURN_NOT_OK(ExecuteDeltaOn(*range, *b, nullptr, pools,
                                              cache, trace.get(), &report));
         ++stats->delta_requests;
         stats->cache_hit_fraction += report.cache_hit_fraction;
@@ -1541,8 +1531,8 @@ Result<MixedBatchResult> QueryEngine::ExecuteBatch(
     // cache is locked per request, so other readers overlap the batch; the
     // aggregate is the sum of the batch's own per-request tallies.
     NEURODB_RETURN_NOT_OK(ExecuteBatchSlice(
-        requests, 0, requests.size(), pool_manager_.get(), warm_pools_,
-        result_cache_.get(), &cache_mu_, &out.reports, &out.aggregate));
+        requests, 0, requests.size(), warm_pools_, result_cache_.get(),
+        &cache_mu_, &warm_pages_dropped_, &out.reports, &out.aggregate));
     out.aggregate.critical_path_us = out.aggregate.time_us;
     out.aggregate.lanes = 1;
     normalize_delta(&out.aggregate);
@@ -1553,25 +1543,24 @@ Result<MixedBatchResult> QueryEngine::ExecuteBatch(
     return out;
   }
 
-  // Parallel: contiguous request lanes, one PoolManager (pool family) and
-  // one private result cache per lane. Lane-local counters merge in lane
-  // order, so the output is independent of worker scheduling; reports land
-  // in their request slot directly.
+  // Parallel: contiguous request lanes, one pool family and one private
+  // result cache per lane. Lane-local counters merge in lane order, so the
+  // output is independent of worker scheduling; reports land in their
+  // request slot directly.
   std::vector<exec::LaneRange> lanes =
       exec::PartitionLanes(requests.size(), options_.num_threads);
   std::vector<BatchStats> lane_stats(lanes.size());
   exec::ParallelExecutor executor(thread_pool_.get());
   Status status = executor.Run(lanes, [&](const exec::LaneRange& lane) {
     Timer lane_wall;
-    storage::PoolManager lane_manager(options_.pool_pages);
+    std::vector<storage::PoolSet> lane_pools = MakePools();
     cache::ResultCache lane_cache(EffectiveResultCacheBoxes());
     // Private lane caches start empty but stamp entries at the engine's
     // current epoch (nothing to invalidate — the empty dirty box).
     lane_cache.AdvanceEpoch(epoch(), Aabb());
     NEURODB_RETURN_NOT_OK(ExecuteBatchSlice(
-        requests, lane.begin, lane.end, &lane_manager,
-        BackendPools(&lane_manager), &lane_cache, nullptr, &out.reports,
-        &lane_stats[lane.lane]));
+        requests, lane.begin, lane.end, lane_pools, &lane_cache, nullptr,
+        nullptr, &out.reports, &lane_stats[lane.lane]));
     obs::Record(em_.batch_lane_time_us, lane_wall.ElapsedNanos() / 1000);
     return Status::OK();
   });
@@ -1625,6 +1614,7 @@ Result<scout::SessionResult> QueryEngine::Execute(
 
 Result<touch::JoinResult> QueryEngine::Execute(const JoinRequest& request) {
   NEURODB_RETURN_NOT_OK(RequireLoaded("Execute"));
+  NEURODB_RETURN_NOT_OK(RequireGeometry("Execute(JoinRequest)"));
   NEURODB_RETURN_NOT_OK(request.options.Validate());
   Timer wall;
   NEURODB_ASSIGN_OR_RETURN(
@@ -1645,6 +1635,9 @@ Result<Session> QueryEngine::OpenSession(scout::PrefetchMethod method,
     return Status::InvalidArgument(
         "QueryEngine::OpenSession: the FLAT base is empty — an engine "
         "populated purely through updates has no crawl layout to explore");
+  }
+  if (method == scout::PrefetchMethod::kScout) {
+    NEURODB_RETURN_NOT_OK(RequireGeometry("OpenSession(kScout)"));
   }
   scout::SessionOptions session_options = EffectiveSessionOptions();
   // The policy argument governs, both ways: kCold must yield a genuinely

@@ -47,11 +47,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-size_t ThreadPool::NumPending() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 bool ThreadPool::InWorker() { return InWorkerFlag(); }
 
 void ThreadPool::WorkerLoop() {

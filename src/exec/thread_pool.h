@@ -60,10 +60,6 @@ class ThreadPool {
   /// Workers running: fewer than asked for when a start failed.
   size_t num_threads() const { return workers_.size(); }
 
-  /// Tasks queued but not yet picked up by a worker (snapshot; for tests
-  /// and introspection).
-  size_t NumPending() const;
-
   /// True when the calling thread is a worker of *any* ThreadPool — the
   /// guard nested fan-outs use to run inline instead of deadlocking.
   static bool InWorker();
@@ -98,7 +94,7 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   bool stopping_ = false;

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <sstream>
-
-#include "common/status.h"
 
 namespace neurodb {
 namespace obs {
@@ -89,138 +88,6 @@ std::string PromName(const std::string& prefix, const std::string& name) {
   return out;
 }
 
-// --- Minimal JSON parser for the MetricsSnapshot::ToJson() shape ----------
-//
-// Grammar accepted: an object whose members are objects of either
-// name -> non-negative integer or name -> flat object of integers.
-// Whitespace-tolerant; strings support the escapes JsonEscape emits.
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
-  bool Consume(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool Peek(char c) {
-    SkipWs();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-
-  bool ParseString(std::string* out) {
-    SkipWs();
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        char e = text_[pos_++];
-        switch (e) {
-          case '"':
-            out->push_back('"');
-            break;
-          case '\\':
-            out->push_back('\\');
-            break;
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'r':
-            out->push_back('\r');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            if (code > 0x7f) return false;  // snapshot names are ASCII
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseUint(uint64_t* out) {
-    SkipWs();
-    if (pos_ >= text_.size() ||
-        std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      return false;
-    }
-    uint64_t v = 0;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      v = v * 10 + static_cast<uint64_t>(text_[pos_] - '0');
-      ++pos_;
-    }
-    *out = v;
-    return true;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
-
-// Parses {"name": 1, ...} into ordered (name, value) pairs.
-bool ParseFlatObject(JsonCursor* cur,
-                     std::vector<std::pair<std::string, uint64_t>>* out) {
-  if (!cur->Consume('{')) return false;
-  out->clear();
-  if (cur->Consume('}')) return true;
-  do {
-    std::string name;
-    uint64_t value = 0;
-    if (!cur->ParseString(&name)) return false;
-    if (!cur->Consume(':')) return false;
-    if (!cur->ParseUint(&value)) return false;
-    out->emplace_back(std::move(name), value);
-  } while (cur->Consume(','));
-  return cur->Consume('}');
-}
-
 }  // namespace
 
 const CounterSnapshot* MetricsSnapshot::FindCounter(
@@ -291,74 +158,6 @@ std::string MetricsSnapshot::ToPrometheus(const std::string& prefix) const {
     out << name << "_count " << h.count << "\n";
   }
   return out.str();
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
-  JsonCursor cur(json);
-  MetricsSnapshot snap;
-  auto malformed = [](const char* what) {
-    return Status::InvalidArgument(std::string("MetricsSnapshot JSON: ") +
-                                   what);
-  };
-  if (!cur.Consume('{')) return malformed("expected top-level object");
-  bool first = true;
-  while (!cur.Peek('}')) {
-    if (!first && !cur.Consume(',')) return malformed("expected ','");
-    first = false;
-    std::string section;
-    if (!cur.ParseString(&section)) return malformed("expected section name");
-    if (!cur.Consume(':')) return malformed("expected ':'");
-    if (section == "counters" || section == "gauges") {
-      std::vector<std::pair<std::string, uint64_t>> entries;
-      if (!ParseFlatObject(&cur, &entries)) {
-        return malformed("bad counter/gauge object");
-      }
-      for (auto& [name, value] : entries) {
-        if (section == "counters") {
-          snap.counters.push_back({std::move(name), value});
-        } else {
-          snap.gauges.push_back({std::move(name), value});
-        }
-      }
-    } else if (section == "histograms") {
-      if (!cur.Consume('{')) return malformed("expected histograms object");
-      if (!cur.Consume('}')) {
-        do {
-          HistogramSnapshot h;
-          if (!cur.ParseString(&h.name)) return malformed("histogram name");
-          if (!cur.Consume(':')) return malformed("expected ':'");
-          std::vector<std::pair<std::string, uint64_t>> fields;
-          if (!ParseFlatObject(&cur, &fields)) {
-            return malformed("bad histogram fields");
-          }
-          for (const auto& [key, value] : fields) {
-            if (key == "count") {
-              h.count = value;
-            } else if (key == "sum") {
-              h.sum = value;
-            } else if (key == "max") {
-              h.max = value;
-            } else if (key == "p50") {
-              h.p50 = value;
-            } else if (key == "p95") {
-              h.p95 = value;
-            } else if (key == "p99") {
-              h.p99 = value;
-            } else {
-              return malformed("unknown histogram field");
-            }
-          }
-          snap.histograms.push_back(std::move(h));
-        } while (cur.Consume(','));
-        if (!cur.Consume('}')) return malformed("unterminated histograms");
-      }
-    } else {
-      return malformed("unknown section");
-    }
-  }
-  if (!cur.Consume('}')) return malformed("unterminated object");
-  if (!cur.AtEnd()) return malformed("trailing content");
-  return snap;
 }
 
 Counter* MetricsRegistry::counter(const std::string& name) {

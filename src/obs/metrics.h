@@ -12,8 +12,7 @@
 //     pointers once (at load/open time) and record through the stable
 //     pointers on the hot path.
 //   - `Snapshot()` produces a `MetricsSnapshot` — plain data with JSON and
-//     Prometheus-style text serialization, and a JSON parser for
-//     round-trip tests and external consumers.
+//     Prometheus-style text serialization.
 //
 // Histograms are log-bucketed (4 sub-buckets per power of two, so a
 // reconstructed quantile overestimates its sample by < 25%) — recording
@@ -36,8 +35,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/result.h"
 
 namespace neurodb {
 namespace obs {
@@ -155,10 +152,6 @@ struct MetricsSnapshot {
   /// names are prefixed and sanitized ('.' and other non-identifier
   /// characters become '_').
   std::string ToPrometheus(const std::string& prefix = "neurodb") const;
-
-  /// Parse the ToJson() format back (round-trip: FromJson(ToJson()) is
-  /// field-identical). Rejects malformed input with InvalidArgument.
-  static Result<MetricsSnapshot> FromJson(const std::string& json);
 };
 
 /// Thread-safe home of named metrics. Metrics are created on first lookup

@@ -286,7 +286,7 @@ class ScoutPrefetcher : public Prefetcher {
     // recorded independently of the page budget: a cached session can
     // still cache an exhausted-budget (or zero-budget) prediction over
     // already-resident pages for free.
-    const bool deep = options_.deep_lookahead && candidates.size() == 1;
+    const bool deep = candidates.size() == 1;
     boxes_.clear();
     for (const Structure* s : candidates) {
       for (const StructureExit& exit : s->exits) {

@@ -42,12 +42,11 @@ const char* PrefetchMethodName(PrefetchMethod method);
 /// All methods in bench reporting order.
 std::vector<PrefetchMethod> AllPrefetchMethods();
 
-/// SCOUT tuning.
+/// SCOUT tuning. Once a single candidate structure remains, SCOUT looks
+/// two steps ahead along each of its exits.
 struct ScoutOptions {
   /// Structure connectivity tolerance (µm).
   StructureOptions structure;
-  /// Look two steps ahead once a single candidate structure remains.
-  bool deep_lookahead = true;
 };
 
 /// Wiring shared by all prefetchers.

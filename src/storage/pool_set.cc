@@ -32,11 +32,5 @@ size_t PoolSet::PagesCached() const {
   return total;
 }
 
-PoolCounters PoolSet::Counters() const {
-  PoolCounters c;
-  for (const BufferPool* pool : pools_) c += pool->Counters();
-  return c;
-}
-
 }  // namespace storage
 }  // namespace neurodb

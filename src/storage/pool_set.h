@@ -52,9 +52,6 @@ class PoolSet {
   /// Pages resident across every pool right now.
   size_t PagesCached() const;
 
-  /// Demand hit/miss/eviction totals over every pool since construction.
-  PoolCounters Counters() const;
-
  private:
   /// Queried pools, in store order. Owned pools also live in owned_;
   /// borrowed-view pools are someone else's.

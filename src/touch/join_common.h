@@ -31,7 +31,7 @@ inline bool PairMatches(const JoinInput& a, const JoinInput& b,
                         JoinStats* stats) {
   ++stats->mbr_tests;
   if (!expanded_a[i].Intersects(b.boxes[j])) return false;
-  if (options.refine && a.HasGeometry() && b.HasGeometry()) {
+  if (a.HasGeometry() && b.HasGeometry()) {
     ++stats->refine_tests;
     return geom::CapsuleDistance(a.segments[i], b.segments[j]) <=
            static_cast<double>(options.epsilon);

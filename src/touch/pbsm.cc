@@ -17,6 +17,9 @@ namespace touch {
 
 namespace {
 
+/// Hard cap on grid cells per axis.
+constexpr size_t kMaxCellsPerDim = 128;
+
 struct Grid {
   geom::Aabb domain;
   size_t dims[3] = {1, 1, 1};
@@ -60,7 +63,7 @@ Grid MakeGrid(const geom::Aabb& domain, size_t total_objects,
   double cells_wanted =
       std::max(1.0, static_cast<double>(total_objects) / target);
   size_t per_dim = static_cast<size_t>(std::ceil(std::cbrt(cells_wanted)));
-  per_dim = std::clamp<size_t>(per_dim, 1, options.pbsm_max_cells_per_dim);
+  per_dim = std::clamp<size_t>(per_dim, 1, kMaxCellsPerDim);
   geom::Vec3 extent = domain.Extent();
   for (int axis = 0; axis < 3; ++axis) {
     grid.dims[axis] = extent[axis] > 0.0f ? per_dim : 1;
@@ -132,7 +135,7 @@ Result<JoinResult> PbsmJoin(const JoinInput& a, const JoinInput& b,
         geom::Vec3 ref = geom::Max(ea[i].min, b.boxes[j].min);
         if (grid.CellOf(ref) != cell) continue;
         bool match = true;
-        if (options.refine && a.HasGeometry() && b.HasGeometry()) {
+        if (a.HasGeometry() && b.HasGeometry()) {
           ++out.stats.refine_tests;
           match = geom::CapsuleDistance(a.segments[i], b.segments[j]) <=
                   static_cast<double>(options.epsilon);

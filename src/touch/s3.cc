@@ -14,6 +14,9 @@ namespace touch {
 
 namespace {
 
+/// Fanout of the two R-trees.
+constexpr size_t kFanout = 16;
+
 struct S3Context {
   const JoinInput* a;
   const JoinInput* b;
@@ -82,7 +85,7 @@ Result<JoinResult> S3Join(const JoinInput& a, const JoinInput& b,
   std::vector<geom::Aabb> ea = internal::ExpandAll(a.boxes, options.epsilon);
 
   rtree::RTreeOptions tree_options;
-  tree_options.max_entries = options.s3_fanout;
+  tree_options.max_entries = kFanout;
 
   // Trees store positions (0..n-1) as entry ids; output maps to real ids.
   geom::ElementVec elems_a;

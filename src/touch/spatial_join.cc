@@ -66,13 +66,6 @@ Status JoinOptions::Validate() const {
   if (touch_leaf < 1) {
     return Status::InvalidArgument("JoinOptions: touch_leaf must be >= 1");
   }
-  if (s3_fanout < 2) {
-    return Status::InvalidArgument("JoinOptions: s3_fanout must be >= 2");
-  }
-  if (pbsm_max_cells_per_dim < 1) {
-    return Status::InvalidArgument(
-        "JoinOptions: pbsm_max_cells_per_dim must be >= 1");
-  }
   return Status::OK();
 }
 

@@ -9,8 +9,8 @@
 // All algorithms implement the same predicate and must return the same pair
 // set (the property tests verify this):
 //   filter: a.box expanded by epsilon intersects b.box,
-//   refine: capsule distance(a, b) <= epsilon (when geometry is present and
-//           JoinOptions::refine is set).
+//   refine: capsule distance(a, b) <= epsilon (when both inputs carry
+//           capsule geometry).
 
 #ifndef NEURODB_TOUCH_SPATIAL_JOIN_H_
 #define NEURODB_TOUCH_SPATIAL_JOIN_H_
@@ -54,8 +54,6 @@ struct JoinInput {
 struct JoinOptions {
   /// Synapse distance threshold in micrometres.
   float epsilon = 2.0f;
-  /// Apply exact capsule-distance refinement when geometry is available.
-  bool refine = true;
 
   // --- TOUCH ---
   /// Internal fanout of the hierarchical partitioning tree over A.
@@ -64,15 +62,9 @@ struct JoinOptions {
   size_t touch_leaf = 64;
 
   // --- PBSM ---
-  /// Target average objects per grid cell (drives the grid resolution);
-  /// 0 picks the default.
+  /// Target average objects per grid cell (drives the grid resolution, at
+  /// most 128 cells per axis); 0 picks the default.
   size_t pbsm_target_per_cell = 64;
-  /// Hard cap on cells per axis.
-  size_t pbsm_max_cells_per_dim = 128;
-
-  // --- S3 ---
-  /// Fanout of the two R-trees.
-  size_t s3_fanout = 16;
 
   Status Validate() const;
 };

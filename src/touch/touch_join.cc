@@ -185,8 +185,7 @@ void ProbeGroup(const TouchContext& ctx, int32_t node_id,
   JoinStats* stats = &out->stats;
 
   if (n.IsLeaf()) {
-    const bool refine =
-        ctx.options->refine && ctx.a->HasGeometry() && ctx.b->HasGeometry();
+    const bool refine = ctx.a->HasGeometry() && ctx.b->HasGeometry();
     const LeafIndex& leaf = (*ctx.leaves)[node_id];
     const size_t entries = leaf.boxes.size();
     for (const Probe& p : group) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/sim_clock.h"
+#include "storage/pool_set.h"
 
 namespace neurodb {
 namespace storage {
@@ -127,6 +128,31 @@ TEST(BufferPoolTest, EvictAllColdResets) {
   // After a cold reset the next fetch is a miss again.
   ASSERT_TRUE(pool.Fetch(0).ok());
   EXPECT_EQ(pool.Counters().misses, 2u);
+}
+
+// A pool set splits its page budget over one pool per store, counts the
+// pages resident in all of them and drops them all at once. A tally is
+// priced at one read per miss and one hit cost per hit.
+TEST(PoolSetTest, SplitsTheBudgetOverItsPools) {
+  PageStore a = MakeStore(4);
+  PageStore b = MakeStore(4);
+  PoolSet set({&a, &b}, 16);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.pool(0)->capacity(), 8u);
+  EXPECT_EQ(set.pool(1)->capacity(), 8u);
+  PoolCounters tally;
+  for (PageId page = 0; page < 4; ++page) {
+    ASSERT_TRUE(set.pool(0)->Fetch(page, &tally).ok());
+    ASSERT_TRUE(set.pool(1)->Fetch(page, &tally).ok());
+    ASSERT_TRUE(set.pool(1)->Fetch(page, &tally).ok());
+  }
+  EXPECT_EQ(tally, (PoolCounters{4, 8, 0}));
+  EXPECT_EQ(set.PagesCached(), 8u);
+  const DiskCostModel cost;
+  EXPECT_EQ(tally.ModeledMicros(cost),
+            8 * cost.page_read_micros + 4 * cost.page_hit_micros);
+  EXPECT_EQ(set.EvictAll(), 8u);
+  EXPECT_EQ(set.PagesCached(), 0u);
 }
 
 TEST(BufferPoolTest, TallyChargesTheFetchThatCausedIt) {

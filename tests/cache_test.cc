@@ -1,7 +1,6 @@
-// Tests of the result-cache subsystem (src/cache/) and the PoolManager
-// (src/storage/pool_manager.h): box subtraction geometry, cache eviction
-// and lookup policy, delta-plan exactness against brute force, and the
-// named persistent pool sets behind the engine's warm path.
+// Tests of the result-cache subsystem (src/cache/): box subtraction
+// geometry, cache eviction and lookup policy, and delta-plan exactness
+// against brute force.
 
 #include "cache/delta_planner.h"
 
@@ -12,7 +11,6 @@
 
 #include "cache/result_cache.h"
 #include "common/rng.h"
-#include "storage/pool_manager.h"
 
 namespace neurodb {
 namespace cache {
@@ -395,82 +393,4 @@ TEST(DeltaPlannerTest, RandomizedDeltaAnswersEqualFullReQuery) {
 
 }  // namespace
 }  // namespace cache
-
-// --------------------------------------------------------------------------
-// storage::PoolManager
-// --------------------------------------------------------------------------
-
-namespace storage {
-namespace {
-
-TEST(PoolManagerTest, GetOrCreateIsIdempotentByName) {
-  PageStore store;
-  PageId page = store.Allocate();
-  ASSERT_TRUE(store.Write(page, {geom::SpatialElement(
-                                    1, geom::Aabb({0, 0, 0}, {1, 1, 1}))})
-                  .ok());
-
-  PoolManager manager(64);
-  PoolSet* first = manager.GetOrCreate("FLAT", {&store});
-  PoolSet* again = manager.GetOrCreate("FLAT", {&store});
-  EXPECT_EQ(first, again);
-  EXPECT_EQ(manager.NumSets(), 1u);
-  EXPECT_EQ(manager.Stats().sets_created, 1u);
-  EXPECT_EQ(manager.Stats().sets_reused, 1u);
-
-  // A different name is a different set; an explicit budget is honored.
-  PoolSet* other = manager.GetOrCreate("Grid", {&store}, 8);
-  EXPECT_NE(other, first);
-  EXPECT_EQ(other->pool(0)->capacity(), 8u);
-  EXPECT_EQ(first->pool(0)->capacity(), 64u);
-}
-
-TEST(PoolManagerTest, StatsAggregateHitsMissesAndEvictions) {
-  PageStore store;
-  std::vector<PageId> pages;
-  for (int i = 0; i < 4; ++i) {
-    PageId page = store.Allocate();
-    ASSERT_TRUE(store.Write(page, {geom::SpatialElement(
-                                      static_cast<uint64_t>(i),
-                                      geom::Aabb({0, 0, 0}, {1, 1, 1}))})
-                    .ok());
-    pages.push_back(page);
-  }
-
-  PoolManager manager(16);
-  PoolSet* set = manager.GetOrCreate("FLAT", {&store});
-  for (PageId page : pages) ASSERT_TRUE(set->pool(0)->Fetch(page).ok());
-  for (PageId page : pages) ASSERT_TRUE(set->pool(0)->Fetch(page).ok());
-
-  PoolManagerStats stats = manager.Stats();
-  EXPECT_EQ(stats.pool_sets, 1u);
-  EXPECT_EQ(stats.pools, 1u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.hits, 4u);
-  EXPECT_EQ(stats.pages_cached, 4u);
-  EXPECT_EQ(set->Counters(), (PoolCounters{4, 4, 0}));
-
-  // Named eviction drops the pages and counts them.
-  EXPECT_TRUE(manager.Evict("FLAT"));
-  EXPECT_FALSE(manager.Evict("NoSuchSet"));
-  stats = manager.Stats();
-  EXPECT_EQ(stats.pages_cached, 0u);
-  EXPECT_EQ(stats.evictions, 4u);
-
-  // Priced by the cost model: one read per miss and one hit cost per hit.
-  DiskCostModel cost;
-  EXPECT_EQ(set->Counters().ModeledMicros(cost),
-            4 * cost.page_read_micros + 4 * cost.page_hit_micros);
-
-  // Remove retires the set's history: counters never decrease.
-  EXPECT_TRUE(manager.Remove("FLAT"));
-  EXPECT_EQ(manager.NumSets(), 0u);
-  stats = manager.Stats();
-  EXPECT_EQ(stats.hits, 4u);
-  EXPECT_EQ(stats.misses, 4u);
-  EXPECT_EQ(stats.evictions, 4u);
-}
-
-}  // namespace
-}  // namespace storage
 }  // namespace neurodb

@@ -21,6 +21,7 @@
 #include "diff_harness.h"
 #include "engine/query_engine.h"
 #include "geom/knn.h"
+#include "neuro/circuit_generator.h"
 #include "neuro/workload.h"
 #include "storage/disk/file.h"
 
@@ -186,6 +187,35 @@ TEST(RecoveryTest, CleanCloseRoundTripsThroughOpen) {
   EXPECT_EQ(ReplayWalkthrough(db->get(), initial, path,
                               scout::PrefetchMethod::kNone),
             std::string());
+}
+
+// base.ndb and the WAL hold bounds only, so a circuit's segment geometry
+// does not survive a restart: on the reopened engine a join or a SCOUT
+// session fails instead of measuring nothing.
+TEST(RecoveryTest, ReopenedEngineRejectsJoinsAndScoutSessions) {
+  TempDir dir;
+  neuro::CircuitParams params;
+  params.num_neurons = 10;
+  params.seed = 42;
+  auto circuit = neuro::CircuitGenerator(params).Generate();
+  ASSERT_TRUE(circuit.ok());
+  {
+    QueryEngine db(DurableOptions(dir.Sub("data")));
+    ASSERT_TRUE(db.LoadCircuit(*circuit).ok());
+    auto join = db.Execute(JoinRequest());
+    ASSERT_TRUE(join.ok());
+    EXPECT_GT(join->pairs.size(), 0u);
+    EXPECT_TRUE(db.OpenSession(scout::PrefetchMethod::kScout).ok());
+  }
+  auto db = QueryEngine::Open(dir.Sub("data"));
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ((*db)->NumSegments(), circuit->TotalSegments());
+  EXPECT_TRUE((*db)->Execute(JoinRequest()).status().IsInvalidArgument());
+  EXPECT_TRUE((*db)
+                  ->OpenSession(scout::PrefetchMethod::kScout)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE((*db)->OpenSession(scout::PrefetchMethod::kNone).ok());
 }
 
 TEST(RecoveryTest, WalBatchesReplayAfterUncleanClose) {

@@ -194,18 +194,12 @@ std::vector<uint32_t> PagesByBounds(const flat::FlatIndex& index,
 // The box-predicting prefetchers hand each predicted box over with the
 // page list they computed to prefetch it, so a cached session need not
 // compute it again; a box predicted past the budget carries none. Budgets
-// of 1 and 3 pages run out in the middle of a step, and SCOUT's deep
-// lookahead (two boxes per exit once one candidate is left) is on and off.
+// of 1 and 3 pages run out in the middle of a step, and SCOUT looks two
+// boxes deep per exit once one candidate is left.
 TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
-  struct Config {
-    PrefetchMethod method;
-    bool deep;
-  };
-  for (const Config& config : {Config{PrefetchMethod::kScout, true},
-                               Config{PrefetchMethod::kScout, false},
-                               Config{PrefetchMethod::kExtrapolation, false}}) {
-    SCOPED_TRACE(std::string(PrefetchMethodName(config.method)) +
-                 (config.deep ? " deep" : ""));
+  for (PrefetchMethod method :
+       {PrefetchMethod::kScout, PrefetchMethod::kExtrapolation}) {
+    SCOPED_TRACE(PrefetchMethodName(method));
     for (size_t budget : {size_t{0}, size_t{1}, size_t{3}, size_t{4096}}) {
       SCOPED_TRACE(budget);
       storage::BufferPool pool(&store_, 4096);
@@ -213,9 +207,7 @@ TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
       ctx.index = &*index_;
       ctx.pool = &pool;
       ctx.resolver = &resolver_;
-      ScoutOptions options;
-      options.deep_lookahead = config.deep;
-      auto prefetcher = MakePrefetcher(config.method, ctx, options);
+      auto prefetcher = MakePrefetcher(method, ctx, ScoutOptions());
       ASSERT_TRUE(prefetcher.ok());
       size_t predicted = 0, unpaged = 0, one_candidate = 0;
       for (const Aabb& query : queries_) {
@@ -243,7 +235,7 @@ TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
         }
       }
       EXPECT_GT(predicted, 0u);
-      if (config.method == PrefetchMethod::kScout) {
+      if (method == PrefetchMethod::kScout) {
         // SCOUT's small budgets run out mid-step on this path.
         if (budget == 1 || budget == 3) {
           EXPECT_GT(unpaged, 0u);
@@ -261,11 +253,8 @@ TEST_F(SessionFixture, PredictionsCarryThePagesTheyPrefetched) {
 class PerExitScout {
  public:
   PerExitScout(const flat::FlatIndex* index, storage::BufferPool* pool,
-               const neuro::SegmentResolver* resolver, bool deep_lookahead)
-      : index_(index),
-        pool_(pool),
-        resolver_(resolver),
-        deep_lookahead_(deep_lookahead) {}
+               const neuro::SegmentResolver* resolver)
+      : index_(index), pool_(pool), resolver_(resolver) {}
 
   size_t AfterQuery(const Aabb& query,
                     const std::vector<geom::ElementId>& result,
@@ -303,7 +292,7 @@ class PerExitScout {
     prev_center_ = center;
 
     size_t loaded = 0;
-    const bool deep = deep_lookahead_ && candidates.size() == 1;
+    const bool deep = candidates.size() == 1;
     for (const Structure* s : candidates) {
       for (const StructureExit& exit : s->exits) {
         if (loaded >= budget && predicted.size() >= 4) break;
@@ -339,7 +328,6 @@ class PerExitScout {
   const flat::FlatIndex* index_;
   storage::BufferPool* pool_;
   const neuro::SegmentResolver* resolver_;
-  bool deep_lookahead_;
   std::unordered_set<geom::ElementId> candidate_ids_;
   std::optional<Vec3> prev_center_;
 };
@@ -354,52 +342,48 @@ TEST_F(SessionFixture, ScoutMatchesThePerExitReference) {
   for (const Aabb& box : neuro::PathQueries(*branch, 30.0f)) {
     queries.push_back(box);
   }
-  for (bool deep : {true, false}) {
-    for (size_t pool_pages : {size_t{12}, size_t{4096}}) {
-      for (size_t budget : {size_t{0}, size_t{1}, size_t{3}, size_t{4096}}) {
-        SCOPED_TRACE(std::to_string(budget) + " pages, pool " +
-                     std::to_string(pool_pages) + (deep ? ", deep" : ""));
-        storage::BufferPool pool(&store_, pool_pages);
-        storage::BufferPool reference_pool(&store_, pool_pages);
-        PrefetchContext ctx;
-        ctx.index = &*index_;
-        ctx.pool = &pool;
-        ctx.resolver = &resolver_;
-        ScoutOptions options;
-        options.deep_lookahead = deep;
-        auto scout = MakePrefetcher(PrefetchMethod::kScout, ctx, options);
-        ASSERT_TRUE(scout.ok());
-        PerExitScout reference(&*index_, &reference_pool, &resolver_, deep);
-        for (size_t q = 0; q < queries.size(); ++q) {
-          std::vector<geom::ElementId> ids, reference_ids;
-          geom::VectorVisitor visitor(&ids);
-          geom::VectorVisitor reference_visitor(&reference_ids);
-          ASSERT_TRUE(index_->RangeQuery(queries[q], &pool, visitor).ok());
-          ASSERT_TRUE(index_->RangeQuery(queries[q], &reference_pool,
-                                         reference_visitor)
-                          .ok());
-          ASSERT_EQ(ids, reference_ids);
-          EXPECT_EQ((*scout)->AfterQuery(queries[q], ids, budget),
-                    reference.AfterQuery(queries[q], ids, budget))
-              << "step " << q;
-          EXPECT_EQ((*scout)->CandidateCount(), reference.candidate_count);
-          const std::vector<PredictedBox>& got = (*scout)->PredictedBoxes();
-          ASSERT_EQ(got.size(), reference.predicted.size()) << "step " << q;
-          for (size_t b = 0; b < got.size(); ++b) {
-            EXPECT_TRUE(got[b].box.min == reference.predicted[b].box.min &&
-                        got[b].box.max == reference.predicted[b].box.max)
-                << "step " << q << ", box " << b;
-            EXPECT_EQ(got[b].pages, reference.predicted[b].pages)
-                << "step " << q << ", box " << b;
-          }
-          const storage::BufferPoolCounters counters = pool.Counters();
-          const storage::BufferPoolCounters want = reference_pool.Counters();
-          EXPECT_EQ(counters.prefetch_issued, want.prefetch_issued);
-          EXPECT_EQ(counters.prefetch_used, want.prefetch_used);
-          EXPECT_EQ(counters.hits, want.hits);
-          EXPECT_EQ(counters.misses, want.misses);
-          EXPECT_EQ(counters.evictions, want.evictions);
+  for (size_t pool_pages : {size_t{12}, size_t{4096}}) {
+    for (size_t budget : {size_t{0}, size_t{1}, size_t{3}, size_t{4096}}) {
+      SCOPED_TRACE(std::to_string(budget) + " pages, pool " +
+                   std::to_string(pool_pages));
+      storage::BufferPool pool(&store_, pool_pages);
+      storage::BufferPool reference_pool(&store_, pool_pages);
+      PrefetchContext ctx;
+      ctx.index = &*index_;
+      ctx.pool = &pool;
+      ctx.resolver = &resolver_;
+      auto scout = MakePrefetcher(PrefetchMethod::kScout, ctx, ScoutOptions());
+      ASSERT_TRUE(scout.ok());
+      PerExitScout reference(&*index_, &reference_pool, &resolver_);
+      for (size_t q = 0; q < queries.size(); ++q) {
+        std::vector<geom::ElementId> ids, reference_ids;
+        geom::VectorVisitor visitor(&ids);
+        geom::VectorVisitor reference_visitor(&reference_ids);
+        ASSERT_TRUE(index_->RangeQuery(queries[q], &pool, visitor).ok());
+        ASSERT_TRUE(index_->RangeQuery(queries[q], &reference_pool,
+                                       reference_visitor)
+                        .ok());
+        ASSERT_EQ(ids, reference_ids);
+        EXPECT_EQ((*scout)->AfterQuery(queries[q], ids, budget),
+                  reference.AfterQuery(queries[q], ids, budget))
+            << "step " << q;
+        EXPECT_EQ((*scout)->CandidateCount(), reference.candidate_count);
+        const std::vector<PredictedBox>& got = (*scout)->PredictedBoxes();
+        ASSERT_EQ(got.size(), reference.predicted.size()) << "step " << q;
+        for (size_t b = 0; b < got.size(); ++b) {
+          EXPECT_TRUE(got[b].box.min == reference.predicted[b].box.min &&
+                      got[b].box.max == reference.predicted[b].box.max)
+              << "step " << q << ", box " << b;
+          EXPECT_EQ(got[b].pages, reference.predicted[b].pages)
+              << "step " << q << ", box " << b;
         }
+        const storage::BufferPoolCounters counters = pool.Counters();
+        const storage::BufferPoolCounters want = reference_pool.Counters();
+        EXPECT_EQ(counters.prefetch_issued, want.prefetch_issued);
+        EXPECT_EQ(counters.prefetch_used, want.prefetch_used);
+        EXPECT_EQ(counters.hits, want.hits);
+        EXPECT_EQ(counters.misses, want.misses);
+        EXPECT_EQ(counters.evictions, want.evictions);
       }
     }
   }

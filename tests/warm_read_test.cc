@@ -116,20 +116,33 @@ struct Tally {
   }
 };
 
-/// Demand counters of the engine's warm sets, summed over backends.
-storage::PoolCounters WarmCounters(QueryEngine& db) {
-  storage::PoolCounters total;
-  for (size_t i = 0; i < db.NumBackends(); ++i) {
-    total += db.pool_manager()->Find(db.backend(i).name())->Counters();
-  }
-  return total;
+/// The engine's warm-pool gauges: demand counters summed over every
+/// backend's pool set (evictions include the pages a kCold batch entry
+/// dropped) and the pages resident now.
+struct WarmGauges {
+  storage::PoolCounters pool;
+  uint64_t pages_cached = 0;
+};
+
+WarmGauges ReadWarmGauges(QueryEngine& db) {
+  const obs::MetricsSnapshot snap = db.MetricsSnapshot();
+  auto gauge = [&snap](const char* name) -> uint64_t {
+    const obs::GaugeSnapshot* g = snap.FindGauge(name);
+    EXPECT_NE(g, nullptr) << name;
+    return g == nullptr ? 0 : g->value;
+  };
+  WarmGauges out;
+  out.pool = {gauge("pool.hits"), gauge("pool.misses"),
+              gauge("pool.evictions")};
+  out.pages_cached = gauge("pool.pages_cached");
+  return out;
 }
 
 TEST(WarmAccountingTest, ReportTalliesAddUpToThePoolCounters) {
   QueryEngine db(SmallPools());
   ASSERT_TRUE(db.LoadCircuit(MakeColumn(40, 5)).ok());
   const storage::DiskCostModel& cost = db.options().cost;
-  const storage::PoolCounters before = WarmCounters(db);
+  const WarmGauges before = ReadWarmGauges(db);
 
   const BackendChoice kChoices[] = {BackendChoice::kFlat, BackendChoice::kRTree,
                                     BackendChoice::kGrid,
@@ -153,6 +166,12 @@ TEST(WarmAccountingTest, ReportTalliesAddUpToThePoolCounters) {
       reported += report->pool;
     }
   }
+  // With no kCold entry yet, every eviction is a capacity eviction some
+  // report tallied, and every miss left one page behind.
+  const WarmGauges after_reads = ReadWarmGauges(db);
+  EXPECT_EQ(after_reads.pool - before.pool, reported);
+  EXPECT_EQ(after_reads.pages_cached,
+            before.pages_cached + reported.misses - reported.evictions);
 
   // A serial batch over the same pools; every 7th entry is kCold (it
   // evicts the warm pools and clears the result cache first).
@@ -173,7 +192,26 @@ TEST(WarmAccountingTest, ReportTalliesAddUpToThePoolCounters) {
   EXPECT_GT(result->aggregate.delta_requests, 0u);
   reported += tally.pool;
 
-  EXPECT_EQ(WarmCounters(db) - before, reported);
+  // Each kCold entry drops every page resident when it starts; the gauge
+  // counts those pages as evictions.
+  uint64_t cached = after_reads.pages_cached;
+  uint64_t dropped = 0;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (std::visit([](const auto& r) { return r.cache; }, batch[i]) ==
+        CachePolicy::kCold) {
+      dropped += cached;
+      cached = 0;
+    }
+    const storage::PoolCounters pool = std::visit(
+        [](const auto& r) { return r.pool; }, result->reports[i]);
+    cached += pool.misses - pool.evictions;
+  }
+  storage::PoolCounters want = reported;
+  want.evictions += dropped;
+  const WarmGauges after_batch = ReadWarmGauges(db);
+  EXPECT_EQ(after_batch.pool - before.pool, want);
+  EXPECT_EQ(after_batch.pages_cached, cached);
+  EXPECT_GT(dropped, 0u);
   EXPECT_GT(reported.hits, 0u);
   EXPECT_GT(reported.misses, 0u);
   EXPECT_GT(reported.evictions, 0u);
