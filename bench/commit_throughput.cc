@@ -5,6 +5,11 @@
 // fsync'd. Under kPerBatch every batch pays its own fsync; under kGroup
 // concurrent writers coalesce at the commit lock and the leader amortizes
 // ONE fsync over the whole group; kNone skips the fsync (bulk load). The
+// "group" rows force full groups (group_max_batches = writers, a 5 ms
+// hold); the "group_defaults" rows at 1, 2 and 8 writers keep every
+// DurabilityOptions default but the policy (disk backends, the 64-batch
+// cap, the 100 µs hold ceiling), so they show what the learned hold target
+// does with no tuning. Every row reports its mean group size. The
 // fsync is the whole story, so the sweep runs on a wrapper filesystem whose
 // Sync() sleeps a fixed NEURODB_BENCH_FSYNC_DELAY_US (default 1000 — a
 // realistic honest-flush latency) instead of flushing — making the
@@ -114,8 +119,10 @@ struct SweepRow {
 };
 
 // `writers` threads each commit `batches_per_writer` single-insert batches
-// as fast as the engine acknowledges them.
-bool RunSweepCell(engine::SyncPolicy policy, size_t writers,
+// as fast as the engine acknowledges them. With `defaults` every
+// DurabilityOptions field but the directory, the filesystem and the policy
+// keeps its default.
+bool RunSweepCell(engine::SyncPolicy policy, size_t writers, bool defaults,
                   size_t batches_per_writer, storage::FileSystem* fs,
                   const std::string& dir, SweepRow* row) {
   std::filesystem::remove_all(dir);
@@ -123,16 +130,18 @@ bool RunSweepCell(engine::SyncPolicy policy, size_t writers,
   options.durability.dir = dir;
   options.durability.fs = fs;
   options.durability.sync = policy;
-  // The sweep measures the commit protocol, so keep the backends on
-  // memory stores — their page writes would add a serialized non-fsync
-  // cost that caps the ratio no matter how well the fsyncs coalesce.
-  options.durability.disk_backends = false;
-  // Let the leader hold the group open until every writer has queued
-  // (the predicate fires at group_max_batches): steady-state groups of
-  // `writers`, one fsync each. A lone writer never waits — its own batch
-  // already satisfies the predicate.
-  options.durability.group_max_batches = writers;
-  options.durability.group_hold_us = 5000;
+  if (!defaults) {
+    // The sweep measures the commit protocol, so keep the backends on
+    // memory stores — their page writes would add a serialized non-fsync
+    // cost that caps the ratio no matter how well the fsyncs coalesce.
+    options.durability.disk_backends = false;
+    // Let the leader hold the group open until every writer has queued
+    // (group_max_batches caps the hold target): steady-state groups of
+    // `writers`, one fsync each. A lone writer never waits — its own batch
+    // already reaches the cap.
+    options.durability.group_max_batches = writers;
+    options.durability.group_hold_us = 5000;
+  }
   engine::QueryEngine db(options);
   if (!db.LoadElements({}).ok()) return false;
 
@@ -227,7 +236,7 @@ int main() {
 
   TableWriter table("durable ApplyUpdates throughput",
                     {"policy", "writers", "batches", "wall_ms",
-                     "batches_per_sec", "wal_fsyncs"});
+                     "batches_per_sec", "wal_fsyncs", "mean_group"});
   bench::JsonEmitter json("commit_throughput");
   bool ok = true;
 
@@ -235,6 +244,7 @@ int main() {
     const char* label;
     engine::SyncPolicy policy;
     size_t writers;
+    bool defaults = false;
   };
   const Cell kCells[] = {
       {"per_batch", engine::SyncPolicy::kPerBatch, 1},
@@ -242,35 +252,44 @@ int main() {
       {"group", engine::SyncPolicy::kGroup, 1},
       {"group", engine::SyncPolicy::kGroup, 8},
       {"none", engine::SyncPolicy::kNone, 8},
+      {"group_defaults", engine::SyncPolicy::kGroup, 1, true},
+      {"group_defaults", engine::SyncPolicy::kGroup, 2, true},
+      {"group_defaults", engine::SyncPolicy::kGroup, 8, true},
   };
   double per_batch_8 = 0.0, group_8 = 0.0;
 
   for (const Cell& cell : kCells) {
     SweepRow row;
-    ok = RunSweepCell(cell.policy, cell.writers, batches_per_writer, &slow_fs,
-                      root + "/sweep", &row);
+    ok = RunSweepCell(cell.policy, cell.writers, cell.defaults,
+                      batches_per_writer, &slow_fs, root + "/sweep", &row);
     if (!ok) break;
-    if (cell.writers == 8) {
+    if (cell.writers == 8 && !cell.defaults) {
       if (cell.policy == engine::SyncPolicy::kPerBatch) {
         per_batch_8 = row.batches_per_sec;
       } else if (cell.policy == engine::SyncPolicy::kGroup) {
         group_8 = row.batches_per_sec;
       }
     }
-    char wall_buf[32], tput_buf[32];
+    const size_t batches = cell.writers * batches_per_writer;
+    // Batches per WAL fsync; 0 when the policy never fsyncs (kNone).
+    const double mean_group =
+        row.fsyncs > 0 ? static_cast<double>(batches) / row.fsyncs : 0.0;
+    char wall_buf[32], tput_buf[32], group_buf[32];
     std::snprintf(wall_buf, sizeof(wall_buf), "%.2f", row.wall_ms);
     std::snprintf(tput_buf, sizeof(tput_buf), "%.0f", row.batches_per_sec);
+    std::snprintf(group_buf, sizeof(group_buf), "%.2f", mean_group);
     table.AddRow({cell.label, std::to_string(cell.writers),
-                  std::to_string(cell.writers * batches_per_writer), wall_buf,
-                  tput_buf, std::to_string(row.fsyncs)});
+                  std::to_string(batches), wall_buf, tput_buf,
+                  std::to_string(row.fsyncs), group_buf});
     bench::JsonRow json_row;
     json_row.Str("policy", cell.label)
         .Int("writers", cell.writers)
-        .Int("batches", cell.writers * batches_per_writer)
+        .Int("batches", batches)
         .Int("fsync_delay_us", fsync_delay_us)
         .Num("wall_ms", row.wall_ms)
         .Num("batches_per_sec", row.batches_per_sec)
-        .Int("wal_fsyncs", row.fsyncs);
+        .Int("wal_fsyncs", row.fsyncs)
+        .Num("mean_group_size", mean_group);
     json.AddRow(json_row);
   }
 
@@ -283,8 +302,9 @@ int main() {
     for (bool run_group : {pair % 2 == 1, pair % 2 == 0}) {
       ok = ok && RunSweepCell(run_group ? engine::SyncPolicy::kGroup
                                         : engine::SyncPolicy::kPerBatch,
-                              8, batches_per_writer, &slow_fs,
-                              root + "/sweep", run_group ? &group : &per_batch);
+                              8, /*defaults=*/false, batches_per_writer,
+                              &slow_fs, root + "/sweep",
+                              run_group ? &group : &per_batch);
     }
     if (ok && per_batch.batches_per_sec > 0) {
       ratios.push_back(group.batches_per_sec / per_batch.batches_per_sec);

@@ -124,7 +124,9 @@ Status SpatialBackend::KnnQueryView(const DeltaIndex* delta,
     }
     return Status::OK();
   };
-  NEURODB_RETURN_NOT_OK(delta->MergeKnn(point, k, base_knn, hits));
+  NEURODB_RETURN_NOT_OK(delta->MergeKnn(
+      point, k, base_knn, hits,
+      stats != nullptr ? &stats->knn_reasks : nullptr));
   if (stats != nullptr) {
     stats->results = hits->size();
     stats->elements_scanned += delta->InsertCount();

@@ -21,7 +21,8 @@
 //     while fewer than k of its hits are live (DeltaIndex::MergeKnn), and
 //     the accumulator is seeded from the delta side too, so the merged
 //     frontier is exact under the (distance, id) order; every ask is
-//     charged to the query's RangeStats.
+//     charged to the query's RangeStats, and RangeStats::knn_reasks counts
+//     the asks after the first.
 //
 // The delta version is one of three: the one the caller pinned (the
 // engine resolves a request's (epoch, delta) pair once and hands it to
@@ -86,6 +87,9 @@ struct RangeStats {
   uint64_t elements_scanned = 0;
   /// Tree backends: node fetches per level (leaf = index 0); else empty.
   std::vector<uint64_t> nodes_per_level;
+  /// kNN over a delta: asks of the base after the first, made while fewer
+  /// than k of its hits were live (DeltaIndex::MergeKnn).
+  uint64_t knn_reasks = 0;
   /// This query's buffer-pool hits, misses and evictions: the tally every
   /// BufferPool::Fetch of the query charged, summed over shards. Exact
   /// however many readers share the pools.

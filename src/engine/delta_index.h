@@ -207,9 +207,11 @@ class DeltaIndex {
   /// element beyond them is dominated by k of them, so the merge with the
   /// inserts is exact. The ask never passes k + Size(): dead base ids are
   /// tombstones or inserts, so that many hits always leave k live ones.
+  /// `reasks` (may be null) gains the number of asks after the first.
   template <typename BaseKnn>
   Status MergeKnn(const geom::Vec3& point, size_t k, BaseKnn&& base_knn,
-                  std::vector<geom::KnnHit>* out) const {
+                  std::vector<geom::KnnHit>* out,
+                  uint64_t* reasks = nullptr) const {
     const size_t most = k + Size();
     std::vector<geom::KnnHit> base_hits;
     for (size_t ask = k;; ask = std::min(most, 2 * ask)) {
@@ -217,6 +219,7 @@ class DeltaIndex {
       size_t live = 0;
       for (const geom::KnnHit& hit : base_hits) live += !IsDead(hit.id);
       if (live >= k || base_hits.size() < ask || ask >= most) break;
+      if (reasks != nullptr) ++*reasks;
     }
     geom::KnnAccumulator acc(k);
     for (const geom::KnnHit& hit : base_hits) {

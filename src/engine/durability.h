@@ -94,11 +94,15 @@ struct DurabilityOptions {
 
   /// When a batch's WAL record is fsync'd (see SyncPolicy).
   SyncPolicy sync = SyncPolicy::kPerBatch;
-  /// kGroup: most batches one coalesced append may carry.
+  /// kGroup: most batches one coalesced append may carry, and the cap on
+  /// the learned hold target: a leader holds its group open until as many
+  /// batches have queued as the largest of the last eight groups held
+  /// (docs/API.md "Durability tuning"). The target starts at this cap.
   size_t group_max_batches = 64;
-  /// kGroup: how long the leader may hold the group open waiting for more
-  /// writers to queue up (0 = take whatever is queued, never wait). The
-  /// knob trades single-writer latency for multi-writer coalescing.
+  /// kGroup: the longest a leader holds its group open waiting for the
+  /// target to queue (0 = take whatever is queued, never wait). Steady
+  /// writers reach the target well before it, so it is paid only while
+  /// the target is being learned or after a writer leaves.
   uint64_t group_hold_us = 100;
   /// When > 0: after a commit leaves the WAL at or past this many bytes,
   /// the engine schedules a background checkpoint on its mutation worker

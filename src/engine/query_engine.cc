@@ -83,6 +83,8 @@ QueryEngine::QueryEngine(EngineOptions options)
   backends_.push_back(std::move(rtree));
   backends_.push_back(std::move(grid));
   backends_.push_back(std::move(sharded));
+  recent_group_sizes_.fill(
+      std::max<size_t>(1, options_.durability.group_max_batches));
 
   if (options_.metrics == MetricsMode::kOn) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
@@ -104,6 +106,7 @@ void QueryEngine::InitMetrics() {
   em_.knn.results = m->counter("engine.query.knn.results");
   em_.knn.pages_read = m->counter("engine.query.knn.pages_read");
   em_.knn.latency_us = m->histogram("engine.query.knn.latency_us");
+  em_.knn_reasks = m->counter("engine.query.knn.reasks");
   em_.join_count = m->counter("engine.query.join.count");
   em_.join_pairs = m->counter("engine.query.join.pairs");
   em_.join_latency_us = m->histogram("engine.query.join.latency_us");
@@ -126,6 +129,8 @@ void QueryEngine::InitMetrics() {
   em_.checkpoint_fsyncs = m->counter("engine.checkpoint.fsyncs");
   em_.wal_fsync = m->counter("wal.fsync");
   em_.commit_group_size = m->histogram("engine.commit.group_size");
+  em_.commit_group_wait_us = m->histogram("engine.commit.group_wait_us");
+  em_.commit_group_target = m->gauge("engine.commit.group_target");
   em_.commit_apply_us = m->histogram("engine.commit.apply_us");
   em_.slow_queries = m->counter("engine.slow_queries");
 }
@@ -431,7 +436,13 @@ Result<UpdateReport> QueryEngine::ApplyUpdatesLocked(
 }
 
 void QueryEngine::CommitGroupLocked(std::unique_lock<std::mutex>&) {
-  const size_t want = std::max<size_t>(1, options_.durability.group_max_batches);
+  const size_t most = std::max<size_t>(1, options_.durability.group_max_batches);
+  // The hold target: the largest recent group (see recent_group_sizes_).
+  auto target = [this] {
+    return *std::max_element(recent_group_sizes_.begin(),
+                             recent_group_sizes_.end());
+  };
+  const size_t want = target();
   // Publish a member's completion: `done` flips under group_mu_ and wakes
   // the parked owner. The owner may return (destroying the PendingCommit)
   // the moment this releases group_mu_ — never touch `pending` after.
@@ -443,24 +454,32 @@ void QueryEngine::CommitGroupLocked(std::unique_lock<std::mutex>&) {
     group_cv_.notify_all();
   };
   std::vector<PendingCommit*> group;
+  uint64_t held_us = 0;
   {
     std::unique_lock<std::mutex> queue_lock(group_mu_);
+    // Nothing queued: this leader's own commit was already drained by the
+    // previous one, and there is no group to hold open.
+    if (group_queue_.empty()) return;
     if (group_queue_.size() < want && options_.durability.group_hold_us > 0) {
       // Hold the group open briefly: every writer that queues up inside
       // the window rides this fsync instead of paying its own. The wait
       // happens with commit_mu_ held — followers enqueue and notify
       // without it (they only block on commit_mu_ *after* queueing).
+      Timer hold;
       group_cv_.wait_for(
           queue_lock,
           std::chrono::microseconds(options_.durability.group_hold_us),
           [&] { return group_queue_.size() >= want; });
+      held_us = hold.ElapsedNanos() / 1000;
     }
-    while (!group_queue_.empty() && group.size() < want) {
+    while (!group_queue_.empty() && group.size() < most) {
       group.push_back(group_queue_.front());
       group_queue_.pop_front();
     }
   }
-  if (group.empty()) return;
+  recent_group_sizes_[next_group_slot_] = group.size();
+  next_group_slot_ = (next_group_slot_ + 1) % kRecentGroups;
+  obs::Set(em_.commit_group_target, target());
 
   // The gate check is batch-independent, so one answer serves the whole
   // group.
@@ -514,6 +533,7 @@ void QueryEngine::CommitGroupLocked(std::unique_lock<std::mutex>&) {
   }
   obs::Bump(em_.wal_fsync);
   obs::Record(em_.commit_group_size, accepted.size());
+  obs::Record(em_.commit_group_wait_us, held_us);
 
   // Apply in epoch order.
   for (size_t i = 0; i < accepted.size(); ++i) {
@@ -551,8 +571,9 @@ Result<UpdateReport> QueryEngine::ApplyUpdates(
   // result. Followers park on group_cv_, NEVER on the commit lock:
   // `done` is published under group_mu_, so an acknowledged writer
   // returns (and can re-submit into the next group) without convoying
-  // behind the next leader — the property that lets a group actually
-  // refill to `group_max_batches` writers in steady state.
+  // behind the next leader — the property that lets every writer of the
+  // last group re-queue in time for the next one. The leader's hold ends
+  // once the learned target has queued; see CommitGroupLocked.
   NEURODB_RETURN_NOT_OK(RequireLoaded("ApplyUpdates"));
   if (updates.empty()) {
     return Status::InvalidArgument("QueryEngine::ApplyUpdates: empty batch");
@@ -1343,9 +1364,13 @@ void QueryEngine::FinishKnnQuery(bool keep_trace, uint64_t wall_us,
                                  KnnReport* report) const {
   obs::Bump(em_.knn.count);
   obs::Add(em_.knn.results, report->hits.size());
-  uint64_t pages = 0;
-  for (const RangeRow& row : report->rows) pages += row.stats.pages_read;
+  uint64_t pages = 0, reasks = 0;
+  for (const RangeRow& row : report->rows) {
+    pages += row.stats.pages_read;
+    reasks += row.stats.knn_reasks;
+  }
   obs::Add(em_.knn.pages_read, pages);
+  obs::Add(em_.knn_reasks, reasks);
   obs::Record(em_.knn.latency_us, wall_us);
   if (trace == nullptr) return;
   trace->Tag(0, "epoch", report->epoch);
@@ -1661,6 +1686,7 @@ Result<Session> QueryEngine::OpenSession(scout::PrefetchMethod method,
   SessionObs hooks;
   hooks.metrics = metrics_.get();
   hooks.slow_log = slow_log_.get();
+  hooks.knn_reasks = em_.knn_reasks;
   return Session::Open(&flat_->index(), flat_->store(), &resolver_, method,
                        session_options, &live_, &update_log_, &compact_mu_,
                        hooks);

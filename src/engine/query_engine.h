@@ -32,6 +32,7 @@
 #ifndef NEURODB_ENGINE_QUERY_ENGINE_H_
 #define NEURODB_ENGINE_QUERY_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -608,10 +609,12 @@ class QueryEngine {
   /// log one record (fsync per DurabilityOptions::sync), apply.
   Result<UpdateReport> ApplyUpdatesLocked(
       std::span<const UpdateRequest> updates);
-  /// Group-commit leader body, caller holds commit_mu_: drain up to
-  /// group_max_batches queued commits (waiting group_hold_us for the group
-  /// to fill), validate each against the cumulative overlay, append every
-  /// accepted record in ONE WAL write + ONE fsync, then apply in order.
+  /// Group-commit leader body, caller holds commit_mu_: hold the group
+  /// open until as many commits have queued as the largest of the last
+  /// kRecentGroups groups held (at most group_hold_us), drain up to
+  /// group_max_batches, validate each against the cumulative overlay,
+  /// append every accepted record in ONE WAL write + ONE fsync, then apply
+  /// in order.
   void CommitGroupLocked(std::unique_lock<std::mutex>& commit_lock);
   /// Replay a kWalKindEpochBump record: publish the unchanged delta as the
   /// version at `e` and advance the engine epoch (a Compact whose
@@ -732,6 +735,7 @@ class QueryEngine {
   struct EngineMetrics {
     QueryMetrics range;
     QueryMetrics knn;
+    obs::Counter* knn_reasks = nullptr;
     obs::Counter* join_count = nullptr;
     obs::Counter* join_pairs = nullptr;
     obs::Histogram* join_latency_us = nullptr;
@@ -752,6 +756,8 @@ class QueryEngine {
     obs::Counter* checkpoint_fsyncs = nullptr;
     obs::Counter* wal_fsync = nullptr;
     obs::Histogram* commit_group_size = nullptr;
+    obs::Histogram* commit_group_wait_us = nullptr;
+    obs::Gauge* commit_group_target = nullptr;
     obs::Histogram* commit_apply_us = nullptr;
     obs::Counter* slow_queries = nullptr;
   };
@@ -810,6 +816,16 @@ class QueryEngine {
   std::mutex group_mu_;
   std::condition_variable group_cv_;
   std::deque<PendingCommit*> group_queue_;
+  /// The sizes of the last kRecentGroups groups (group leaders only, under
+  /// commit_mu_), overwritten oldest first. Their largest is the queue
+  /// length that ends a leader's hold: a group that catches one more
+  /// writer raises it at once, a writer that leaves costs at most
+  /// kRecentGroups timed-out holds, and one stray group of one cannot pull
+  /// it down. Every slot starts at group_max_batches, so an engine's first
+  /// groups hold as long as the cap asks.
+  static constexpr size_t kRecentGroups = 8;
+  std::array<size_t, kRecentGroups> recent_group_sizes_{};
+  size_t next_group_slot_ = 0;
   /// Checkpoints run one at a time (outermost; ordered before commit_mu_).
   std::mutex checkpoint_mu_;
   /// A size-triggered background checkpoint is queued or running.

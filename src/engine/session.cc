@@ -396,12 +396,14 @@ Result<scout::StepRecord> Session::StepKnn(const geom::Vec3& point, size_t k,
       NEURODB_RETURN_NOT_OK(index_->Knn(point, k, pool_.get(), out));
     } else {
       // The same merge the backends run (DeltaIndex::MergeKnn).
+      uint64_t reasks = 0;
       NEURODB_RETURN_NOT_OK(delta_->MergeKnn(
           point, k,
           [&](size_t ask, std::vector<geom::KnnHit>* base_hits) {
             return index_->Knn(point, ask, pool_.get(), base_hits);
           },
-          out));
+          out, &reasks));
+      obs::Add(obs_.knn_reasks, reasks);
     }
     ids->reserve(out->size());
     for (const geom::KnnHit& hit : *out) ids->push_back(hit.id);

@@ -68,14 +68,17 @@
 namespace neurodb {
 namespace engine {
 
-/// Observability hooks an engine threads into the sessions it opens (both
+/// Observability hooks an engine threads into the sessions it opens (all
 /// borrowed; they must outlive the session). `metrics` receives the
 /// session.step.* counters and histograms; `slow_log` receives traced
-/// steps whose wall time crosses its threshold. Default-constructed hooks
-/// (standalone sessions, or an engine with metrics off) record nothing.
+/// steps whose wall time crosses its threshold; `knn_reasks` (the engine's
+/// engine.query.knn.reasks) gains StepKnn's re-asks of the base.
+/// Default-constructed hooks (standalone sessions, or an engine with
+/// metrics off) record nothing.
 struct SessionObs {
   obs::MetricsRegistry* metrics = nullptr;
   obs::SlowQueryLog* slow_log = nullptr;
+  obs::Counter* knn_reasks = nullptr;
 };
 
 /// One interactive exploration session. Obtained from

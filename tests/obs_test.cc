@@ -531,6 +531,20 @@ TEST(EngineObsTest, CommitApplyHistogramCountsEveryAppliedBatch) {
     }
     for (std::thread& t : writers) t.join();
     EXPECT_EQ(applied(db), kWriters * kBatches);
+
+    // Every group leader records how long it held its group open, once
+    // per WAL append, and publishes the hold target it learned.
+    const obs::MetricsSnapshot snap = db.MetricsSnapshot();
+    const auto* wait = snap.FindHistogram("engine.commit.group_wait_us");
+    const auto* fsyncs = snap.FindCounter("wal.fsync");
+    const auto* target = snap.FindGauge("engine.commit.group_target");
+    ASSERT_NE(wait, nullptr);
+    ASSERT_NE(fsyncs, nullptr);
+    ASSERT_NE(target, nullptr);
+    EXPECT_GT(fsyncs->value, 0u);
+    EXPECT_EQ(wait->count, fsyncs->value);
+    EXPECT_GE(target->value, 1u);
+    EXPECT_LE(target->value, options.durability.group_max_batches);
   }
 
   // Replay: reopening applies every logged batch again.
@@ -549,6 +563,36 @@ TEST(EngineObsTest, CommitApplyHistogramCountsEveryAppliedBatch) {
   EXPECT_TRUE(
       off.ApplyUpdates(std::span<const engine::UpdateRequest>(&u, 1)).ok());
   EXPECT_TRUE(off.MetricsSnapshot().histograms.empty());
+
+  // Metrics off under kGroup: grouped commits fail nothing and export
+  // nothing, the hold's histogram and target gauge included.
+  EngineOptions off_group_options = options;
+  off_group_options.durability.dir = dir.Sub("off");
+  off_group_options.metrics = MetricsMode::kOff;
+  QueryEngine off_group(off_group_options);
+  ASSERT_TRUE(off_group.LoadElements(MakeGrid(100)).ok());
+  {
+    std::vector<std::thread> writers;
+    for (size_t w = 0; w < 2; ++w) {
+      writers.emplace_back([&, w] {
+        for (size_t b = 0; b < 3; ++b) {
+          const engine::UpdateRequest g = insert(4000 + w * 100 + b);
+          EXPECT_TRUE(off_group
+                          .ApplyUpdates(
+                              std::span<const engine::UpdateRequest>(&g, 1))
+                          .ok());
+        }
+      });
+    }
+    for (std::thread& t : writers) t.join();
+  }
+  const obs::MetricsSnapshot off_snap = off_group.MetricsSnapshot();
+  EXPECT_TRUE(off_snap.counters.empty());
+  EXPECT_TRUE(off_snap.gauges.empty());
+  EXPECT_TRUE(off_snap.histograms.empty());
+  EXPECT_TRUE(off_snap.ToPrometheus().empty());
+  EXPECT_EQ(off_snap.ToJson(),
+            R"({"counters":{},"gauges":{},"histograms":{}})");
 }
 
 TEST(EngineObsTest, SessionStepsRecordMetricsAndTraces) {

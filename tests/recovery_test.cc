@@ -2,12 +2,14 @@
 // engine answers byte-identically to a never-crashed oracle), torn-tail
 // truncation, durable round-trips through QueryEngine::Open, checkpoint
 // semantics (Compact truncates the WAL; a crash mid-checkpoint rolls back
-// to the previous base + full WAL), and the seeded recovery fuzz that
-// backs the recovery_fuzz_nightly ctest label.
+// to the previous base + full WAL), the group-commit hold target, and the
+// seeded recovery fuzz that backs the recovery_fuzz_nightly ctest label.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <barrier>
+#include <chrono>
 #include <cstdlib>
 #include <ctime>
 #include <filesystem>
@@ -490,6 +492,115 @@ TEST(RecoveryMatrixTest, KillInsideCoalescedGroupAppendWithWriterRace) {
     std::sort(ids.begin(), ids.end());
     EXPECT_EQ(ids, expected);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The group-commit hold: a kGroup leader holds its group open only until as
+// many commits have queued as the largest of the last eight groups held
+// ---------------------------------------------------------------------------
+
+// A lone writer's first eight groups hold for the cap (group_max_batches)
+// and time out; from then on the target is one, and no commit waits out
+// group_hold_us, however long it is.
+TEST(GroupCommitTest, LoneWriterStopsHoldingAfterEightGroups) {
+  constexpr uint64_t kHoldUs = 200000;
+  constexpr uint64_t kBatches = 30;
+  TempDir dir;
+  EngineOptions options =
+      DurableOptions(dir.Sub("data"), nullptr, SyncPolicy::kGroup);
+  options.durability.group_hold_us = kHoldUs;
+  QueryEngine db(options);
+  ASSERT_TRUE(db.LoadElements(MakeGrid(48)).ok());
+  const obs::Histogram* wait =
+      db.metrics()->histogram("engine.commit.group_wait_us");
+
+  const auto start = std::chrono::steady_clock::now();
+  uint64_t held_in_first_eight = 0;
+  for (uint64_t i = 0; i < kBatches; ++i) {
+    const float f = static_cast<float>(i);
+    const UpdateRequest request{UpdateKind::kInsert, 5000 + i,
+                                BoxAt(f, f, f, 2)};
+    ASSERT_TRUE(
+        db.ApplyUpdates(std::span<const UpdateRequest>(&request, 1)).ok());
+    ASSERT_EQ(wait->count(), i + 1);  // one group per commit
+    if (i + 1 == 8) held_in_first_eight = wait->sum();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+
+  // Each of the first eight groups held the whole window.
+  EXPECT_GE(held_in_first_eight, 8 * kHoldUs);
+  // Every later sample is 0: the sum stopped growing.
+  EXPECT_EQ(wait->sum(), held_in_first_eight);
+  EXPECT_EQ(db.metrics()->gauge("engine.commit.group_target")->value(), 1u);
+  // Holding on every commit would take kBatches * 200 ms = 6 s.
+  EXPECT_LT(seconds, kBatches * kHoldUs / 1e6 / 2);
+}
+
+// Two writers commit in lockstep rounds, the second a moment after the
+// first, so every round is one group of two. In one round the second
+// writer pauses past group_hold_us: the first writer's hold times out on a
+// group of one, and so does the second's. Those groups of one must not
+// lower the target: the next rounds are single groups of two again. (A
+// target copied from the last group alone would stay at one: the leader
+// would drain its own batch before the second writer queued.)
+TEST(GroupCommitTest, GroupsOfTwoComeBackAfterAWriterPauses) {
+  constexpr size_t kRounds = 50;
+  constexpr size_t kPauseRound = 20;
+  constexpr auto kHold = std::chrono::milliseconds(50);
+  constexpr auto kStagger = std::chrono::milliseconds(5);
+  TempDir dir;
+  EngineOptions options =
+      DurableOptions(dir.Sub("data"), nullptr, SyncPolicy::kGroup);
+  options.durability.group_hold_us =
+      std::chrono::duration_cast<std::chrono::microseconds>(kHold).count();
+  QueryEngine db(options);
+  ASSERT_TRUE(db.LoadElements(MakeGrid(48)).ok());
+  const obs::Counter* fsyncs = db.metrics()->counter("wal.fsync");
+
+  // WAL appends before each round, read once both writers reach it.
+  std::vector<uint64_t> before;
+  std::barrier round_start(2, [&]() noexcept {
+    before.push_back(fsyncs->value());
+  });
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t round = 0; round < kRounds; ++round) {
+        round_start.arrive_and_wait();
+        if (w == 1) {
+          std::this_thread::sleep_for(round == kPauseRound ? 3 * kHold
+                                                           : kStagger);
+        }
+        const float f = static_cast<float>(round);
+        const UpdateRequest request{UpdateKind::kInsert,
+                                    6000 + w * 1000 + round,
+                                    BoxAt(f, f, f, 2)};
+        EXPECT_TRUE(
+            db.ApplyUpdates(std::span<const UpdateRequest>(&request, 1)).ok());
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+  before.push_back(fsyncs->value());
+  ASSERT_EQ(before.size(), kRounds + 1);
+  auto groups = [&](size_t round) { return before[round + 1] - before[round]; };
+
+  size_t paired_before = 0, paired_after = 0;
+  for (size_t round = 0; round < kPauseRound; ++round) {
+    paired_before += groups(round) == 1;
+  }
+  for (size_t round = kPauseRound + 1; round < kRounds; ++round) {
+    paired_after += groups(round) == 1;
+  }
+  const size_t rounds_after = kRounds - kPauseRound - 1;
+  EXPECT_GE(paired_before, kPauseRound * 3 / 4);
+  // The pause timed out both writers' holds: two groups of one.
+  EXPECT_EQ(groups(kPauseRound), 2u);
+  EXPECT_GE(paired_after, rounds_after * 3 / 4)
+      << paired_after << " of " << rounds_after
+      << " rounds after the pause were one group of two";
 }
 
 // A backend whose rebuild fails partway through Compact (a page-store

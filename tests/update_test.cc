@@ -432,6 +432,16 @@ TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
   auto db = MakeEngine(elements);
   const Vec3 point(150, 150, 150);
   constexpr size_t kK = 8;
+  const obs::Counter* reasks =
+      db->metrics()->counter("engine.query.knn.reasks");
+
+  // Without a delta every backend answers in one ask.
+  engine::KnnRequest before;
+  before.point = point;
+  before.k = kK;
+  before.backend = engine::BackendChoice::kAll;
+  ASSERT_TRUE(db->Execute(before).ok());
+  EXPECT_EQ(reasks->value(), 0u);
 
   // Kill every one of the k nearest base elements (and as many again):
   // even-ranked ones are erased, odd-ranked ones move to a far corner. A
@@ -465,10 +475,13 @@ TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
     knn.k = kK;
     knn.backend = choice;
     knn.cache = engine::CachePolicy::kCold;
+    const uint64_t reasks0 = reasks->value();
     auto report = db->Execute(knn);
     ASSERT_TRUE(report.ok());
     EXPECT_TRUE(report->results_match);
     EXPECT_EQ(report->hits, truth) << "backend " << static_cast<int>(choice);
+    // Every backend asked its base again, and counted it.
+    EXPECT_GE(reasks->value() - reasks0, report->rows.size());
   }
 
   // The session path.
@@ -480,6 +493,15 @@ TEST(UpdateTest, KnnAsksAgainWhenTheNearestBaseElementsAreDead) {
   std::vector<KnnHit> hits;
   ASSERT_TRUE(session->StepKnn(point, kK, &hits).ok());
   EXPECT_EQ(hits, truth);
+
+  // The engine's sessions count their re-asks into the same counter.
+  auto engine_session = db->OpenSession(scout::PrefetchMethod::kNone,
+                                        engine::CachePolicy::kCold);
+  ASSERT_TRUE(engine_session.ok());
+  const uint64_t reasks0 = reasks->value();
+  ASSERT_TRUE(engine_session->StepKnn(point, kK, &hits).ok());
+  EXPECT_EQ(hits, truth);
+  EXPECT_GT(reasks->value(), reasks0);
 }
 
 // --------------------------------------------------------------------------
