@@ -6,7 +6,8 @@
 // threads, the same TouchJoin call made from a 1-thread pool task (where it
 // runs inline, in one lane), PBSM and plane sweep. The TOUCH rows alternate
 // serial and parallel runs so a drift of the host's speed hits both; their
-// median times give the parallel speedup. Emits BENCH_touch_scale.json.
+// median times give the parallel speedup, and the median of each phase
+// (build, assign, probe) shows where it went. Emits BENCH_touch_scale.json.
 //
 // Doubles as the `touch_scale_smoke` ctest gate (NEURODB_BENCH_SMOKE=1: a
 // smaller column, no E9 sweep):
@@ -37,6 +38,18 @@ double MedianMs(std::vector<uint64_t> ns) {
   std::sort(ns.begin(), ns.end());
   return ns[ns.size() / 2] / 1e6;
 }
+
+/// Wall times of each join phase over repeated runs.
+struct PhaseTimes {
+  std::vector<uint64_t> total, build, assign, probe;
+
+  void Add(const touch::JoinStats& s) {
+    total.push_back(s.total_ns);
+    build.push_back(s.build_ns);
+    assign.push_back(s.assign_ns);
+    probe.push_back(s.probe_ns);
+  }
+};
 
 bool SameCounters(const touch::JoinStats& x, const touch::JoinStats& y) {
   return x.mbr_tests == y.mbr_tests && x.node_tests == y.node_tests &&
@@ -110,7 +123,7 @@ int main() {
 
   // Serial: the same call from a pool worker, where TouchJoin runs inline.
   exec::ThreadPool single(1);
-  std::vector<uint64_t> serial_ns, parallel_ns;
+  PhaseTimes serial_times, parallel_times;
   touch::JoinResult serial, parallel;
   for (int rep = 0; rep < reps; ++rep) {
     auto s = single.Submit([&] { return touch::TouchJoin(a, b, options); })
@@ -120,8 +133,8 @@ int main() {
       std::fprintf(stderr, "TOUCH join failed\n");
       return 1;
     }
-    serial_ns.push_back(s->stats.total_ns);
-    parallel_ns.push_back(p->stats.total_ns);
+    serial_times.Add(s->stats);
+    parallel_times.Add(p->stats);
     serial = std::move(s).value();
     parallel = std::move(p).value();
   }
@@ -130,12 +143,12 @@ int main() {
     const char* method;
     const char* mode;
     int reps;
-    double ms;
+    PhaseTimes times;
     const touch::JoinResult* result;
   };
   std::vector<Row> rows = {
-      {"TOUCH", "parallel", reps, MedianMs(parallel_ns), &parallel},
-      {"TOUCH", "serial", reps, MedianMs(serial_ns), &serial}};
+      {"TOUCH", "parallel", reps, parallel_times, &parallel},
+      {"TOUCH", "serial", reps, serial_times, &serial}};
   std::vector<touch::JoinResult> baselines;
   baselines.reserve(2);
   for (touch::JoinMethod method :
@@ -146,20 +159,29 @@ int main() {
       return 1;
     }
     baselines.push_back(std::move(result).value());
-    rows.push_back({touch::JoinMethodName(method), "serial", 1,
-                    baselines.back().stats.total_ns / 1e6,
+    PhaseTimes times;
+    times.Add(baselines.back().stats);
+    rows.push_back({touch::JoinMethodName(method), "serial", 1, times,
                     &baselines.back()});
   }
 
-  const double speedup = rows[1].ms / rows[0].ms;
+  const double speedup =
+      MedianMs(rows[1].times.total) / MedianMs(rows[0].times.total);
   TableWriter table("TOUCH on all threads vs one, PBSM and plane sweep",
-                    {"method", "mode", "median ms", "pairs", "mbr tests",
-                     "node tests", "refine tests", "filtered", "memory"});
+                    {"method", "mode", "median ms", "build ms", "assign ms",
+                     "probe ms", "pairs", "mbr tests", "node tests",
+                     "refine tests", "filtered", "memory"});
   bench::JsonEmitter emitter("touch_scale");
   for (const Row& row : rows) {
     const touch::JoinStats& s = row.result->stats;
-    table.AddRow({row.method, row.mode, TableWriter::Num(row.ms, 1),
-                  TableWriter::Int(s.results), TableWriter::Int(s.mbr_tests),
+    const double ms = MedianMs(row.times.total);
+    const double build_ms = MedianMs(row.times.build);
+    const double assign_ms = MedianMs(row.times.assign);
+    const double probe_ms = MedianMs(row.times.probe);
+    table.AddRow({row.method, row.mode, TableWriter::Num(ms, 1),
+                  TableWriter::Num(build_ms, 1), TableWriter::Num(assign_ms, 1),
+                  TableWriter::Num(probe_ms, 1), TableWriter::Int(s.results),
+                  TableWriter::Int(s.mbr_tests),
                   TableWriter::Int(s.node_tests),
                   TableWriter::Int(s.refine_tests),
                   TableWriter::Int(s.filtered),
@@ -171,7 +193,10 @@ int main() {
         .Int("a", a.size())
         .Int("b", b.size())
         .Int("reps", row.reps)
-        .Num("ms", row.ms)
+        .Num("ms", ms)
+        .Num("build_ms", build_ms)
+        .Num("assign_ms", assign_ms)
+        .Num("probe_ms", probe_ms)
         .Int("pairs", s.results)
         .Int("mbr_tests", s.mbr_tests)
         .Int("node_tests", s.node_tests)

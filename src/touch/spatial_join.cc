@@ -60,11 +60,12 @@ Status JoinOptions::Validate() const {
     return Status::InvalidArgument(
         "JoinOptions: epsilon must be finite and >= 0");
   }
-  if (touch_fanout < 2) {
-    return Status::InvalidArgument("JoinOptions: touch_fanout must be >= 2");
+  // The limits of the STR tree TOUCH builds (rtree::RTreeOptions).
+  if (touch_fanout < 4) {
+    return Status::InvalidArgument("JoinOptions: touch_fanout must be >= 4");
   }
-  if (touch_leaf < 1) {
-    return Status::InvalidArgument("JoinOptions: touch_leaf must be >= 1");
+  if (touch_leaf < 2) {
+    return Status::InvalidArgument("JoinOptions: touch_leaf must be >= 2");
   }
   return Status::OK();
 }

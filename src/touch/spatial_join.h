@@ -56,9 +56,9 @@ struct JoinOptions {
   float epsilon = 2.0f;
 
   // --- TOUCH ---
-  /// Internal fanout of the hierarchical partitioning tree over A.
+  /// Internal fanout of the hierarchical partitioning tree over A (>= 4).
   size_t touch_fanout = 8;
-  /// Data leaf size of the partitioning tree.
+  /// Data leaf size of the partitioning tree (>= 2).
   size_t touch_leaf = 64;
 
   // --- PBSM ---

@@ -12,10 +12,26 @@
 // A counting pass then lays the buckets out in one flat array.
 //
 // Phase 3 (probe): buckets are joined against the subtree below their node.
-// A group of bucket objects descends together, filtering the group against
-// each child's (pre-expanded) MBR, so the tree is walked once per group
-// rather than once per object and every leaf's entries are scanned with the
-// group of survivors that actually reach it.
+// A group of bucket objects descends together: at each node every member's
+// box is tested once against all the children's (pre-expanded) MBRs, and
+// each child receives the members that hit it, in group order. So the tree
+// is walked once per group rather than once per object, and every leaf's
+// entries are scanned with the group of survivors that actually reach it.
+// A leaf's entries are sorted by min.x, and a probe b scans only the
+// x-window [b.min.x - widest extent, b.max.x] (the in-partition sweep the
+// TOUCH paper uses for its local joins). The window start is computed in
+// double and rounded down, so rounding never skips an entry that touches b.
+//
+// The box tests run four at a time. The build stores the children's boxes
+// of every internal node, and the entries of every leaf, in six float
+// columns (min and max x/y/z), each node's or leaf's run starting at a
+// multiple of 4 and padded to one with boxes that intersect nothing. One
+// step compares a B box with four boxes of a run and gives a 4-bit mask
+// (GCC/Clang vector extensions: SSE2 on x86-64, NEON on AArch64). Hits are
+// visited in entry order, and the counters count what a box-at-a-time loop
+// tests: mbr_tests the entries in each window, node_tests each (member,
+// child) pair of a probe group and, in the assignment, the children up to
+// the second match.
 //
 // Assignment and probe run on all hardware threads over fixed work items:
 // kChunk-object chunks of B, then kChunk-object chunks of each bucket (one
@@ -26,6 +42,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/stats.h"
@@ -45,15 +65,145 @@ constexpr size_t kChunk = 4096;
 /// Assignment of a B object filtered in empty space.
 constexpr int32_t kFiltered = -1;
 
-/// Per-leaf local-join acceleration: the entries' epsilon-expanded boxes
-/// sorted by min.x (with the original entry position alongside), plus the
-/// widest x-extent in the leaf. A probe then only scans the x-window
-/// [b.min.x - max_width, b.max.x] — the in-partition sweep the TOUCH paper
-/// uses for its local joins.
-struct LeafIndex {
-  std::vector<geom::Aabb> boxes;     // expanded, sorted by min.x
-  std::vector<uint32_t> positions;   // position in A, parallel to boxes
-  float max_width = 0.0f;
+/// Children per probe mask word.
+constexpr size_t kMaskBits = 64;
+
+/// Four lanes of floats, and the lane masks (0 or -1) their comparisons give.
+using V4f = float __attribute__((vector_size(16)));
+using V4i = int32_t __attribute__((vector_size(16)));
+
+size_t RoundUp4(size_t n) { return (n + 3) & ~size_t{3}; }
+
+template <typename T>
+uint64_t Bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+/// Boxes in six float columns (struct of arrays). Each run of boxes starts
+/// at a multiple of 4 and is padded to one with boxes that intersect
+/// nothing (min +inf, max -inf), so a four-box load never leaves the run's
+/// padding.
+struct BoxColumns {
+  std::vector<float> min_x, min_y, min_z, max_x, max_y, max_z;
+
+  size_t size() const { return min_x.size(); }
+
+  void Reserve(size_t n) {
+    for (std::vector<float>* c : {&min_x, &min_y, &min_z, &max_x, &max_y,
+                                  &max_z}) {
+      c->reserve(n);
+    }
+  }
+
+  void Append(const geom::Aabb& box) {
+    min_x.push_back(box.min.x);
+    min_y.push_back(box.min.y);
+    min_z.push_back(box.min.z);
+    max_x.push_back(box.max.x);
+    max_y.push_back(box.max.y);
+    max_z.push_back(box.max.z);
+  }
+
+  /// Ends a run.
+  void Pad() {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    while (size() % 4 != 0) {
+      Append(geom::Aabb({kInf, kInf, kInf}, {-kInf, -kInf, -kInf}));
+    }
+  }
+
+  uint64_t MemoryBytes() const {
+    return Bytes(min_x) + Bytes(min_y) + Bytes(min_z) + Bytes(max_x) +
+           Bytes(max_y) + Bytes(max_z);
+  }
+};
+
+/// The columns' data, copied into a local so the loops keep it in
+/// registers.
+struct ColumnView {
+  const float *min_x, *min_y, *min_z, *max_x, *max_y, *max_z;
+
+  explicit ColumnView(const BoxColumns& c)
+      : min_x(c.min_x.data()),
+        min_y(c.min_y.data()),
+        min_z(c.min_z.data()),
+        max_x(c.max_x.data()),
+        max_y(c.max_y.data()),
+        max_z(c.max_z.data()) {}
+};
+
+inline V4f Load4(const float* p) {
+  V4f v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline V4f Splat(float v) { return V4f{v, v, v, v}; }
+
+/// A B box in every lane.
+struct Box4 {
+  V4f min_x, min_y, min_z, max_x, max_y, max_z;
+
+  explicit Box4(const geom::Aabb& b)
+      : min_x(Splat(b.min.x)),
+        min_y(Splat(b.min.y)),
+        min_z(Splat(b.min.z)),
+        max_x(Splat(b.max.x)),
+        max_y(Splat(b.max.y)),
+        max_z(Splat(b.max.z)) {}
+};
+
+/// The OR of the four lanes: the two 64-bit halves, then their two words.
+inline unsigned OrLanes(V4i v) {
+  uint64_t halves[2];
+  std::memcpy(halves, &v, sizeof(halves));
+  const uint64_t pair = halves[0] | halves[1];
+  return static_cast<unsigned>(pair | (pair >> 32));
+}
+
+/// Bit l of the result is lane l's mask.
+inline unsigned Bits(V4i lanes) { return OrLanes(lanes & V4i{1, 2, 4, 8}); }
+
+/// Lanes whose box k + l intersects `b`, with geom::Aabb::Intersects'
+/// closed intervals.
+inline V4i Overlap4(const ColumnView& c, size_t k, const Box4& b) {
+  return (Load4(c.min_x + k) <= b.max_x) & (b.min_x <= Load4(c.max_x + k)) &
+         (Load4(c.min_y + k) <= b.max_y) & (b.min_y <= Load4(c.max_y + k)) &
+         (Load4(c.min_z + k) <= b.max_z) & (b.min_z <= Load4(c.max_z + k));
+}
+
+/// x - y rounded toward -infinity: x - y itself when that is a double, the
+/// double just below it otherwise. TwoSum (Knuth) gives the rounding error
+/// of the double difference exactly; an infinite difference has a NaN error
+/// and passes through.
+double SubDown(double x, double y) {
+  const double d = x - y;
+  const double y_part = d - x;
+  const double error = (x - (d - y_part)) + (-y - y_part);
+  return error < 0 ? std::nextafter(d, -std::numeric_limits<double>::infinity())
+                   : d;
+}
+
+/// The first of the `n` (>= 1) ascending values at `v` that is >= `bound`,
+/// or v + n: std::lower_bound without its unpredictable branch (Khuong and
+/// Morin's branch-free binary search).
+const float* LowerBound(const float* v, size_t n, double bound) {
+  while (n > 1) {
+    const size_t half = n / 2;
+    v = static_cast<double>(v[half]) < bound ? v + half : v;
+    n -= half;
+  }
+  return v + (static_cast<double>(*v) < bound);
+}
+
+/// Where a node's run starts: its children's boxes in the node columns or,
+/// for a leaf, its entries in the leaf columns. A leaf also keeps its entry
+/// count and its widest expanded x-extent, rounded up, which sets the start
+/// of a probe's x-window.
+struct NodeRun {
+  uint32_t begin = 0;
+  uint32_t count = 0;
+  double max_width = 0.0;
 };
 
 /// A B object in a probe group. Its box travels with it, so each level
@@ -76,12 +226,23 @@ struct ItemOutput {
   JoinStats stats;
 };
 
+/// One probe lane's buffers, one slot per tree level: slot d holds the
+/// survivors entering depth d (slot 0 the gathered group) and, for the
+/// group probed at depth d, one bitset over its members per child.
+struct LaneScratch {
+  std::vector<std::vector<Probe>> groups;
+  std::vector<std::vector<uint64_t>> hit_by;
+};
+
 struct TouchContext {
   const JoinInput* a;
   const JoinInput* b;
   const rtree::RTree* tree;
-  const std::vector<geom::Aabb>* node_expanded;  // node MBRs + epsilon
-  const std::vector<LeafIndex>* leaves;          // indexed by node id
+  geom::Aabb root_box;               // the root's MBR + epsilon
+  const std::vector<NodeRun>* runs;  // indexed by node id
+  ColumnView children;               // node MBRs + epsilon
+  ColumnView entries;                // leaf entries + epsilon, by min.x
+  const uint32_t* positions;         // A position of each entry slot
   const JoinOptions* options;
 };
 
@@ -97,11 +258,6 @@ struct MemoryLedger {
   }
   void Release(uint64_t bytes) { live -= bytes; }
 };
-
-template <typename T>
-uint64_t Bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
 
 void AddCounters(const JoinStats& from, JoinStats* to) {
   to->mbr_tests += from.mbr_tests;
@@ -142,91 +298,147 @@ Status ForEachItem(size_t items, size_t team,
 /// empty space.
 int32_t Assign(const TouchContext& ctx, const geom::Aabb& bj,
                JoinStats* stats) {
-  const std::vector<geom::Aabb>& expanded = *ctx.node_expanded;
   int32_t cur = ctx.tree->root();
   // Check the root itself first: B objects outside A's space are dead.
   ++stats->node_tests;
-  if (!expanded[cur].Intersects(bj)) {
+  if (!ctx.root_box.Intersects(bj)) {
     ++stats->filtered;
     return kFiltered;
   }
+  const Box4 q(bj);
   for (;;) {
     const rtree::RTree::Node& n = ctx.tree->node(cur);
     if (n.IsLeaf()) return cur;
-    int32_t matched = -1;
-    int matches = 0;
-    for (int32_t child : n.children) {
-      ++stats->node_tests;
-      if (expanded[child].Intersects(bj)) {
-        ++matches;
-        matched = child;
-        if (matches > 1) break;
+    const uint32_t begin = (*ctx.runs)[cur].begin;
+    const size_t count = n.children.size();
+    size_t matched = count;
+    for (size_t k = 0; k < count; k += 4) {
+      unsigned hits = Bits(Overlap4(ctx.children, begin + k, q));
+      if (hits == 0) continue;
+      if (matched == count) {
+        matched = k + std::countr_zero(hits);
+        hits &= hits - 1;
+        if (hits == 0) continue;
       }
+      // Overlaps several partitions: bucket here. The children after the
+      // second match are not counted as tested.
+      stats->node_tests += k + std::countr_zero(hits) + 1;
+      return cur;
     }
-    if (matches == 0) {
+    stats->node_tests += count;
+    if (matched == count) {
       // Empty space between the children's partitions: filtered.
       ++stats->filtered;
       return kFiltered;
     }
-    // Overlaps several partitions: bucket here.
-    if (matches > 1) return cur;
-    cur = matched;
+    cur = n.children[matched];
   }
 }
 
-/// Join `group` against the subtree at `node_id`. `scratch` provides one
-/// survivor buffer per tree level; `depth` is the first one this call may
-/// use.
-void ProbeGroup(const TouchContext& ctx, int32_t node_id,
-                const std::vector<Probe>& group,
-                std::vector<std::vector<Probe>>* scratch, size_t depth,
-                ItemOutput* out) {
-  const rtree::RTree::Node& n = ctx.tree->node(node_id);
-  JoinStats* stats = &out->stats;
-
-  if (n.IsLeaf()) {
-    const bool refine = ctx.a->HasGeometry() && ctx.b->HasGeometry();
-    const LeafIndex& leaf = (*ctx.leaves)[node_id];
-    const size_t entries = leaf.boxes.size();
-    for (const Probe& p : group) {
-      // x-window: entries sorted by min.x can only intersect p.box if their
-      // min.x lies in [p.box.min.x - widest extent, p.box.max.x].
-      const float lo = p.box.min.x - leaf.max_width;
-      size_t k = std::lower_bound(leaf.boxes.begin(), leaf.boxes.end(), lo,
-                                  [](const geom::Aabb& box, float v) {
-                                    return box.min.x < v;
-                                  }) -
-                 leaf.boxes.begin();
-      for (; k < entries && leaf.boxes[k].min.x <= p.box.max.x; ++k) {
-        ++stats->mbr_tests;
-        if (!leaf.boxes[k].Intersects(p.box)) continue;
-        uint32_t i = leaf.positions[k];
+/// Join `group` against the entries of `leaf`.
+void ProbeLeaf(const TouchContext& ctx, const NodeRun& leaf,
+               const std::vector<Probe>& group, JoinStats* stats,
+               std::vector<JoinPair>* pairs) {
+  const bool refine = ctx.a->HasGeometry() && ctx.b->HasGeometry();
+  const double epsilon = static_cast<double>(ctx.options->epsilon);
+  const ColumnView entries = ctx.entries;
+  const uint32_t* positions = ctx.positions;
+  const size_t padded_end = leaf.begin + RoundUp4(leaf.count);
+  uint64_t mbr_tests = 0;
+  uint64_t refine_tests = 0;
+  for (const Probe& p : group) {
+    // x-window: entries sorted by min.x can only intersect p.box if their
+    // min.x lies in [p.box.min.x - widest extent, p.box.max.x].
+    const double lo = SubDown(p.box.min.x, leaf.max_width);
+    const size_t first = LowerBound(entries.min_x + leaf.begin, leaf.count,
+                                    lo) -
+                         entries.min_x;
+    const Box4 q(p.box);
+    size_t last = padded_end;
+    // The lanes before `first` lie outside the window.
+    unsigned keep = (0xFu << (first % 4)) & 0xF;
+    for (size_t k = first - first % 4; k < padded_end; k += 4, keep = 0xF) {
+      // Bits 0-3: the lanes that hit; bit 4: the last lane starts by
+      // p.box.max.x.
+      const V4i starts = Load4(entries.min_x + k) <= q.max_x;
+      const unsigned lanes = OrLanes((Overlap4(entries, k, q) &
+                                      V4i{1, 2, 4, 8}) |
+                                     (starts & V4i{0, 0, 0, 16}));
+      for (unsigned hits = lanes & keep; hits != 0; hits &= hits - 1) {
+        const uint32_t i = positions[k + std::countr_zero(hits)];
         if (refine) {
-          ++stats->refine_tests;
+          ++refine_tests;
           if (geom::CapsuleDistance(ctx.a->segments[i],
-                                    ctx.b->segments[p.j]) >
-              static_cast<double>(ctx.options->epsilon)) {
+                                    ctx.b->segments[p.j]) > epsilon) {
             continue;
           }
         }
-        out->pairs.push_back(JoinPair{ctx.a->ids[i], ctx.b->ids[p.j]});
+        pairs->push_back(JoinPair{ctx.a->ids[i], ctx.b->ids[p.j]});
+      }
+      // The entries that start by p.box.max.x are a prefix of the run, so
+      // a lane that starts later (or padding) ends the window.
+      if ((lanes & 16) == 0) {
+        last = k + std::countr_one(Bits(starts));
+        break;
       }
     }
+    mbr_tests += last - first;
+  }
+  stats->mbr_tests += mbr_tests;
+  stats->refine_tests += refine_tests;
+}
+
+/// Join `group` against the subtree at `node_id`. `scratch` provides one
+/// survivor buffer and one bitset buffer per tree level; `depth` is the
+/// first level this call may use.
+void ProbeGroup(const TouchContext& ctx, int32_t node_id,
+                const std::vector<Probe>& group, LaneScratch* scratch,
+                size_t depth, JoinStats* stats, std::vector<JoinPair>* pairs) {
+  const rtree::RTree::Node& n = ctx.tree->node(node_id);
+  const NodeRun& run = (*ctx.runs)[node_id];
+  if (n.IsLeaf()) {
+    ProbeLeaf(ctx, run, group, stats, pairs);
     return;
   }
 
+  const ColumnView children = ctx.children;
+  const size_t count = n.children.size();
+  stats->node_tests += count * group.size();
   // `scratch` is pre-sized to the tree height by the caller; resizing here
-  // would invalidate the survivor buffers of shallower recursion levels.
-  std::vector<Probe>& survivors = (*scratch)[depth];
-  for (int32_t child : n.children) {
-    const geom::Aabb& child_box = (*ctx.node_expanded)[child];
-    survivors.clear();
-    for (const Probe& p : group) {
-      ++stats->node_tests;
-      if (child_box.Intersects(p.box)) survivors.push_back(p);
+  // would invalidate the buffers of shallower recursion levels.
+  std::vector<Probe>& survivors = scratch->groups[depth];
+  std::vector<uint64_t>& hit_by = scratch->hit_by[depth];
+  const size_t words = (group.size() + 63) / 64;
+  for (size_t block = 0; block < count; block += kMaskBits) {
+    // Each member tests the block's children once; bit m of child c's
+    // bitset (words [c * words, (c + 1) * words)) says member m meets it.
+    const size_t width = std::min(kMaskBits, count - block);
+    hit_by.assign(width * words, 0);
+    uint64_t reached = 0;
+    for (size_t m = 0; m < group.size(); ++m) {
+      const Box4 q(group[m].box);
+      uint64_t mask = 0;
+      for (size_t k = 0; k < width; k += 4) {
+        mask |= uint64_t{Bits(Overlap4(children, run.begin + block + k, q))}
+                << k;
+      }
+      reached |= mask;
+      for (; mask != 0; mask &= mask - 1) {
+        hit_by[std::countr_zero(mask) * words + m / 64] |= uint64_t{1}
+                                                           << (m % 64);
+      }
     }
-    if (!survivors.empty()) {
-      ProbeGroup(ctx, child, survivors, scratch, depth + 1, out);
+    for (; reached != 0; reached &= reached - 1) {
+      const size_t c = std::countr_zero(reached);
+      survivors.clear();
+      for (size_t w = 0; w < words; ++w) {
+        for (uint64_t bits = hit_by[c * words + w]; bits != 0;
+             bits &= bits - 1) {
+          survivors.push_back(group[w * 64 + std::countr_zero(bits)]);
+        }
+      }
+      ProbeGroup(ctx, n.children[block + c], survivors, scratch, depth + 1,
+                 stats, pairs);
     }
   }
 }
@@ -264,41 +476,73 @@ Result<JoinResult> TouchJoin(const JoinInput& a, const JoinInput& b,
   memory.Release(Bytes(elems_a));
   geom::ElementVec().swap(elems_a);
 
-  // Epsilon-expanded node MBRs, computed once: the prune test of both the
-  // assignment and the probe phases. Leaf entries additionally get a
-  // min.x-sorted expanded-box array for the local sweep.
-  std::vector<geom::Aabb> node_expanded(tree.NumNodes());
-  std::vector<LeafIndex> leaves(tree.NumNodes());
-  for (size_t id = 0; id < tree.NumNodes(); ++id) {
+  // Epsilon-expanded boxes, computed once: each internal node's children
+  // (the prune test of both the assignment and the probe phases) and each
+  // leaf's entries, sorted by min.x for the local sweep.
+  const size_t num_nodes = tree.NumNodes();
+  size_t child_slots = 0;
+  size_t entry_slots = 0;
+  for (size_t id = 0; id < num_nodes; ++id) {
     const rtree::RTree::Node& n = tree.node(static_cast<int32_t>(id));
-    node_expanded[id] = n.bounds.Expanded(options.epsilon);
-    if (!n.IsLeaf()) continue;
-    LeafIndex& leaf = leaves[id];
+    if (n.IsLeaf()) {
+      entry_slots += RoundUp4(n.entries.size());
+    } else {
+      child_slots += RoundUp4(n.children.size());
+    }
+  }
+  std::vector<NodeRun> runs(num_nodes);
+  BoxColumns children;
+  BoxColumns entries;
+  std::vector<uint32_t> positions;
+  children.Reserve(child_slots);
+  entries.Reserve(entry_slots);
+  positions.reserve(entry_slots);
+  for (size_t id = 0; id < num_nodes; ++id) {
+    const rtree::RTree::Node& n = tree.node(static_cast<int32_t>(id));
+    NodeRun& run = runs[id];
+    if (!n.IsLeaf()) {
+      run.begin = static_cast<uint32_t>(children.size());
+      for (int32_t child : n.children) {
+        children.Append(tree.node(child).bounds.Expanded(options.epsilon));
+      }
+      children.Pad();
+      continue;
+    }
     std::vector<uint32_t> order(n.entries.size());
     for (uint32_t k = 0; k < n.entries.size(); ++k) order[k] = k;
     std::sort(order.begin(), order.end(), [&](uint32_t x, uint32_t y) {
       return n.entries[x].bounds.min.x < n.entries[y].bounds.min.x;
     });
-    leaf.boxes.reserve(order.size());
-    leaf.positions.reserve(order.size());
+    run.begin = static_cast<uint32_t>(entries.size());
+    run.count = static_cast<uint32_t>(order.size());
     for (uint32_t k : order) {
-      geom::Aabb expanded = n.entries[k].bounds.Expanded(options.epsilon);
-      leaf.max_width =
-          std::max(leaf.max_width, expanded.max.x - expanded.min.x);
-      leaf.boxes.push_back(expanded);
-      leaf.positions.push_back(static_cast<uint32_t>(n.entries[k].id));
+      const geom::Aabb expanded =
+          n.entries[k].bounds.Expanded(options.epsilon);
+      // max.x - min.x rounded up.
+      run.max_width =
+          std::max(run.max_width, -SubDown(expanded.min.x, expanded.max.x));
+      entries.Append(expanded);
+      positions.push_back(static_cast<uint32_t>(n.entries[k].id));
     }
+    entries.Pad();
+    positions.resize(entries.size(), 0);
   }
-  memory.Hold(Bytes(node_expanded) + Bytes(leaves));
-  for (const LeafIndex& leaf : leaves) {
-    memory.Hold(Bytes(leaf.boxes) + Bytes(leaf.positions));
-  }
+  memory.Hold(Bytes(runs) + children.MemoryBytes() + entries.MemoryBytes() +
+              Bytes(positions));
   out.stats.build_ns = build.ElapsedNanos();
 
   // Phase 2: hierarchical assignment of B (with empty-space filtering),
   // one independent descent per object.
   Timer assign;
-  const TouchContext ctx{&a, &b, &tree, &node_expanded, &leaves, &options};
+  const TouchContext ctx{&a,
+                         &b,
+                         &tree,
+                         tree.node(tree.root()).bounds.Expanded(options.epsilon),
+                         &runs,
+                         ColumnView(children),
+                         ColumnView(entries),
+                         positions.data(),
+                         &options};
   std::unique_ptr<exec::ThreadPool> pool;
   std::vector<int32_t> node_of(b.size());
   memory.Hold(Bytes(node_of));
@@ -308,16 +552,17 @@ Result<JoinResult> TouchJoin(const JoinInput& a, const JoinInput& b,
       assign_items, TeamSize(assign_items), &pool,
       [&](size_t item, size_t /*lane*/) {
         const size_t end = std::min(b.size(), (item + 1) * kChunk);
+        JoinStats stats;
         for (size_t j = item * kChunk; j < end; ++j) {
-          node_of[j] = Assign(ctx, b.boxes[j], &assign_stats[item]);
+          node_of[j] = Assign(ctx, b.boxes[j], &stats);
         }
+        assign_stats[item] = stats;
       }));
   for (const JoinStats& stats : assign_stats) AddCounters(stats, &out.stats);
 
   // Counting sort of B by bucket: bucket n is bucketed[offsets[n],
   // offsets[n + 1]), in B order. offsets[n] first counts, then (prefix
   // sums) ends, and the backwards fill leaves it at the bucket's start.
-  const size_t num_nodes = tree.NumNodes();
   std::vector<uint32_t> offsets(num_nodes + 1, 0);
   for (int32_t node : node_of) {
     if (node != kFiltered) ++offsets[node];
@@ -347,28 +592,38 @@ Result<JoinResult> TouchJoin(const JoinInput& a, const JoinInput& b,
     }
   }
   std::vector<ItemOutput> outputs(items.size());
-  // Per lane: slot 0 holds the gathered group and slot d the survivors
-  // entering depth d. A group never exceeds kChunk objects, so one
-  // reservation bounds every slot for the whole probe.
+  // A group never exceeds kChunk objects, so one reservation bounds every
+  // slot for the whole probe.
   const size_t team = TeamSize(items.size());
   const size_t group_capacity = std::min(kChunk, bucketed.size());
-  std::vector<std::vector<std::vector<Probe>>> scratch(
-      team, std::vector<std::vector<Probe>>(tree.Height()));
-  for (auto& lane : scratch) {
-    for (std::vector<Probe>& slot : lane) slot.reserve(group_capacity);
+  const size_t height = static_cast<size_t>(tree.Height());
+  const size_t bitset_words =
+      std::min(options.touch_fanout, kMaskBits) * ((group_capacity + 63) / 64);
+  std::vector<LaneScratch> scratch(team);
+  for (LaneScratch& lane : scratch) {
+    lane.groups.resize(height);
+    lane.hit_by.resize(height);
+    for (std::vector<Probe>& slot : lane.groups) slot.reserve(group_capacity);
+    for (std::vector<uint64_t>& slot : lane.hit_by) {
+      slot.reserve(bitset_words);
+    }
   }
   const uint64_t scratch_bytes =
-      team * tree.Height() * group_capacity * sizeof(Probe);
+      team * height *
+      (group_capacity * sizeof(Probe) + bitset_words * sizeof(uint64_t));
   memory.Hold(Bytes(items) + Bytes(outputs) + scratch_bytes);
   NEURODB_RETURN_NOT_OK(ForEachItem(
       items.size(), team, &pool, [&](size_t i, size_t lane) {
         const ProbeItem& item = items[i];
-        std::vector<Probe>& group = scratch[lane][0];
+        std::vector<Probe>& group = scratch[lane].groups[0];
         group.clear();
         for (uint32_t k = item.begin; k < item.end; ++k) {
           group.push_back(Probe{b.boxes[bucketed[k]], bucketed[k]});
         }
-        ProbeGroup(ctx, item.node, group, &scratch[lane], 1, &outputs[i]);
+        JoinStats stats;
+        ProbeGroup(ctx, item.node, group, &scratch[lane], 1, &stats,
+                   &outputs[i].pairs);
+        outputs[i].stats = stats;
       }));
 
   // Merge in item order. Every item's pairs are still held while out.pairs

@@ -81,6 +81,23 @@ TEST_P(JoinMethodTest, EpsilonZeroMeansBoxIntersection) {
   EXPECT_EQ(Sorted(result->pairs), expected);
 }
 
+// A box straddling x = 0 whose width rounds down in float: a leaf window
+// start computed as float(b.min.x - float(width)) lands one ulp above the
+// box's min.x and skips the touching pair.
+TEST_P(JoinMethodTest, FindsTouchingPairAcrossFloatRounding) {
+  geom::ElementVec ea = {{1, Aabb(Vec3(-2.91489005f, 0, 0),
+                                  Vec3(4.98592424f, 1, 1))}};
+  geom::ElementVec eb = {{2, Aabb(Vec3(4.98592424f, 0, 0),
+                                  Vec3(5.98592424f, 1, 1))}};
+  JoinOptions options;
+  options.epsilon = 0.0f;
+  auto result = RunJoin(GetParam(), JoinInput::FromElements(ea),
+                        JoinInput::FromElements(eb), options);
+  ASSERT_TRUE(result.ok());
+  std::vector<JoinPair> expected = {{1, 2}};
+  EXPECT_EQ(result->pairs, expected) << JoinMethodName(GetParam());
+}
+
 TEST_P(JoinMethodTest, RefinementPrunesCornerPairs) {
   // Two orthogonal segments whose boxes overlap but whose capsules stay
   // farther apart than epsilon: the filter passes, refinement must reject.
@@ -185,12 +202,23 @@ TEST(JoinOptionsTest, ValidationRules) {
   JoinOptions bad = ok;
   bad.epsilon = -1.0f;
   EXPECT_FALSE(bad.Validate().ok());
-  bad = ok;
-  bad.touch_fanout = 1;
-  EXPECT_FALSE(bad.Validate().ok());
-  bad = ok;
-  bad.touch_leaf = 0;
-  EXPECT_FALSE(bad.Validate().ok());
+  // TOUCH's STR tree needs a fanout of at least 4 and leaves of at least 2
+  // entries; validation must reject what TouchJoin would.
+  for (size_t fanout : {0, 1, 2, 3}) {
+    bad = ok;
+    bad.touch_fanout = fanout;
+    EXPECT_TRUE(bad.Validate().IsInvalidArgument()) << "fanout " << fanout;
+  }
+  for (size_t leaf : {0, 1}) {
+    bad = ok;
+    bad.touch_leaf = leaf;
+    EXPECT_TRUE(bad.Validate().IsInvalidArgument()) << "leaf " << leaf;
+  }
+  JoinOptions smallest = ok;
+  smallest.touch_fanout = 4;
+  smallest.touch_leaf = 2;
+  EXPECT_TRUE(smallest.Validate().ok());
+  EXPECT_TRUE(TouchJoin(TinyA(), TinyB(), smallest).ok());
 }
 
 TEST(TouchJoinTest, FiltersObjectsInEmptySpace) {
