@@ -24,6 +24,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "IOError";
     case StatusCode::kAlreadyExists:
       return "AlreadyExists";
+    case StatusCode::kFailedPrecondition:
+      return "FailedPrecondition";
   }
   return "Unknown";
 }

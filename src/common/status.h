@@ -25,6 +25,7 @@ enum class StatusCode : int {
   kInternal = 7,
   kIOError = 8,
   kAlreadyExists = 9,
+  kFailedPrecondition = 10,
 };
 
 /// Human-readable name of a StatusCode ("OK", "InvalidArgument", ...).
@@ -67,6 +68,10 @@ class Status {
   static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));
   }
+  /// The request is valid, but the engine's state no longer allows it.
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -83,6 +88,9 @@ class Status {
   bool IsInternal() const { return code_ == StatusCode::kInternal; }
   bool IsIOError() const { return code_ == StatusCode::kIOError; }
   bool IsAlreadyExists() const { return code_ == StatusCode::kAlreadyExists; }
+  bool IsFailedPrecondition() const {
+    return code_ == StatusCode::kFailedPrecondition;
+  }
 
   /// "OK" or "<CodeName>: <message>".
   std::string ToString() const;

@@ -379,6 +379,7 @@ Result<UpdateReport> QueryEngine::ApplyValidatedLocked(
     live_.Apply(update);
     ++report.applied;
   }
+  committed_since_load_ = true;
 
   // ONE immutable version at the new epoch, then the epoch: readers that
   // pinned `next - 1` keep their version, readers arriving after the epoch
@@ -1640,6 +1641,11 @@ Result<scout::SessionResult> QueryEngine::Execute(
 Result<touch::JoinResult> QueryEngine::Execute(const JoinRequest& request) {
   NEURODB_RETURN_NOT_OK(RequireLoaded("Execute"));
   NEURODB_RETURN_NOT_OK(RequireGeometry("Execute(JoinRequest)"));
+  if (committed_since_load_) {
+    return Status::FailedPrecondition(
+        "QueryEngine::Execute(JoinRequest): a batch has committed since "
+        "LoadCircuit, and joins read the load's segment geometry");
+  }
   NEURODB_RETURN_NOT_OK(request.options.Validate());
   Timer wall;
   NEURODB_ASSIGN_OR_RETURN(

@@ -306,19 +306,22 @@ size_t Session::PrepopulateCache(size_t budget) {
 
     // The entry is complete only if every page is resident now; if one got
     // evicted under pool pressure, skip the insert.
-    std::vector<const storage::Page*> resident;
+    std::vector<std::shared_ptr<const storage::Page>> resident;
     resident.reserve(pages.size());
     for (uint32_t page : pages) {
-      const storage::Page* data = pool_->Peek(index_->PageAt(page));
+      std::shared_ptr<const storage::Page> data =
+          pool_->Peek(index_->PageAt(page));
       if (data == nullptr) break;
-      resident.push_back(data);
+      resident.push_back(std::move(data));
     }
     if (resident.size() != pages.size()) continue;
     // Most predictions are never used, so the entry is scanned only when a
-    // plan picks it. Store pages stay put until the layout epoch moves (and
-    // RunStep drops unscanned entries when it does); the pinned delta is the
-    // one this step answered at, so the scan yields the answer at this
-    // step's epoch, which update-log invalidation keeps current.
+    // plan picks it. Its handles keep the pages alive after the pool evicts
+    // them; an in-memory store's handles alias pages that stay put until
+    // the layout epoch moves (and RunStep drops unscanned entries when it
+    // does). The pinned delta is the one this step answered at, so the scan
+    // yields the answer at this step's epoch, which update-log invalidation
+    // keeps current.
     cache_->InsertUnscanned(
         box, [pages = std::move(resident), delta = snap_.delta,
               store = store_, epoch = store_epoch_at_open_](
@@ -327,7 +330,7 @@ size_t Session::PrepopulateCache(size_t budget) {
             return Status::Internal(
                 "Session: a predicted cache entry outlived its page layout");
           }
-          for (const storage::Page* page : pages) {
+          for (const std::shared_ptr<const storage::Page>& page : pages) {
             for (const geom::SpatialElement& e : page->elements) {
               if (e.bounds.Intersects(scan_box)) out->push_back(e);
             }

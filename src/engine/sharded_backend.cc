@@ -314,11 +314,5 @@ BackendStats ShardedBackend::Stats() const {
   return stats;
 }
 
-uint64_t ShardedBackend::TotalStoreReads() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->store()->NumReads();
-  return total;
-}
-
 }  // namespace engine
 }  // namespace neurodb

@@ -122,10 +122,6 @@ class ShardedBackend : public SpatialBackend {
   /// AND the population must be non-zero. Exposed for tests.
   std::vector<size_t> SelectShards(const geom::Aabb& box) const;
 
-  /// Raw page reads summed over every shard's PageStore — the per-shard
-  /// I/O aggregation the scaling benchmarks report.
-  uint64_t TotalStoreReads() const;
-
  protected:
   /// The first build splits `elements` into min(num_shards, |elements|)
   /// shards (one empty shard for an empty set) and builds one inner

@@ -24,7 +24,6 @@ size_t BufferPool::DropAll() {
   const size_t dropped = map_.size();
   lru_.clear();
   map_.clear();
-  prefetched_pending_.clear();
   return dropped;
 }
 
@@ -41,26 +40,34 @@ void BufferPool::RefreshIfStale() {
   store_epoch_ = current;
 }
 
-bool BufferPool::Admit(PageId id, PoolCounters* tally) {
-  if (map_.find(id) != map_.end()) return false;
+BufferPool::Entry* BufferPool::Admit(PageId id,
+                                     std::shared_ptr<const Page> page,
+                                     PoolCounters* tally) {
+  if (map_.find(id) != map_.end()) return nullptr;
   while (map_.size() >= capacity_) {
-    const PageId victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    if (prefetched_pending_.erase(victim) > 0) {
+    const Entry& victim = lru_.back();
+    if (victim.prefetched) {
       // Prefetched but evicted before ever being used.
       ++counters_.prefetch_evicted_unused;
     }
+    map_.erase(victim.id);
+    lru_.pop_back();
     ++counters_.evictions;
     if (tally != nullptr) ++tally->evictions;
   }
-  lru_.push_front(id);
+  lru_.push_front(Entry{id, std::move(page), false});
   map_.emplace(id, lru_.begin());
-  return true;
+  return &lru_.front();
 }
 
-Result<const Page*> BufferPool::Fetch(PageId id, PoolCounters* tally) {
-  bool hit = false;
+void BufferPool::Use(Entry& entry) {
+  if (!entry.prefetched) return;
+  entry.prefetched = false;
+  ++counters_.prefetch_used;
+}
+
+Result<std::shared_ptr<const Page>> BufferPool::Fetch(PageId id,
+                                                      PoolCounters* tally) {
   {
     std::unique_lock<std::mutex> lock = Latch();
     RefreshIfStale();
@@ -70,38 +77,32 @@ Result<const Page*> BufferPool::Fetch(PageId id, PoolCounters* tally) {
       lru_.splice(lru_.begin(), lru_, it->second);
       ++counters_.hits;
       if (tally != nullptr) ++tally->hits;
-      if (prefetched_pending_.erase(id) > 0) ++counters_.prefetch_used;
-      hit = true;
+      Use(*it->second);
+      std::shared_ptr<const Page> page = it->second->page;
+      lock.unlock();
+      Charge(cost_.page_hit_micros);
+      return page;
     }
   }
-  auto page = store_->Read(id);
-  if (hit) {
-    Charge(cost_.page_hit_micros);
-    return page;
-  }
-  if (!page.ok()) return page.status();
+  NEURODB_ASSIGN_OR_RETURN(std::shared_ptr<const Page> page, store_->Read(id));
   {
     std::unique_lock<std::mutex> lock = Latch();
     ++counters_.misses;
     if (tally != nullptr) ++tally->misses;
     // A concurrent Fetch or Prefetch may have admitted the page while we
     // read it: both went to the store, and this demand uses the page.
-    if (!Admit(id, tally) && prefetched_pending_.erase(id) > 0) {
-      ++counters_.prefetch_used;
-    }
+    if (Admit(id, page, tally) == nullptr) Use(*map_.find(id)->second);
   }
   Charge(cost_.page_read_micros);
   return page;
 }
 
-const Page* BufferPool::Peek(PageId id) {
-  {
-    std::unique_lock<std::mutex> lock = Latch();
-    // Peek must not hand out a page cached from a pre-Reset layout.
-    RefreshIfStale();
-    if (map_.find(id) == map_.end()) return nullptr;
-  }
-  return store_->Peek(id);
+std::shared_ptr<const Page> BufferPool::Peek(PageId id) {
+  std::unique_lock<std::mutex> lock = Latch();
+  // Peek must not hand out a page cached from a pre-Reset layout.
+  RefreshIfStale();
+  auto it = map_.find(id);
+  return it != map_.end() ? it->second->page : nullptr;
 }
 
 Status BufferPool::Prefetch(PageId id, PoolCounters* tally) {
@@ -113,15 +114,15 @@ Status BufferPool::Prefetch(PageId id, PoolCounters* tally) {
       return Status::OK();
     }
   }
-  auto page = store_->Read(id);
-  if (!page.ok()) return page.status();
+  NEURODB_ASSIGN_OR_RETURN(std::shared_ptr<const Page> page, store_->Read(id));
   std::unique_lock<std::mutex> lock = Latch();
-  if (!Admit(id, tally)) {
+  Entry* entry = Admit(id, std::move(page), tally);
+  if (entry == nullptr) {
     // A concurrent fetch brought the page in while we read it.
     ++counters_.prefetch_redundant;
     return Status::OK();
   }
-  prefetched_pending_.insert(id);
+  entry->prefetched = true;
   ++counters_.prefetch_issued;
   return Status::OK();
 }

@@ -1,5 +1,13 @@
-// NeuroDB — BufferPool: LRU page cache with prefetch accounting and a
+// NeuroDB — BufferPool: the LRU page cache, with prefetch accounting and a
 // simulated time model.
+//
+// The pool is the only page cache. Each LRU entry holds the page's handle
+// (a std::shared_ptr<const Page>, as the store's Read returned it), so a
+// hit never calls into the store, and a miss is exactly one store Read —
+// on a DiskPageStore, one device read and one decode. `capacity_pages`
+// bounds the decoded pages the pool keeps. Fetch and Peek hand out copies
+// of the handle: a page evicted while a reader still scans it lives until
+// that reader drops its copy.
 //
 // A demand fetch charges its hit or miss — and any eviction it causes — to
 // the caller's tally (PoolCounters), and, when a SimClock is attached,
@@ -10,19 +18,18 @@
 // used, reproducing the demo's "prefetched total / correctly prefetched /
 // additionally retrieved" panel (paper Figure 6).
 //
-// Thread safety: one latch guards the LRU list and its map, the prefetch
-// set and the counters, so any number of readers may share a pool. Page
-// memory lives in the PageStore; the latch guards only this bookkeeping and
-// is never held across a store read.
+// Thread safety: one latch guards the LRU list and its map, the entries'
+// prefetch flags and the counters, so any number of readers may share a
+// pool. The latch is never held across a store read.
 
 #ifndef NEURODB_STORAGE_BUFFER_POOL_H_
 #define NEURODB_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/result.h"
 #include "common/sim_clock.h"
@@ -61,8 +68,10 @@ class BufferPool {
   /// Demand-fetch a page. On miss: reads from the store, charges
   /// `cost.page_read_micros` to the clock, possibly evicts the LRU page.
   /// On hit: charges `cost.page_hit_micros`. The hit or miss, and every
-  /// eviction it causes, is also added to `tally` (may be null).
-  Result<const Page*> Fetch(PageId id, PoolCounters* tally = nullptr);
+  /// eviction it causes, is also added to `tally` (may be null). The
+  /// handle keeps the page alive however long the caller holds it.
+  Result<std::shared_ptr<const Page>> Fetch(PageId id,
+                                            PoolCounters* tally = nullptr);
 
   /// Load a page into the pool without charging the demand clock. Marks it
   /// as prefetched; a later demand Fetch of the page counts as
@@ -73,11 +82,11 @@ class BufferPool {
   /// True if the page is currently cached.
   bool Contains(PageId id) const;
 
-  /// The page if (and only if) it is currently cached, else nullptr. Does
-  /// not touch the LRU order, the counters or the clock — the think-time
-  /// result-prefetch path evaluates predicted queries over already-resident
-  /// pages without perturbing the demand model.
-  const Page* Peek(PageId id);
+  /// The page's handle if (and only if) it is currently cached, else null.
+  /// Does not touch the LRU order, the counters or the clock — the
+  /// think-time result-prefetch path evaluates predicted queries over
+  /// already-resident pages without perturbing the demand model.
+  std::shared_ptr<const Page> Peek(PageId id);
 
   /// Drop every cached page (cold cache); prefetch markers are cleared
   /// too. Returns the number of pages dropped.
@@ -96,6 +105,14 @@ class BufferPool {
   BufferPoolCounters Counters() const;
 
  private:
+  /// One cached page.
+  struct Entry {
+    PageId id = kInvalidPageId;
+    std::shared_ptr<const Page> page;
+    /// Brought in by Prefetch and not yet demanded.
+    bool prefetched = false;
+  };
+
   /// Acquire the latch, counting the acquisition in latch_waits when
   /// another thread held it.
   std::unique_lock<std::mutex> Latch() const;
@@ -103,10 +120,13 @@ class BufferPool {
   /// Forget every cached page; returns how many there were.
   size_t DropAll();
   void RefreshIfStale();
-  /// Admit `id` as the most recently used page, evicting LRU pages to make
-  /// room (charged to `tally`). Returns false, touching nothing, when the
-  /// page is already cached.
-  bool Admit(PageId id, PoolCounters* tally);
+  /// Admit `page` as the most recently used entry, evicting LRU pages to
+  /// make room (charged to `tally`). Returns null, touching nothing, when
+  /// the page is already cached.
+  Entry* Admit(PageId id, std::shared_ptr<const Page> page,
+               PoolCounters* tally);
+  /// A demand use of `entry`: counts a pending prefetch as used.
+  void Use(Entry& entry);
   void Charge(uint64_t micros) const {
     if (clock_ != nullptr) clock_->Advance(micros);
   }
@@ -122,10 +142,8 @@ class BufferPool {
   /// Store epoch the cached pages were read at (see store_epoch()).
   Epoch store_epoch_ = 0;
   // Front = most recently used.
-  std::list<PageId> lru_;
-  std::unordered_map<PageId, std::list<PageId>::iterator> map_;
-  // Pages brought in by Prefetch() and not yet demanded.
-  std::unordered_set<PageId> prefetched_pending_;
+  std::list<Entry> lru_;
+  std::unordered_map<PageId, std::list<Entry>::iterator> map_;
   mutable BufferPoolCounters counters_;
 };
 

@@ -44,67 +44,28 @@ Status DiskPageStore::Write(PageId id,
                               std::to_string(id) + " >= " +
                               std::to_string(num_pages_));
   }
-  NEURODB_RETURN_NOT_OK(file_->WritePage(id, EncodePageImage(id, elements)));
-  CountWrite();
-  // Invalidate any cached frame: the next Read pays a genuine device read.
-  std::lock_guard<std::mutex> lock(mu_);
-  frames_.erase(id);
-  return Status::OK();
+  return file_->WritePage(id, EncodePageImage(id, elements));
 }
 
-Result<const Page*> DiskPageStore::Read(PageId id) const {
+Result<std::shared_ptr<const Page>> DiskPageStore::Read(PageId id) const {
   if (id >= num_pages_) {
     return Status::OutOfRange("DiskPageStore::Read: page id " +
                               std::to_string(id) + " >= " +
                               std::to_string(num_pages_));
   }
-  CountRead();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find(id);
-  if (it != frames_.end()) return const_cast<const Page*>(it->second.get());
-  auto frame = std::make_unique<Page>();
+  auto page = std::make_shared<Page>();
   if (file_->Contains(id)) {
-    auto image = file_->ReadPage(id);
-    NEURODB_RETURN_NOT_OK(image.status());
-    auto page = DecodePageImage(image->data(), image->size(), id);
-    NEURODB_RETURN_NOT_OK(page.status());
-    *frame = std::move(*page);
+    NEURODB_ASSIGN_OR_RETURN(std::vector<uint8_t> image, file_->ReadPage(id));
+    NEURODB_ASSIGN_OR_RETURN(*page,
+                             DecodePageImage(image.data(), image.size(), id));
   } else {
     // Allocated but never written: an empty page, like the in-memory store.
-    frame->id = id;
+    page->id = id;
   }
-  const Page* out = frame.get();
-  frames_[id] = std::move(frame);
-  return out;
-}
-
-const Page* DiskPageStore::Peek(PageId id) const {
-  if (id >= num_pages_) return nullptr;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = frames_.find(id);
-  if (it != frames_.end()) return it->second.get();
-  // Metadata-path access materializes the frame without ticking the raw
-  // read counter (the semantics of Peek); the device bytes still count.
-  auto frame = std::make_unique<Page>();
-  if (file_->Contains(id)) {
-    auto image = file_->ReadPage(id);
-    if (!image.ok()) return nullptr;
-    auto page = DecodePageImage(image->data(), image->size(), id);
-    if (!page.ok()) return nullptr;
-    *frame = std::move(*page);
-  } else {
-    frame->id = id;
-  }
-  const Page* out = frame.get();
-  frames_[id] = std::move(frame);
-  return out;
+  return std::shared_ptr<const Page>(std::move(page));
 }
 
 void DiskPageStore::Reset() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    frames_.clear();
-  }
   file_->Clear();
   num_pages_ = 0;
   BumpEpoch();

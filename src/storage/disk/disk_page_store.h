@@ -2,23 +2,18 @@
 // page file (the brepdb DiskStorageManager side of the split; the base
 // PageStore is the MemoryStorageManager side).
 //
-// Reads perform actual block I/O through PageFile the first time a page is
-// touched and decode the image into a heap-stable frame; the frame then
-// serves repeat Reads (BufferPool hits re-call Read and must not pay a
-// device read each time) until the next Write or Reset invalidates it.
-// Writes always hit the device (copy-on-write into fresh blocks) and drop
-// the frame, so a build-then-query workload measures genuine cold reads.
-// The raw NumReads/NumWrites counters tick exactly like the in-memory
-// store's — substituting a DiskPageStore must not shift any modeled
-// pages_read statistic — while io() reports the real bytes/fsyncs.
+// Every Read is one device read through PageFile: it decodes the page
+// image into a fresh Page and keeps nothing, so the handle it returns owns
+// the page. The BufferPool above is the only page cache — its capacity
+// bounds the decoded pages it holds, and each of its misses is exactly one
+// device read. Writes always hit the device (copy-on-write into fresh
+// blocks); io() reports the real bytes and fsyncs.
 
 #ifndef NEURODB_STORAGE_DISK_DISK_PAGE_STORE_H_
 #define NEURODB_STORAGE_DISK_DISK_PAGE_STORE_H_
 
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -49,8 +44,7 @@ class DiskPageStore : public PageStore {
 
   PageId Allocate() override;
   Status Write(PageId id, std::vector<geom::SpatialElement> elements) override;
-  Result<const Page*> Read(PageId id) const override;
-  const Page* Peek(PageId id) const override;
+  Result<std::shared_ptr<const Page>> Read(PageId id) const override;
   size_t NumPages() const override { return num_pages_; }
   size_t TotalBytes() const override { return file_->PayloadBytes(); }
   IoStats io() const override { return file_->io(); }
@@ -69,11 +63,6 @@ class DiskPageStore : public PageStore {
 
   std::unique_ptr<PageFile> file_;
   size_t num_pages_ = 0;
-
-  // Decoded page frames; pointers handed out by Read/Peek stay stable until
-  // the frame is invalidated (Write/Reset). Guarded for concurrent Reads.
-  mutable std::mutex mu_;
-  mutable std::unordered_map<PageId, std::unique_ptr<Page>> frames_;
 };
 
 }  // namespace storage

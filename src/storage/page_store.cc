@@ -16,17 +16,17 @@ Status PageStore::Write(PageId id, std::vector<geom::SpatialElement> elements) {
                               " >= " + std::to_string(pages_.size()));
   }
   pages_[id].elements = std::move(elements);
-  CountWrite();
   return Status::OK();
 }
 
-Result<const Page*> PageStore::Read(PageId id) const {
+Result<std::shared_ptr<const Page>> PageStore::Read(PageId id) const {
   if (id >= pages_.size()) {
     return Status::OutOfRange("PageStore::Read: page id " + std::to_string(id) +
                               " >= " + std::to_string(pages_.size()));
   }
-  CountRead();
-  return &pages_[id];
+  // An aliasing handle with no owner: it never touches a reference count.
+  return std::shared_ptr<const Page>(std::shared_ptr<const Page>(),
+                                     &pages_[id]);
 }
 
 size_t PageStore::TotalBytes() const {

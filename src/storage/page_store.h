@@ -1,21 +1,22 @@
 // NeuroDB — PageStore: the page-store seam.
 //
 // The base class is the in-memory implementation ("the simulated disk"):
-// it holds all pages of a dataset and counts raw I/O. storage/disk/
-// provides DiskPageStore, a subclass backed by a real page file with
-// block-level reads, writes and fsyncs. Access normally goes through a
-// BufferPool (buffer_pool.h) which adds caching, prefetch tracking and the
-// time model; the pool only sees the virtual interface, so every backend
-// works against either implementation. The raw read/write counters are
-// atomic: one store is read concurrently by the per-lane pools of a
-// parallel ExecuteBatch and by parallel shard queries, and the counters
-// must stay exact (and TSan-clean) under that load.
+// it holds all pages of a dataset. storage/disk/ provides DiskPageStore, a
+// subclass backed by a real page file with block-level reads, writes and
+// fsyncs. Access normally goes through a BufferPool (buffer_pool.h), the
+// one page cache: it keeps the handles Read returns, adds prefetch
+// tracking and the time model, and only sees the virtual interface, so
+// every backend works against either implementation. A store caches
+// nothing itself: the in-memory store's handles alias its own pages, and
+// a disk store decodes a fresh page on every Read.
 
 #ifndef NEURODB_STORAGE_PAGE_STORE_H_
 #define NEURODB_STORAGE_PAGE_STORE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/result.h"
@@ -55,24 +56,6 @@ class PageStore {
 
   PageStore(const PageStore&) = delete;
   PageStore& operator=(const PageStore&) = delete;
-  PageStore(PageStore&& other) noexcept
-      : pages_(std::move(other.pages_)),
-        reads_(other.reads_.load(std::memory_order_relaxed)),
-        writes_(other.writes_.load(std::memory_order_relaxed)),
-        epoch_(other.epoch_.load(std::memory_order_relaxed)) {}
-  PageStore& operator=(PageStore&& other) noexcept {
-    if (this == &other) return *this;
-    pages_ = std::move(other.pages_);
-    reads_.store(other.reads_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    writes_.store(other.writes_.load(std::memory_order_relaxed),
-                  std::memory_order_relaxed);
-    // The epoch never regresses: pools (and recovery, which reopens stores)
-    // rely on "epoch moved" <=> "layout may have changed", so assigning a
-    // younger store over an older one keeps the older epoch.
-    AdvanceEpochTo(other.epoch_.load(std::memory_order_relaxed));
-    return *this;
-  }
 
   /// Allocate a new empty page and return its id.
   virtual PageId Allocate();
@@ -80,17 +63,12 @@ class PageStore {
   /// Replace the contents of page `id`. The page's `id` field is set.
   virtual Status Write(PageId id, std::vector<geom::SpatialElement> elements);
 
-  /// Read page `id`. The returned pointer is stable until the store is
-  /// destroyed or Reset. Counts one raw read. Thread-safe against other
-  /// Reads.
-  virtual Result<const Page*> Read(PageId id) const;
-
-  /// The page without counting a raw read (metadata-path access: the page
-  /// was already paid for by the Read/Prefetch that cached it). Returns
-  /// nullptr for an unknown id.
-  virtual const Page* Peek(PageId id) const {
-    return id < pages_.size() ? &pages_[id] : nullptr;
-  }
+  /// Read page `id`. The in-memory store's handle aliases its own page
+  /// without owning it: the page keeps its address across Allocate and
+  /// Write (a Write replaces its elements in place) until Reset or the
+  /// store's destruction. A disk store's handle owns a freshly decoded
+  /// page. Thread-safe against other Reads.
+  virtual Result<std::shared_ptr<const Page>> Read(PageId id) const;
 
   virtual size_t NumPages() const { return pages_.size(); }
 
@@ -104,15 +82,10 @@ class PageStore {
   /// No-op for the in-memory store.
   virtual Status Flush() { return Status::OK(); }
 
-  /// Raw page reads served since construction (demand + prefetch).
-  uint64_t NumReads() const { return reads_.load(std::memory_order_relaxed); }
-  /// Pages written since construction.
-  uint64_t NumWrites() const { return writes_.load(std::memory_order_relaxed); }
-
   /// Version of the physical page layout. Bumped by Reset (compaction) and
   /// BumpEpoch; a BufferPool caching pages of this store is stale — and must
   /// be evicted — whenever the store's epoch moved past the one it cached at.
-  /// Monotone across Reset, move-assignment and (for disk stores) reopen.
+  /// Monotone across Reset and (for disk stores) reopen.
   Epoch epoch() const { return epoch_.load(std::memory_order_relaxed); }
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -127,24 +100,17 @@ class PageStore {
 
   /// Drop every page (compaction rebuilds the layout from scratch) and bump
   /// the epoch — the epoch always moves forward, never back to a value a
-  /// pool might have cached at. Read/write counters keep accumulating across
-  /// Resets. Any BufferPool over this store must be evicted before its next
-  /// access — cached Page pointers into the old layout are invalid after a
-  /// Reset.
+  /// pool might have cached at. Any BufferPool over this store must be
+  /// evicted before its next access: handles to the in-memory store's old
+  /// pages dangle after a Reset.
   virtual void Reset() {
     pages_.clear();
     BumpEpoch();
   }
 
- protected:
-  // Subclass hooks into the shared raw-I/O counters.
-  void CountRead() const { reads_.fetch_add(1, std::memory_order_relaxed); }
-  void CountWrite() { writes_.fetch_add(1, std::memory_order_relaxed); }
-
  private:
-  std::vector<Page> pages_;
-  mutable std::atomic<uint64_t> reads_{0};
-  std::atomic<uint64_t> writes_{0};
+  // A deque, so that Allocate never moves a page a handle aliases.
+  std::deque<Page> pages_;
   std::atomic<Epoch> epoch_{0};
 };
 

@@ -59,7 +59,10 @@ std::vector<Aabb> StorePageBounds(const storage::PageStore& store) {
   std::vector<Aabb> out;
   for (storage::PageId id = 0; id < store.NumPages(); ++id) {
     Aabb bounds;
-    for (const auto& e : store.Peek(id)->elements) bounds.Extend(e.bounds);
+    auto page = store.Read(id);
+    EXPECT_TRUE(page.ok()) << page.status().ToString();
+    if (!page.ok()) return out;
+    for (const auto& e : (*page)->elements) bounds.Extend(e.bounds);
     out.push_back(bounds);
   }
   return out;

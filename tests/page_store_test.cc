@@ -50,14 +50,20 @@ TEST(PageStoreTest, WriteInvalidIdFails) {
   EXPECT_TRUE(store.Write(7, MakeElements(1)).IsOutOfRange());
 }
 
-TEST(PageStoreTest, StatsCountRawIo) {
+// The in-memory store's handle aliases its own page: every Read returns the
+// same address, and it stays valid while the store allocates more pages.
+TEST(PageStoreTest, ReadAliasesThePageAcrossAllocate) {
   PageStore store;
   PageId id = store.Allocate();
-  ASSERT_TRUE(store.Write(id, MakeElements(1)).ok());
-  ASSERT_TRUE(store.Read(id).ok());
-  ASSERT_TRUE(store.Read(id).ok());
-  EXPECT_EQ(store.NumWrites(), 1u);
-  EXPECT_EQ(store.NumReads(), 2u);
+  ASSERT_TRUE(store.Write(id, MakeElements(3)).ok());
+  auto first = store.Read(id);
+  ASSERT_TRUE(first.ok());
+  for (int i = 0; i < 100; ++i) store.Allocate();
+  auto again = store.Read(id);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->get(), first->get());
+  ASSERT_EQ((*first)->elements.size(), 3u);
+  EXPECT_EQ((*first)->elements[2].id, 2u);
 }
 
 TEST(PageStoreTest, TotalBytesReflectsContents) {

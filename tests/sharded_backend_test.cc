@@ -236,29 +236,31 @@ TEST(ShardedBackendTest, RejectsMismatchedPoolSets) {
                   .IsInvalidArgument());
 }
 
-TEST(ShardedBackendTest, StoreReadsAggregateAcrossShards) {
+TEST(ShardedBackendTest, EveryShardServesAWholeDomainRange) {
   geom::ElementVec elements = MakeCloud(1000, 47);
   ShardedOptions options;
   options.num_shards = 4;
   ShardedBackend backend(options);
   ASSERT_TRUE(backend.Build(elements).ok());
   EXPECT_EQ(backend.Stores().size(), 4u);
-  EXPECT_EQ(backend.TotalStoreReads(), 0u);
 
   storage::PoolSet pools = backend.MakePoolSet(4096);
   CollectingVisitor out;
   Aabb everything(Vec3(-1000, -1000, -1000), Vec3(1000, 1000, 1000));
-  ASSERT_TRUE(backend.RangeQuery(everything, &pools, out, nullptr).ok());
+  RangeStats range;
+  ASSERT_TRUE(backend.RangeQuery(everything, &pools, out, &range).ok());
   EXPECT_EQ(out.size(), elements.size());
 
-  // Every shard served pages; the aggregation sums their stores.
-  uint64_t total = 0;
+  // Every shard read pages through its own pool, and the query's tally
+  // sums the shards' pools.
+  ASSERT_EQ(pools.size(), backend.NumShards());
+  uint64_t misses = 0;
   for (size_t s = 0; s < backend.NumShards(); ++s) {
-    uint64_t reads = backend.shard(s).store().NumReads();
-    EXPECT_GT(reads, 0u) << "shard " << s;
-    total += reads;
+    const uint64_t shard_misses = pools.pool(s)->Counters().misses;
+    EXPECT_GT(shard_misses, 0u) << "shard " << s;
+    misses += shard_misses;
   }
-  EXPECT_EQ(backend.TotalStoreReads(), total);
+  EXPECT_EQ(range.pool.misses, misses);
 
   BackendStats stats = backend.Stats();
   EXPECT_GT(stats.index_pages, 0u);

@@ -45,6 +45,9 @@ TEST(StatusTest, CodeNamesAreStable) {
   EXPECT_STREQ(StatusCodeToString(StatusCode::kIOError), "IOError");
   EXPECT_STREQ(StatusCodeToString(StatusCode::kUnimplemented),
                "Unimplemented");
+  EXPECT_STREQ(StatusCodeToString(StatusCode::kFailedPrecondition),
+               "FailedPrecondition");
+  EXPECT_TRUE(Status::FailedPrecondition("x").IsFailedPrecondition());
 }
 
 Status FailsThrough() {

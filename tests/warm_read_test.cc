@@ -2,7 +2,8 @@
 // tally, so its modeled time and pool counters are exact however many
 // readers share the engine's pools; warm readers racing serial batches
 // (whose kCold entries evict those pools) and MetricsSnapshot answer
-// exactly what a kCold request answers.
+// exactly what a kCold request answers. On disk stores the pools are the
+// only page cache, so device page reads equal their misses and prefetches.
 
 #include "engine/query_engine.h"
 
@@ -10,13 +11,18 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <span>
+#include <string>
 #include <thread>
 #include <variant>
 #include <vector>
 
 #include "neuro/circuit_generator.h"
 #include "neuro/workload.h"
+#include "storage/disk/disk_page_store.h"
 
 namespace neurodb {
 namespace engine {
@@ -350,6 +356,98 @@ void RunConcurrentWarmReads(bool flat_only) {
   EXPECT_EQ(unpriced.load(), 0u);
   EXPECT_EQ(errors.load(), 0u);
   EXPECT_GT(batches, 0u);
+}
+
+// Temp directories live under the test's working directory (the build
+// tree), never outside the repo.
+class TempDir {
+ public:
+  TempDir() {
+    char tmpl[] = "ndb_warm_test_XXXXXX";
+    char* made = mkdtemp(tmpl);
+    EXPECT_NE(made, nullptr);
+    if (made != nullptr) path_ = made;
+  }
+  ~TempDir() {
+    if (!path_.empty()) std::filesystem::remove_all(path_);
+  }
+  std::string Sub(const std::string& name) const { return path_ + "/" + name; }
+
+ private:
+  std::string path_;
+};
+
+// Device page reads of a backend, summed over its disk stores.
+uint64_t DeviceReads(SpatialBackend* backend) {
+  uint64_t reads = 0;
+  for (storage::PageStore* store : backend->Stores()) {
+    const auto* disk = dynamic_cast<const storage::DiskPageStore*>(store);
+    EXPECT_NE(disk, nullptr) << backend->name();
+    if (disk != nullptr) reads += disk->page_file().read_calls();
+  }
+  return reads;
+}
+
+// The pools are the only page cache. A durable engine on disk stores, with
+// pools far smaller than its indexes, serves kWarm reads on every backend
+// and a cached SCOUT session on FLAT: each backend's stores then read
+// exactly one page per pool miss or prefetch load, and nothing else.
+TEST(WarmAccountingTest, DiskStoresReadOnePagePerMissOrPrefetch) {
+  TempDir dir;
+  EngineOptions options = SmallPools();
+  options.durability.dir = dir.Sub("data");
+  options.durability.disk_backends = true;
+  QueryEngine db(options);
+  const neuro::Circuit circuit = MakeColumn(40, 5);
+  ASSERT_TRUE(db.LoadCircuit(circuit).ok());
+  SpatialBackend* backends[] = {db.flat_backend(), db.rtree_backend(),
+                                db.grid_backend(), db.sharded_backend()};
+  for (SpatialBackend* backend : backends) {
+    EXPECT_EQ(DeviceReads(backend), 0u) << backend->name();
+  }
+
+  // Pool misses and prefetch loads per backend name.
+  std::map<std::string, uint64_t> loads;
+  uint64_t evictions = 0;
+  auto count = [&](const std::vector<RangeRow>& rows) {
+    for (const RangeRow& row : rows) {
+      loads[row.method] += row.stats.pool.misses;
+      evictions += row.stats.pool.evictions;
+    }
+  };
+  for (const neuro::WorkloadQuery& q : Reads(db, 300, 21)) {
+    const QueryRequest request = MakeRequest(q, BackendChoice::kAll,
+                                             CachePolicy::kWarm);
+    if (const auto* range = std::get_if<RangeRequest>(&request)) {
+      auto report = db.Execute(*range);
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      count(report->rows);
+    } else {
+      auto report = db.Execute(std::get<KnnRequest>(request));
+      ASSERT_TRUE(report.ok()) << report.status().ToString();
+      count(report->rows);
+    }
+  }
+  EXPECT_GT(evictions, 0u);
+
+  auto path = neuro::FollowBranchPath(circuit, 1, 12.0f, 1);
+  ASSERT_TRUE(path.ok());
+  auto session =
+      db.OpenSession(scout::PrefetchMethod::kScout, CachePolicy::kWarm);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (const geom::Aabb& box : neuro::PathQueries(*path, 30.0f)) {
+    ASSERT_TRUE(session->Step(box).ok());
+  }
+  const scout::SessionResult summary = session->Summary();
+  EXPECT_GT(summary.prefetch_issued, 0u);
+  loads[db.flat_backend()->name()] +=
+      summary.pages_missed + summary.prefetch_issued;
+
+  for (SpatialBackend* backend : backends) {
+    EXPECT_GT(loads[backend->name()], 0u) << backend->name();
+    EXPECT_EQ(DeviceReads(backend), loads[backend->name()])
+        << backend->name();
+  }
 }
 
 TEST(ConcurrentWarmReadTest, ReadersSharingTheFlatPoolAnswerLikeCold) {
